@@ -153,14 +153,18 @@ def parse_expression(text: str) -> Evaluator:
 
 
 def expression_field(text: str) -> ResidualField:
-    """Wrap a formula as a residual field; evaluation errors become
+    """Wrap a formula as a residual field; evaluation errors and non-real
+    values (a negative base under a fractional power) become
     FieldEvaluationError so the tracer can treat bad regions as stalls."""
     evaluator = parse_expression(text)
 
     def f(x: float, y: float) -> float:
         try:
-            return evaluator(x, y)
+            value = evaluator(x, y)
         except (ArithmeticError, ValueError) as exc:
             raise FieldEvaluationError(f"expression undefined at ({x}, {y}): {exc}") from exc
+        if isinstance(value, complex):
+            raise FieldEvaluationError(f"expression not real at ({x}, {y}): {value}")
+        return value
 
     return f

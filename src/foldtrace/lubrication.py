@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import FieldEvaluationError, NoConvergence, NonpositiveThickness, SingularJacobian
+from .errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness, SingularJacobian,
+                     TraceError)
 from .rootfind import VectorSolveConfig, solve_vector
 
 log = logging.getLogger(__name__)
@@ -57,6 +58,8 @@ class SpectralGrid:
     nodes: np.ndarray
     d1: np.ndarray
     d3: np.ndarray
+    _operators: Dict[float, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, m: int) -> "SpectralGrid":
@@ -71,6 +74,14 @@ class SpectralGrid:
     def weight(self) -> float:
         """Rectangle-rule quadrature weight, exact for resolved modes."""
         return TWO_PI / self.m
+
+    def derivative_operator(self, epsilon: float) -> np.ndarray:
+        """Read-only (epsilon/3)(D1 + D3): the state-independent part of every
+        Jacobian, built once per epsilon and shared by all Newton iterations."""
+        if epsilon not in self._operators:
+            self._operators[epsilon] = (epsilon / 3.0) * (self.d1 + self.d3)
+            self._operators[epsilon].flags.writeable = False
+        return self._operators[epsilon]
 
 
 @dataclass
@@ -109,8 +120,8 @@ def residual_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid) -> np.ndar
 
 def jacobian_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid) -> np.ndarray:
     h = _check_thickness(h)
-    J = (epsilon / 3.0) * (grid.d1 + grid.d3)
-    J = J + np.diag(3.0 * Q / h**4 - 2.0 / h**3)
+    J = grid.derivative_operator(epsilon).copy()
+    J.flat[:: grid.m + 1] += 3.0 * Q / h**4 - 2.0 / h**3
     return J
 
 
@@ -224,7 +235,12 @@ class BifurcationField:
 
     Converged profiles are cached and the one nearest the probe seeds the
     next solve, so evaluations track whichever branch the tracer is on.
-    One instance services one trace at a time: the cache is mutable state.
+    Every converged evaluation is also recorded in `solved`, keyed by its
+    exact probe point (Q, M). The tracer only accepts points at which it
+    evaluated the field, so after a trace the state at each path point is
+    read from `solved` instead of being solved again; clear it between
+    traces. One instance services one trace at a time: the cache and the
+    record are mutable state.
     """
 
     def __init__(
@@ -241,42 +257,29 @@ class BifurcationField:
         self.solve_config = solve_config or VectorSolveConfig(tol=1e-11, max_iter=12)
         self.cache_size = cache_size
         self._cache: List[LubricationState] = []
+        self._cache_QM = np.empty((0, 2))  # (Q, M) of each cached state, same order
+        self.solved: Dict[Tuple[float, float], LubricationState] = {}
 
     def _remember(self, state: LubricationState) -> None:
         self._cache.append(state)
+        self._cache_QM = np.append(self._cache_QM, [(state.Q, state.M)], axis=0)
         if len(self._cache) > self.cache_size:
             self._cache.pop(0)
+            self._cache_QM = self._cache_QM[1:]
 
     def _warm(self, Q: float, M: float) -> Tuple[np.ndarray, float]:
         if not self._cache:
             mean = max(M, 0.5) / TWO_PI
             return np.full(self.grid.m, max(mean, 0.05)), max(Q, 0.05)
-        nearest = min(self._cache, key=lambda s: (s.Q - Q) ** 2 + (s.M - M) ** 2)
+        Qs, Ms = self._cache_QM.T
+        nearest = self._cache[int(np.argmin((Qs - Q) ** 2 + (Ms - M) ** 2))]  # ties: oldest
         return nearest.h.copy(), nearest.Q
-
-    def _mass_continuation(self, h0, Q0: float, M: float, leap: float = 0.08) -> LubricationState:
-        """Fixed-mass solve, bridging a distant warm start in small hops."""
-        try:
-            return solve_at_M(M, self.epsilon, self.grid, h0, Q0, self.solve_config)
-        except _SOLVE_FAILURES:
-            gap = M - mass_of(h0, self.grid)
-            hops = int(abs(gap) / leap) + 1
-            if hops <= 1:
-                raise
-        h, Q = np.asarray(h0, dtype=float), Q0
-        start = mass_of(h, self.grid)
-        for j in range(1, hops + 1):
-            state = solve_at_M(start + gap * j / hops, self.epsilon, self.grid, h, Q,
-                               self.solve_config)
-            h, Q = state.h, state.Q
-        return state
 
     def __call__(self, Q: float, M: float) -> float:
         h0, Q0 = self._warm(Q, M)
         try:
             state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, self.solve_config)
-            self._remember(state)
-            return state.Q - Q
+            residual = state.Q - Q
         except _SOLVE_FAILURES as first:
             try:
                 state = solve_at_Q(Q, self.epsilon, self.grid, h0, self.solve_config)
@@ -285,8 +288,10 @@ class BifurcationField:
                     f"both solves failed at (Q={Q:.6g}, M={M:.6g}): "
                     f"fixed-M: {first}; fixed-Q: {second}"
                 ) from second
-            self._remember(state)
-            return state.M - M
+            residual = state.M - M
+        self._remember(state)
+        self.solved[(Q, M)] = state
+        return residual
 
     def seed(self, M: float, Q0: Optional[float] = None) -> LubricationState:
         """Converge an initial on-curve state at the given mass.
@@ -320,32 +325,6 @@ class BifurcationField:
         self._remember(state)
         return state
 
-    def resolve(self, Q: float, M: float, plane_tol: float = 1e-6) -> LubricationState:
-        """Converged state at a point assumed to lie on the curve."""
-        h0, Q0 = self._warm(Q, M)
-        try:
-            state = self._mass_continuation(h0, Q0, M)
-            if abs(state.Q - Q) <= plane_tol:
-                self._remember(state)
-                return state
-            raise FieldEvaluationError(
-                f"point (Q={Q:.6g}, M={M:.6g}) does not sit on the solution curve "
-                f"(nearest Q at this mass: {state.Q:.6g})"
-            )
-        except _SOLVE_FAILURES:
-            pass
-        try:
-            state = solve_at_Q(Q, self.epsilon, self.grid, h0, self.solve_config)
-        except _SOLVE_FAILURES as exc:
-            raise FieldEvaluationError(f"cannot resolve state at (Q={Q:.6g}, M={M:.6g}): {exc}") from exc
-        if abs(state.M - M) > plane_tol:
-            raise FieldEvaluationError(
-                f"point (Q={Q:.6g}, M={M:.6g}) does not sit on the solution curve "
-                f"(nearest M at this flux: {state.M:.6g})"
-            )
-        self._remember(state)
-        return state
-
 
 def bifurcation_field(
     epsilon: float,
@@ -372,7 +351,9 @@ def trace_bifurcation(
 ):
     """Trace the (Q, M) diagram from a converged seed at the given mass.
 
-    Returns (path, states, field) with one converged state per path point.
+    Returns (path, states, field) with one converged state per path point:
+    the state the trace's own solve produced there, so no Newton solve runs
+    after the trace.
     Defaults are tuned for the small-surface-tension fold regime: the flux
     axis is driven first with a fine step because the folds are shallow in
     Q, the scan radius spans them in M, and the mass floor stops the walk
@@ -395,8 +376,9 @@ def trace_bifurcation(
         domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
     )
     path = trace(field, Point2(seed.Q, seed.M), StepDirection.parse(initial), cfg)
-    # Resolve profiles walking the path backwards: the cache ends the trace
-    # holding the final stretch, so each solve warm-starts from a neighbor.
-    states = [field.resolve(p.x, p.y) for p in reversed(path.points)]
-    states.reverse()
+    states = [field.solved.get((p.x, p.y)) for p in path.points]
+    field.solved.clear()
+    for p, state in zip(path.points, states):
+        if state is None:
+            raise TraceError(f"no converged state was recorded at path point {p}", path=path)
     return path, states, field

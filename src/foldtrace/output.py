@@ -13,7 +13,7 @@ from typing import IO, Iterable, List, Sequence, Tuple, Union
 from .astroid import SweepResult
 from .geometry import Point2
 from .lubrication import LubricationState
-from .tracer import FLAG_TURNING, SolutionPath
+from .tracer import FLAG_RESTART, FLAG_TURNING, SolutionPath
 
 
 def _fmt(v: float) -> str:
@@ -67,7 +67,7 @@ def _segments(path: SolutionPath) -> List[List[Point2]]:
     segments: List[List[Point2]] = []
     current: List[Point2] = []
     for p, flag in zip(path.points, path.flags):
-        if flag == "restart" and current:
+        if flag == FLAG_RESTART and current:
             segments.append(current)
             current = []
         current.append(p)

@@ -61,6 +61,18 @@ class TestTraceCommand:
         assert code == 0
         assert "termination: left domain" in out
 
+    def test_non_real_formula_has_no_traceback(self, tmp_path, capsys):
+        # x^0.5 is complex for x < 0; the field reports that as undefined,
+        # so the trace stalls there instead of crashing in the slice solver
+        csv = tmp_path / "r.csv"
+        code = run(["trace", "--problem", "expression", "--expr", "x^0.5-y",
+                    "--start", "1,1", "--dir", "-x", "--box=-1,2,-1,2",
+                    "--csv", str(csv), "--svg", str(tmp_path / "r.svg")])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "Traceback" not in captured.err
+        assert csv.exists()
+
     def test_missing_expr_is_config_error(self, tmp_path, capsys):
         code = run(["trace", "--problem", "expression", "--start", "0,0", "--dir", "+x",
                     "--csv", str(tmp_path / "x.csv")])

@@ -55,6 +55,13 @@ class TestExpressionField:
         with pytest.raises(FieldEvaluationError):
             field2(0.0, 0.0)
 
+    def test_non_real_result_is_evaluation_error(self):
+        # a negative base under a fractional power gives a complex number
+        field = expression_field("x^0.5 - y")
+        assert field(4.0, 1.0) == 1.0
+        with pytest.raises(FieldEvaluationError, match="not real"):
+            field(-1.0, 0.0)
+
     def test_astroid_via_expression(self):
         field = expression_field("cbrt(x)^2 + cbrt(y)^2 - 1")
         assert abs(field(math.cos(0.7) ** 3, math.sin(0.7) ** 3)) < 1e-14

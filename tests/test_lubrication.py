@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from foldtrace.errors import FieldEvaluationError, NoConvergence, NonpositiveThickness
+import itertools
+
+import foldtrace.lubrication as lubrication
+import foldtrace.tracer
+from foldtrace.errors import FieldEvaluationError, NoConvergence, NonpositiveThickness, TraceError
 from foldtrace.lubrication import (
     TWO_PI,
     BifurcationField,
+    LubricationState,
     SpectralGrid,
     augmented_jacobian,
     augmented_residual,
     flux_balance_defect,
+    trace_bifurcation,
     fourier_diff_matrix,
     jacobian_fixed_Q,
     mass_of,
@@ -208,19 +214,7 @@ class TestBifurcationField:
         with pytest.raises(FieldEvaluationError):
             field64(25.0, 0.02)
 
-    def test_resolve_consistency(self, field64):
-        st = field64.seed(TWO_PI)
-        again = field64.resolve(st.Q, st.M)
-        assert abs(again.Q - st.Q) < 1e-8
-        assert abs(again.M - st.M) < 1e-10
-
-    def test_resolve_off_curve_rejected(self, field64):
-        st = field64.seed(TWO_PI)
-        with pytest.raises(FieldEvaluationError):
-            field64.resolve(st.Q + 0.05, st.M)
-
     def test_state_validation(self):
-        from foldtrace.lubrication import LubricationState
         with pytest.raises(NonpositiveThickness):
             LubricationState(h=np.array([1.0, -0.1]), Q=0.5, M=1.0, epsilon=1e-3)
 
@@ -233,3 +227,131 @@ class TestBifurcationField:
         assert np.max(np.abs(residual_fixed_Q(st.h, st.Q, 1e-4, grid))) < 1e-10
         assert 0.60 < st.Q < 0.70
         assert st.h.max() > 4.0  # markedly pooled
+
+
+# A diagram small enough for the unit suite: the same settings as the CLI's
+# large-epsilon smoke test, outside the fold regime but with one scan event.
+SMALL_DIAGRAM = dict(epsilon=0.1, m=32, step_q=0.002, step_m=0.05, max_points=40,
+                     min_mass=3.0)
+
+
+class TestTraceStates:
+    def test_states_sit_on_their_path_points(self):
+        path, states, field = trace_bifurcation(**SMALL_DIAGRAM)
+        assert len(path.events) >= 1
+        assert len(states) == len(path.points)
+        tol = 1e-9  # trace_bifurcation's residual_tol
+        for p, s in zip(path.points, states):
+            assert abs(s.Q - p.x) <= tol
+            assert abs(s.M - p.y) <= tol
+            assert np.max(np.abs(residual_fixed_Q(s.h, s.Q, field.epsilon, field.grid))) < 1e-10
+        assert not field.solved  # the record is cleared for the next trace
+
+    def test_no_solve_after_trace_returns(self, monkeypatch):
+        calls = {"during": 0, "after": 0}
+        phase = {"now": "before"}
+        real_trace = foldtrace.tracer.trace  # trace_bifurcation imports it per call
+        real_at_M, real_at_Q = lubrication.solve_at_M, lubrication.solve_at_Q
+
+        def traced(*args, **kwargs):
+            phase["now"] = "during"
+            path = real_trace(*args, **kwargs)
+            phase["now"] = "after"
+            return path
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                if phase["now"] in calls:
+                    calls[phase["now"]] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(foldtrace.tracer, "trace", traced)
+        monkeypatch.setattr(lubrication, "solve_at_M", counting(real_at_M))
+        monkeypatch.setattr(lubrication, "solve_at_Q", counting(real_at_Q))
+        trace_bifurcation(**SMALL_DIAGRAM)
+        assert phase["now"] == "after"
+        assert calls["during"] > 0
+        assert calls["after"] == 0
+
+    def test_missing_state_is_an_error(self, monkeypatch):
+        real_call = BifurcationField.__call__
+
+        def forgetful(self, Q, M):
+            value = real_call(self, Q, M)
+            self.solved.clear()
+            return value
+
+        monkeypatch.setattr(BifurcationField, "__call__", forgetful)
+        with pytest.raises(TraceError, match="no converged state"):
+            trace_bifurcation(**SMALL_DIAGRAM)
+
+
+_tags = itertools.count(1)
+
+
+def _state(Q, M, m=8):
+    # a distinct profile per state, so a pick is identified by its h
+    return LubricationState(h=np.full(m, float(next(_tags))), Q=Q, M=M, epsilon=1e-3)
+
+
+class TestWarmStartLookup:
+    @staticmethod
+    def _min_lookup(field, Q, M):
+        # the linear scan the vectorised lookup replaced
+        return min(field._cache, key=lambda s: (s.Q - Q) ** 2 + (s.M - M) ** 2)
+
+    def _assert_same_pick(self, field, probes):
+        for Q, M in probes:
+            h0, Q0 = field._warm(Q, M)
+            expected = self._min_lookup(field, Q, M)
+            assert Q0 == expected.Q
+            assert np.array_equal(h0, expected.h)
+            assert h0 is not expected.h  # the caller gets a copy
+
+    def test_exact_ties_pick_the_oldest(self):
+        field = BifurcationField(1e-3, SpectralGrid.build(8), cache_size=8)
+        # four states at distance 1 from (0, 0), one per axis direction,
+        # then a duplicate of the first: min() keeps the first inserted
+        for Q, M in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]:
+            field._remember(_state(Q, M))
+        h0, Q0 = field._warm(0.0, 0.0)
+        assert Q0 == 1.0 and np.array_equal(h0, field._cache[0].h)
+        self._assert_same_pick(field, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
+
+    def test_same_pick_after_eviction(self):
+        field = BifurcationField(1e-3, SpectralGrid.build(8), cache_size=5)
+        rng = np.random.default_rng(7)
+        grid_points = [(float(q), float(m)) for q, m in rng.integers(0, 4, size=(23, 2))]
+        probes = [(float(q), float(m)) for q, m in rng.uniform(-1, 5, size=(10, 2))]
+        probes += [(1.5, 1.5), (0.0, 0.0), (3.0, 3.0)]  # integer lattice: many ties
+        for i, (Q, M) in enumerate(grid_points):
+            field._remember(_state(Q + 1e-3 * (i % 2), M))
+            assert len(field._cache) == min(i + 1, 5)
+            self._assert_same_pick(field, probes)
+        # the FIFO holds exactly the five newest states, oldest first
+        assert [s.M for s in field._cache] == [M for _Q, M in grid_points[-5:]]
+
+    def test_empty_cache_uses_flat_film(self):
+        field = BifurcationField(1e-3, SpectralGrid.build(8))
+        h0, Q0 = field._warm(0.6, TWO_PI)
+        assert Q0 == 0.6 and np.allclose(h0, 1.0)
+
+
+class TestDerivativeOperator:
+    def test_built_once_and_read_only(self, grid32):
+        op = grid32.derivative_operator(1e-3)
+        assert grid32.derivative_operator(1e-3) is op
+        assert not op.flags.writeable
+        assert np.array_equal(op, (1e-3 / 3.0) * (grid32.d1 + grid32.d3))
+
+    def test_jacobian_bit_identical_to_dense_build(self, grid32):
+        rng = np.random.default_rng(3)
+        h = 0.5 + rng.random(32)
+        Q, eps = 0.7, 1e-3
+        dense = (eps / 3.0) * (grid32.d1 + grid32.d3) + np.diag(3.0 * Q / h**4 - 2.0 / h**3)
+        assert np.array_equal(jacobian_fixed_Q(h, Q, eps, grid32), dense)
+        J = augmented_jacobian(np.concatenate([h, [Q]]), eps, grid32)
+        assert np.array_equal(J[:32, :32], dense)
+        assert np.array_equal(J[:32, 32], -1.0 / h**3)
+        assert np.all(J[32, :32] == grid32.weight) and J[32, 32] == 0.0

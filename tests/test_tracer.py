@@ -208,6 +208,73 @@ class TestTraceEllipse:
         assert min(p.distance_to(Point2(2.0, 0.0)) for p in path.points) < 0.1
 
 
+def _recording(field):
+    """Wrap a field so every point it is evaluated at is kept."""
+    seen = set()
+
+    def f(x, y):
+        seen.add((x, y))
+        return field(x, y)
+
+    return f, seen
+
+
+class TestAcceptedPointsWereEvaluated:
+    """Every accepted point is a point the field was evaluated at, bit for bit.
+
+    Slice roots, mesh hits, the arc-end probe, arc-bisection points and the
+    start are all used exactly as evaluated. The lubrication diagram relies
+    on this to read each point's converged state back instead of re-solving.
+    """
+
+    def _assert_all_seen(self, path, seen):
+        missing = [p for p in path.points if (p.x, p.y) not in seen]
+        assert not missing
+
+    def test_circle(self):
+        f, seen = _recording(circle_field())
+        path = trace(f, Point2(1.0, 0.0), MINUS_Y, TraceConfig(step=0.05))
+        assert len(path.events) == 4
+        self._assert_all_seen(path, seen)
+
+    def test_astroid(self, monkeypatch):
+        import foldtrace.astroid as astroid_mod
+
+        f, seen = _recording(astroid_field())
+        monkeypatch.setattr(astroid_mod, "astroid_field", lambda: f)
+        path = astroid_mod.trace_astroid(0.01)
+        assert len(path.points) == 403 and len(path.events) == 2
+        self._assert_all_seen(path, seen)
+
+    def test_expression_ellipse(self):
+        from foldtrace.expressions import expression_field
+
+        f, seen = _recording(expression_field("x*x/4 + y*y - 1"))
+        cfg = TraceConfig(step=0.05, max_points=2000, slice_bracket=1.2)
+        path = trace(f, Point2(2.0, 0.0), MINUS_Y, cfg)
+        assert len(path.events) == 4
+        self._assert_all_seen(path, seen)
+
+    def test_lubrication_diagram(self, monkeypatch):
+        import foldtrace.tracer as tracer_mod
+        from foldtrace.lubrication import trace_bifurcation
+
+        real_trace = tracer_mod.trace
+        recorded = []
+
+        def recording_trace(field, *args, **kwargs):
+            f, seen = _recording(field)
+            recorded.append(seen)
+            return real_trace(f, *args, **kwargs)
+
+        # trace_bifurcation imports trace from the tracer module per call
+        monkeypatch.setattr(tracer_mod, "trace", recording_trace)
+        path, _states, _field = trace_bifurcation(epsilon=0.1, m=32, step_q=0.002,
+                                                  step_m=0.05, max_points=40, min_mass=3.0)
+        assert len(path.events) >= 1
+        self._assert_all_seen(path, recorded[0])
+
+
 class TestSolutionPath:
     def test_append_rejects_duplicate(self):
         path = SolutionPath()
