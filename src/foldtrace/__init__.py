@@ -37,7 +37,6 @@ from .lubrication import (
     BifurcationField,
     LubricationState,
     SpectralGrid,
-    bifurcation_field,
     fourier_diff_matrix,
     jacobian_fixed_Q,
     residual_fixed_Q,
@@ -59,7 +58,6 @@ from .tracer import (
     Termination,
     TraceConfig,
     TurningPointEvent,
-    classify_turning_point,
     polish_transverse,
     step,
     trace,

@@ -13,10 +13,10 @@ import logging
 import math
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from . import astroid as astroid_mod
-from .errors import FoldtraceError, TraceError
+from .errors import ExpressionError, FoldtraceError, TraceError
 from .expressions import expression_field
 from .fields import circle_field
 from .geometry import Box, Point2, StepDirection
@@ -73,15 +73,21 @@ def _parse_box(text: str) -> Box:
         raise _CliError(f"bad box {text!r}: {exc}") from exc
 
 
-def _parse_floats(text: str) -> List[float]:
+def _parse_numbers(text: str, convert: Callable[[float], Any] = float) -> List[Any]:
     items = [p for p in text.split(",") if p.strip()]
     if not items:
         raise _CliError(f"empty list {text!r}")
-    return [float(p) for p in items]
+    try:
+        return [convert(float(p)) for p in items]
+    except (ValueError, OverflowError) as exc:  # round() rejects nan and inf
+        raise _CliError(f"bad number list {text!r}: {exc}") from exc
 
 
-def _parse_ints(text: str) -> List[int]:
-    return [int(round(v)) for v in _parse_floats(text)]
+def _parse_direction(text: str) -> StepDirection:
+    try:
+        return StepDirection.parse(text)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _print_summary(path: SolutionPath) -> None:
@@ -109,7 +115,10 @@ def cmd_trace(args) -> int:
             raise _CliError("--expr is required for --problem expression")
         if args.start is None or args.dir is None:
             raise _CliError("--start and --dir are required for --problem expression")
-        field = expression_field(args.expr)
+        try:
+            field = expression_field(args.expr)
+        except ExpressionError as exc:
+            raise _CliError(f"bad --expr: {exc}") from exc
         start, direction = _parse_point(args.start), args.dir
         step = args.step if args.step is not None else 0.01
     else:
@@ -121,28 +130,28 @@ def cmd_trace(args) -> int:
         direction = args.dir or default_dir
         step = args.step if args.step is not None else default_step
 
-    try:
-        direction = StepDirection.parse(direction)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    direction = _parse_direction(direction)
     if step <= 0:
         raise _CliError("--step must be positive")
 
-    scan = ScanConfig(
-        radius=args.scan_r if args.scan_r is not None else step,
-        mesh_count=args.scan_n,
-        reference_lag=args.scan_k,
-        residual_tol=args.tol,
-    )
-    cfg = TraceConfig(
-        step=step,
-        step_y=args.step_y,
-        scan=scan,
-        max_points=args.max_points,
-        domain=_parse_box(args.box) if args.box else None,
-        closure_tol=args.closure_tol,
-        slice_bracket=args.bracket,
-    )
+    try:
+        scan = ScanConfig(
+            radius=args.scan_r if args.scan_r is not None else step,
+            mesh_count=args.scan_n,
+            reference_lag=args.scan_k,
+            residual_tol=args.tol,
+        )
+        cfg = TraceConfig(
+            step=step,
+            step_y=args.step_y,
+            scan=scan,
+            max_points=args.max_points,
+            domain=_parse_box(args.box) if args.box else None,
+            closure_tol=args.closure_tol,
+            slice_bracket=args.bracket,
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
     try:
         start = polish_transverse(field, start, direction, tol=args.tol)
@@ -170,9 +179,11 @@ _VALID_N = (4, 10)
 
 
 def cmd_verify(args) -> int:
-    r_factors = _parse_floats(args.r_factors)
-    k_values = _parse_ints(args.k_values)
-    n_values = _parse_ints(args.n_values)
+    if args.delta <= 0:
+        raise _CliError("--delta must be positive")
+    r_factors = _parse_numbers(args.r_factors)
+    k_values = _parse_numbers(args.k_values, round)
+    n_values = _parse_numbers(args.n_values, round)
     results = astroid_mod.run_sweep(r_factors, k_values, n_values, args.delta)
 
     if args.csv:
@@ -211,6 +222,7 @@ def cmd_lubrication(args) -> int:
         raise _CliError("--epsilon must be positive")
     if args.seed_mass <= 0:
         raise _CliError("--seed-mass must be positive")
+    _parse_direction(args.dir)
 
     try:
         path, states, field = trace_bifurcation(

@@ -1,15 +1,16 @@
 """Minimal arithmetic-expression evaluator for user-supplied f(x, y).
 
-Grammar: + - * / ^ with unary minus, parentheses, the variables x and y,
-and the functions sin, cos, abs, cbrt, sqrt, exp, log. Deliberately tiny;
-anything richer belongs in user code.
+Grammar: + - * / ^ (or **) with unary minus, parentheses, x and y, decimal
+numbers, and the functions sin, cos, abs, cbrt, sqrt, exp, log. Python's
+parser reads the formula; a node whitelist enforces the grammar.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
-from typing import Callable, List, Tuple
+from typing import Callable
 
 from .errors import ExpressionError, FieldEvaluationError
 from .geometry import cbrt
@@ -25,131 +26,55 @@ _FUNCTIONS = {
     "log": math.log,
 }
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()])"
-    r")"
-)
+_BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_UNARY_OPS = (ast.UAdd, ast.USub)
+# Decimal literals only: Python's 0x10, 1_000, 1j and True stay rejected.
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 
 Evaluator = Callable[[float, float], float]
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != op:
-            raise ExpressionError(f"expected {op!r} at position {tok[2]}")
-
-    def parse(self) -> Evaluator:
-        e = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExpressionError(f"trailing input {tok[1]!r} at position {tok[2]}")
-        return e
-
-    def expr(self) -> Evaluator:
-        left = self.term()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            right = self.term()
-            if tok[1] == "+":
-                left = (lambda a, b: lambda x, y: a(x, y) + b(x, y))(left, right)
-            else:
-                left = (lambda a, b: lambda x, y: a(x, y) - b(x, y))(left, right)
-        return left
-
-    def term(self) -> Evaluator:
-        left = self.unary()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
-            self.take()
-            right = self.unary()
-            if tok[1] == "*":
-                left = (lambda a, b: lambda x, y: a(x, y) * b(x, y))(left, right)
-            else:
-                left = (lambda a, b: lambda x, y: a(x, y) / b(x, y))(left, right)
-        return left
-
-    def unary(self) -> Evaluator:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            inner = self.unary()
-            if tok[1] == "-":
-                return lambda x, y: -inner(x, y)
-            return inner
-        return self.power()
-
-    def power(self) -> Evaluator:
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in ("^", "**"):
-            self.take()
-            exponent = self.unary()  # right-associative
-            return lambda x, y: base(x, y) ** exponent(x, y)
-        return base
-
-    def atom(self) -> Evaluator:
-        tok = self.take()
-        kind, value, where = tok
-        if kind == "num":
-            const = float(value)
-            return lambda x, y: const
-        if kind == "name":
-            if value == "x":
-                return lambda x, y: x
-            if value == "y":
-                return lambda x, y: y
-            if value in _FUNCTIONS:
-                fn = _FUNCTIONS[value]
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return lambda x, y: fn(arg(x, y))
-            raise ExpressionError(f"unknown name {value!r} at position {where}")
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected token {value!r} at position {where}")
+def _check(node: ast.AST, text: str) -> None:
+    """Raise ExpressionError unless every node under `node` is whitelisted;
+    turn each number into a float so the arithmetic stays in floats."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BINARY_OPS):
+        children = [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY_OPS):
+        children = [node.operand]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        children = node.args
+    elif isinstance(node, ast.Name) and node.id in ("x", "y"):
+        children = []
+    elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(
+            segment := ast.get_source_segment(text, node) or ""):
+        node.value = float(segment)
+        children = []
+    else:
+        raise ExpressionError(f"not allowed in a formula: {ast.get_source_segment(text, node)!r}")
+    for child in children:
+        _check(child, text)
 
 
 def parse_expression(text: str) -> Evaluator:
     """Compile a formula in x and y to a plain callable."""
-    if not text or not text.strip():
+    # Python's ^ is XOR and binds more loosely than +; no other token uses ^.
+    text = " ".join(text.split()).replace("^", "**")
+    if not text:
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    if "#" in text:  # a comment would silently drop the rest of the formula
+        raise ExpressionError("unexpected character '#'")
+    try:
+        tree = ast.parse(text, "<formula>", "eval")
+        _check(tree.body, text)
+        wrapper = ast.parse("lambda x, y: 0", mode="eval")
+        wrapper.body.body = tree.body
+        code = compile(wrapper, "<formula>", "eval")
+    except (SyntaxError, ValueError) as exc:  # ValueError: a lone surrogate
+        raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ExpressionError("formula is nested too deeply") from exc
+    return eval(code, {"__builtins__": {}, **_FUNCTIONS})
 
 
 def expression_field(text: str) -> ResidualField:

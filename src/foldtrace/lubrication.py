@@ -326,15 +326,6 @@ class BifurcationField:
         return state
 
 
-def bifurcation_field(
-    epsilon: float,
-    grid: SpectralGrid,
-    solve_config: Optional[VectorSolveConfig] = None,
-) -> BifurcationField:
-    """Factory kept thin so callers can treat the field as a plain callable."""
-    return BifurcationField(epsilon, grid, solve_config)
-
-
 def trace_bifurcation(
     epsilon: float = 1e-3,
     m: int = 128,

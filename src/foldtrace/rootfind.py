@@ -26,15 +26,12 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 class ScalarSolveConfig:
     tol: float = 1e-10
     max_iter: int = 60
-    fd_step: Optional[float] = None  # None: sqrt(eps) * (|x| + sqrt(eps))
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass
@@ -52,12 +49,10 @@ class VectorSolveConfig:
             raise ValueError("damping_min must be in (0, 1]")
 
 
-def _fd_step(x: float, cfg: ScalarSolveConfig) -> float:
+def _fd_step(x: float) -> float:
     # Relative step: an absolute step straddles the kink of cube-root-like
     # slices once |x| falls below it, producing derivative estimates with
     # the wrong sign.
-    if cfg.fd_step is not None:
-        return cfg.fd_step
     return _SQRT_EPS * (abs(x) + _SQRT_EPS)
 
 
@@ -162,7 +157,7 @@ def solve_scalar(
             slope = dg(x)
         else:
             slope = None
-            for h in (_fd_step(x, cfg), _fd_step_wide(x)):
+            for h in (_fd_step(x), _fd_step_wide(x)):
                 if x + h > hi:
                     h = -h
                 gxh = g(x + h)

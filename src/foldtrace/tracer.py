@@ -41,6 +41,8 @@ FLAG_ORDINARY = "ordinary"
 FLAG_TURNING = "turning_point"
 FLAG_RESTART = "restart"
 
+MIN_CLOSURE_POINTS = 10  # closure is tested only on longer paths
+
 
 class Termination(Enum):
     CLOSED = "closed"
@@ -101,8 +103,6 @@ class TraceConfig:
     domain: Optional[Box] = None
     closure_tol: Optional[float] = None
     slice_bracket: Optional[float] = None
-    min_closure_points: int = 10
-    solver_max_iter: int = 60
 
     def __post_init__(self):
         if self.step <= 0:
@@ -139,11 +139,6 @@ class TraceConfig:
         # step; a looser tolerance would swallow a final turning-point
         # event that happens right at the seed.
         return self.closure_tol if self.closure_tol is not None else 1e-4 * self.max_step
-
-
-def classify_turning_point(direction: StepDirection) -> TurningPointKind:
-    """Map the stalled marching direction to its blocked half-plane kind."""
-    return TurningPointKind.from_blocked(direction)
 
 
 def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> float:
@@ -196,7 +191,7 @@ def step(
         def g(t: float) -> float:
             return residual(t, target)
 
-    scfg = ScalarSolveConfig(tol=cfg.scan_config().residual_tol, max_iter=cfg.solver_max_iter)
+    scfg = ScalarSolveConfig(tol=cfg.scan_config().residual_tol)
     try:
         root = solve_scalar(g, t0, scfg, bracket=(t0 - half_width, t0 + half_width))
     except NoConvergence as exc:
@@ -267,7 +262,7 @@ def trace(
 
         if isinstance(outcome, Stalled):
             j = len(path) - 1
-            kind = classify_turning_point(direction)
+            kind = TurningPointKind.from_blocked(direction)
             log.info("stall (%s) at point %d %s -> %s scan", outcome.reason, j, current, kind.name)
             path.flags[j] = FLAG_TURNING
 
@@ -290,7 +285,7 @@ def trace(
             path.append(restart, FLAG_RESTART)
             path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(path) - 1))
             log.info("restart at %s marching %s", restart, direction)
-            if len(path) > cfg.min_closure_points and _closed(path, restart, closure_tol):
+            if len(path) > MIN_CLOSURE_POINTS and _closed(path, restart, closure_tol):
                 path.termination = Termination.CLOSED
                 break
             continue
@@ -300,7 +295,7 @@ def trace(
             path.termination = Termination.LEFT_DOMAIN
             break
         path.append(new_point, FLAG_ORDINARY)
-        if len(path) > cfg.min_closure_points and _closed(path, new_point, closure_tol):
+        if len(path) > MIN_CLOSURE_POINTS and _closed(path, new_point, closure_tol):
             path.termination = Termination.CLOSED
             break
 

@@ -41,7 +41,8 @@ class TestTraceCommand:
         assert code == 0
         assert "termination: closed" in out
         assert "turning-point events: 4" in out
-        points, flags = read_points_csv(open(csv))
+        with open(csv) as fh:
+            points, flags = read_points_csv(fh)
         assert flags.count("turning_point") == 4
         assert 70 <= len(points) <= 95
         ET.parse(svg)  # well-formed XML
@@ -94,6 +95,27 @@ class TestTraceCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--problem", "expression", "--expr", "x +", "--start", "0,0", "--dir", "+x"],
+    ["trace", "--problem", "circle", "--scan-n", "0"],
+    ["trace", "--problem", "circle", "--tol", "-1"],
+    ["trace", "--problem", "circle", "--max-points", "1"],
+    ["verify", "--k-values", "abc"],
+    ["verify", "--n-values", "nan"],
+    ["verify", "--delta", "-1"],
+    ["lubrication", "--dir", "z"],
+])
+def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
+    outputs = {"trace": ["--svg", str(tmp_path / "t.svg")],
+               "lubrication": ["--states-csv", str(tmp_path / "s.csv"),
+                               "--svg", str(tmp_path / "t.svg")]}
+    code = run(argv + ["--csv", str(tmp_path / "t.csv")] + outputs.get(argv[0], []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_validated_region_passes(self, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
@@ -144,6 +166,7 @@ class TestLubricationCommand:
         assert code == 0
         assert "points:" in out
         assert csv.exists() and states.exists() and svg.exists()
-        header = open(states).readline().strip().split(",")
+        with open(states) as fh:
+            header = fh.readline().strip().split(",")
         assert header[:4] == ["Q", "M", "epsilon", "m"]
         assert len(header) == 4 + 32

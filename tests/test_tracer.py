@@ -22,7 +22,6 @@ from foldtrace.tracer import (
     Stalled,
     Termination,
     TraceConfig,
-    classify_turning_point,
     polish_transverse,
     step,
     trace,
@@ -73,11 +72,11 @@ class TestClassify:
         (MINUS_Y, TurningPointKind.TYPE4),
     ])
     def test_blocked_direction_mapping(self, direction, expected):
-        assert classify_turning_point(direction) is expected
+        assert TurningPointKind.from_blocked(direction) is expected
 
     def test_round_trip(self):
         for direction in (PLUS_X, PLUS_Y, MINUS_X, MINUS_Y):
-            assert classify_turning_point(direction).blocked == direction
+            assert TurningPointKind.from_blocked(direction).blocked == direction
 
 
 @pytest.fixture(scope="module")
