@@ -31,6 +31,7 @@ NAVIGATED_RADIUS_STEPS = 10.0
 
 _DENSE_T = np.linspace(0.0, 0.5 * math.pi, 1025)
 _DENSE_XY = np.stack([np.cos(_DENSE_T) ** 3, np.sin(_DENSE_T) ** 3], axis=1)
+_WINDOW = 6  # dense samples searched on each side of the angle guess
 
 
 def astroid_field() -> ResidualField:
@@ -42,69 +43,82 @@ def astroid_field() -> ResidualField:
     return f
 
 
-def _approach_rate(a: float, b: float, t: float) -> float:
-    """(p - c(t)) . c'(t): positive while moving along the curve toward p.
+def _dense_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.argmin of the dense samples' distance to each (a, b), searched in a window
+    around the angle of (cbrt(a), cbrt(b)), exact on the curve; a point whose
+    window minimum sits on the window's edge gets the full argmin."""
+    last = len(_DENSE_T) - 1
+    guess = np.rint(np.arctan2(np.cbrt(b), np.cbrt(a)) / _DENSE_T[1]).astype(np.intp)
+    best, idx = np.full(a.shape, np.inf), np.zeros(a.shape, dtype=np.intp)
+    for offset in range(-_WINDOW, _WINDOW + 1):
+        j = np.clip(guess + offset, 0, last)
+        d2 = (_DENSE_XY[j, 0] - a) ** 2 + (_DENSE_XY[j, 1] - b) ** 2
+        better = d2 < best  # strict: ties keep the lower index, as argmin does
+        best, idx = np.where(better, d2, best), np.where(better, j, idx)
+    for i in np.flatnonzero((np.abs(idx - guess) == _WINDOW) & (idx > 0) & (idx < last)):
+        idx[i] = np.argmin((_DENSE_XY[:, 0] - a[i]) ** 2 + (_DENSE_XY[:, 1] - b[i]) ** 2)
+    return idx
 
-    The squared distance to (a, b) is decreasing exactly where this is
-    positive, so its +/- crossing is the nearest-point parameter.
+
+def _nearest_parameters(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parameter t in [0, pi/2] of the exact curve point nearest each (a, b).
+
+    Dense sampling brackets the minimum; bisection on the approach rate
+    (p - c(t)) . c'(t), positive while moving toward p, pins it to machine
+    precision, which comparisons alone cannot. Newton on the rate would
+    degenerate at the cusps, where c'(t) = 0.
     """
-    ct, st = math.cos(t), math.sin(t)
-    return (a - ct ** 3) * (-3.0 * ct * ct * st) + (b - st ** 3) * (3.0 * st * st * ct)
 
+    def rate(t):
+        ct, st = np.cos(t), np.sin(t)
+        return (a - ct ** 3) * (-3.0 * ct * ct * st) + (b - st ** 3) * (3.0 * st * st * ct)
 
-def _nearest_parameter(a: float, b: float) -> float:
-    """Parameter t in [0, pi/2] of the exact curve point nearest (a, b).
+    def dist2(t):
+        return (a - np.cos(t) ** 3) ** 2 + (b - np.sin(t) ** 3) ** 2
 
-    Dense sampling brackets the minimum, then bisection on the approach
-    rate pins it to machine precision. Comparison-based minimization
-    alone cannot resolve t finely enough for the sub-1e-10-percent error
-    checks, and Newton on the orthogonality condition degenerates at the
-    cusp parameters where c'(t) = 0.
-    """
-    d2 = (_DENSE_XY[:, 0] - a) ** 2 + (_DENSE_XY[:, 1] - b) ** 2
-    idx = int(np.argmin(d2))
-    t_best = float(_DENSE_T[idx])
+    idx = _dense_index(a, b)
     tiny = 1e-18  # keeps the bracket off the exactly-degenerate cusp parameters
-    lo = max(float(_DENSE_T[max(idx - 1, 0)]), tiny)
-    hi = min(float(_DENSE_T[min(idx + 1, len(_DENSE_T) - 1)]), 0.5 * math.pi - tiny)
+    lo = np.maximum(_DENSE_T[np.maximum(idx - 1, 0)], tiny)
+    hi = np.minimum(_DENSE_T[np.minimum(idx + 1, len(_DENSE_T) - 1)], 0.5 * math.pi - tiny)
+    g_lo, g_hi = rate(lo), rate(hi)
+    bracketed = (g_lo >= 0.0) & (0.0 >= g_hi) & ((g_lo > 0.0) | (g_hi < 0.0))
+    moving = bracketed.copy()
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        moving &= (mid != lo) & (mid != hi)
+        if not moving.any():
+            break
+        up = rate(mid) > 0.0
+        lo, hi = np.where(moving & up, mid, lo), np.where(moving & ~up, mid, hi)
+    t_best = np.where(bracketed, 0.5 * (lo + hi), _DENSE_T[idx])
 
-    g_lo = _approach_rate(a, b, lo)
-    g_hi = _approach_rate(a, b, hi)
-    if g_lo >= 0.0 >= g_hi and (g_lo > 0.0 or g_hi < 0.0):
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _approach_rate(a, b, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_best = 0.5 * (lo + hi)
+    best_d2 = dist2(t_best)
+    for tt in (0.0, 0.5 * math.pi):  # strict: the first minimum wins, as min() does
+        d2 = dist2(tt)
+        t_best, best_d2 = np.where(d2 < best_d2, tt, t_best), np.minimum(d2, best_d2)
+    return t_best
 
-    candidates = [t_best, 0.0, 0.5 * math.pi]
-    return min(candidates, key=lambda tt: (a - math.cos(tt) ** 3) ** 2 + (b - math.sin(tt) ** 3) ** 2)
+
+def percent_errors(xs, ys) -> np.ndarray:
+    """Signed radial error (percent) of each point against the nearest exact
+    astroid point; positive means radially outside the curve."""
+    a, b = np.abs(np.asarray(xs, dtype=float)), np.abs(np.asarray(ys, dtype=float))
+    if np.any((a == 0.0) & (b == 0.0)):
+        raise ValueError("percent error is undefined at the origin")
+    t = _nearest_parameters(a, b)
+    rho_exact = np.hypot(np.cos(t) ** 3, np.sin(t) ** 3)
+    return (np.hypot(a, b) - rho_exact) / rho_exact * 100.0
 
 
 def percent_error(path_point: Point2) -> float:
-    """Signed radial error (percent) against the nearest exact astroid point.
-
-    Positive means the traced point sits radially outside the curve.
-    """
-    a, b = abs(path_point.x), abs(path_point.y)
-    if a == 0.0 and b == 0.0:
-        raise ValueError("percent error is undefined at the origin")
-    t = _nearest_parameter(a, b)
-    qx, qy = math.cos(t) ** 3, math.sin(t) ** 3
-    rho_exact = math.hypot(qx, qy)
-    rho_point = math.hypot(a, b)
-    return (rho_point - rho_exact) / rho_exact * 100.0
+    """percent_errors for a single point."""
+    return float(percent_errors([path_point.x], [path_point.y])[0])
 
 
 def max_abs_percent_error(path: Iterable[Point2]) -> float:
-    worst = 0.0
-    for p in path:
-        worst = max(worst, abs(percent_error(p)))
-    return worst
+    points = list(path)
+    errors = percent_errors([p.x for p in points], [p.y for p in points])
+    return float(np.max(np.abs(errors), initial=0.0))
 
 
 def navigated_all_cusps(path: Iterable[Point2], delta: float) -> bool:
@@ -161,20 +175,23 @@ def run_sweep(
     """
     if not r_factors or not k_values or not n_values:
         raise ValueError("sweep grids must be nonempty")
-    results: List[SweepResult] = []
-    for rf in r_factors:
-        for k in k_values:
-            for n in n_values:
-                try:
-                    path = trace_astroid(delta, r_factor=rf, k=k, n=n)
-                    points = list(path.points)
-                    closed = path.termination is Termination.CLOSED
-                except TraceError as exc:
-                    log.warning("sweep combination r=%g k=%d n=%d failed: %s", rf, k, n, exc)
-                    points = list(exc.path.points) if exc.path is not None else []
-                    closed = False
-                navigated = closed and navigated_all_cusps(points, delta)
-                max_pe = max_abs_percent_error(points) if points else math.nan
-                results.append(SweepResult(r_factor=rf, k=k, n=n, max_pe=max_pe,
-                                           navigated_all_cusps=navigated))
-    return results
+    combos = [(rf, k, n) for rf in r_factors for k in k_values for n in n_values]
+    traced = []
+    for rf, k, n in combos:
+        try:
+            path = trace_astroid(delta, r_factor=rf, k=k, n=n)
+            points = list(path.points)
+            closed = path.termination is Termination.CLOSED
+        except TraceError as exc:
+            log.warning("sweep combination r=%g k=%d n=%d failed: %s", rf, k, n, exc)
+            points = list(exc.path.points) if exc.path is not None else []
+            closed = False
+        traced.append((points, closed and navigated_all_cusps(points, delta)))
+
+    # One batch over every point of the sweep, sliced back per combination.
+    everything = [p for points, _ in traced for p in points]
+    errors = np.abs(percent_errors([p.x for p in everything], [p.y for p in everything]))
+    bounds = np.cumsum([0] + [len(points) for points, _ in traced])
+    return [SweepResult(r_factor=rf, k=k, n=n, navigated_all_cusps=navigated,
+                        max_pe=float(errors[lo:hi].max()) if hi > lo else math.nan)
+            for (rf, k, n), (_, navigated), lo, hi in zip(combos, traced, bounds, bounds[1:])]

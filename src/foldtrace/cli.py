@@ -20,7 +20,7 @@ from .errors import ExpressionError, FoldtraceError, TraceError
 from .expressions import expression_field
 from .fields import circle_field
 from .geometry import Box, Point2, StepDirection
-from .lubrication import trace_bifurcation
+from .lubrication import bifurcation_trace_config, trace_bifurcation
 from .output import write_points_csv, write_states_csv, write_sweep_csv, write_trace_svg
 from .tracer import SolutionPath, TraceConfig, polish_transverse, trace
 from .turnpoint import ScanConfig
@@ -223,22 +223,17 @@ def cmd_lubrication(args) -> int:
     if args.seed_mass <= 0:
         raise _CliError("--seed-mass must be positive")
     _parse_direction(args.dir)
+    settings = dict(seed_mass=args.seed_mass, step_q=args.step_q, step_m=args.step_m,
+                    scan_radius=args.scan_r, scan_n=args.scan_n, scan_k=args.scan_k,
+                    residual_tol=args.tol, max_points=args.max_points, min_mass=args.min_mass)
+    try:
+        bifurcation_trace_config(**settings)
+    except ValueError as exc:
+        raise _CliError(f"bad lubrication setting: {exc}") from exc
 
     try:
-        path, states, field = trace_bifurcation(
-            epsilon=args.epsilon,
-            m=args.m,
-            seed_mass=args.seed_mass,
-            step_q=args.step_q,
-            step_m=args.step_m,
-            scan_radius=args.scan_r,
-            scan_n=args.scan_n,
-            scan_k=args.scan_k,
-            residual_tol=args.tol,
-            max_points=args.max_points,
-            min_mass=args.min_mass,
-            initial=args.dir,
-        )
+        path, states, field = trace_bifurcation(epsilon=args.epsilon, m=args.m,
+                                                initial=args.dir, **settings)
     except TraceError as exc:
         log.error("bifurcation trace failed: %s", exc)
         if exc.path is not None and len(exc.path):

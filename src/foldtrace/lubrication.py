@@ -24,7 +24,10 @@ import numpy as np
 
 from .errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness, SingularJacobian,
                      TraceError)
+from .geometry import Box, Point2, StepDirection
 from .rootfind import VectorSolveConfig, solve_vector
+from .tracer import TraceConfig
+from .turnpoint import ScanConfig
 
 log = logging.getLogger(__name__)
 
@@ -326,6 +329,29 @@ class BifurcationField:
         return state
 
 
+def bifurcation_trace_config(
+    seed_mass: float = TWO_PI,
+    step_q: float = 2.5e-5,
+    step_m: float = 0.02,
+    scan_radius: float = 0.35,
+    scan_n: int = 8,
+    scan_k: int = 5,
+    residual_tol: float = 1e-9,
+    max_points: int = 300,
+    min_mass: float = 0.3,
+) -> TraceConfig:
+    """Trace settings of `trace_bifurcation`; raises ValueError for an invalid one."""
+    return TraceConfig(
+        step=step_q,
+        step_y=step_m,
+        scan=ScanConfig(radius=scan_radius, mesh_count=scan_n, reference_lag=scan_k,
+                        residual_tol=residual_tol),
+        slice_bracket=50.0 * step_m,
+        max_points=max_points,
+        domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
+    )
+
+
 def trace_bifurcation(
     epsilon: float = 1e-3,
     m: int = 128,
@@ -350,22 +376,13 @@ def trace_bifurcation(
     Q, the scan radius spans them in M, and the mass floor stops the walk
     before the thin-film limit stiffens the solves.
     """
-    from .geometry import Box, Point2, StepDirection  # local: avoid cycle at import time
-    from .tracer import TraceConfig, trace
-    from .turnpoint import ScanConfig
+    from .tracer import trace  # looked up per call, so a wrapped tracer.trace sees it
 
+    cfg = bifurcation_trace_config(seed_mass, step_q, step_m, scan_radius, scan_n, scan_k,
+                                   residual_tol, max_points, min_mass)
     grid = SpectralGrid.build(m)
     field = BifurcationField(epsilon, grid)
     seed = field.seed(seed_mass)
-    cfg = TraceConfig(
-        step=step_q,
-        step_y=step_m,
-        scan=ScanConfig(radius=scan_radius, mesh_count=scan_n, reference_lag=scan_k,
-                        residual_tol=residual_tol),
-        slice_bracket=50.0 * step_m,
-        max_points=max_points,
-        domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
-    )
     path = trace(field, Point2(seed.Q, seed.M), StepDirection.parse(initial), cfg)
     states = [field.solved.get((p.x, p.y)) for p in path.points]
     field.solved.clear()

@@ -274,10 +274,9 @@ def trace(
             except CurveTerminated:
                 path.termination = Termination.TERMINATED
                 break
-            except InsufficientHistory:
-                log.warning("turning point at the very first path point; stopping")
-                path.termination = Termination.TERMINATED
-                break
+            except InsufficientHistory as exc:
+                raise TraceError(f"stalled at the first path point ({outcome.reason}); "
+                                 f"no history to choose an exit: {exc}", path=path) from exc
             try:
                 direction, restart = new_direction(current, exit_point, incoming=direction)
             except ZeroVector as exc:  # radius > 0 makes this unreachable in practice

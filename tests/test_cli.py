@@ -54,6 +54,20 @@ class TestTraceCommand:
         assert code == 0
         assert "termination: closed" in out
 
+    def test_first_point_stall_exits_2_with_partial_csv(self, tmp_path, capsys):
+        # at delta=0.002 the slice solve loses the curve at the start cusp,
+        # before any history exists to choose an exit from
+        csv = tmp_path / "a.csv"
+        code = run(["trace", "--problem", "astroid", "--step", "0.002",
+                    "--csv", str(csv), "--svg", str(tmp_path / "a.svg")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "termination:" not in captured.out
+        assert "Traceback" not in captured.err
+        with csv.open() as fh:
+            points, flags = read_points_csv(fh)
+        assert len(points) == 1 and flags == ["turning_point"]
+
     def test_expression_leaves_domain(self, tmp_path, capsys):
         code = run(["trace", "--problem", "expression", "--expr", "y - x",
                     "--start", "0,0", "--dir", "+x", "--box", "0,1,0,1",
@@ -104,6 +118,14 @@ class TestTraceCommand:
     ["verify", "--n-values", "nan"],
     ["verify", "--delta", "-1"],
     ["lubrication", "--dir", "z"],
+    ["lubrication", "--scan-n", "0"],
+    ["lubrication", "--tol", "-1"],
+    ["lubrication", "--step-q", "-1"],
+    ["lubrication", "--max-points", "1"],
+    ["lubrication", "--step-m", "-1"],
+    ["lubrication", "--scan-r", "0"],
+    ["lubrication", "--scan-k", "0"],
+    ["lubrication", "--min-mass", "100"],
 ])
 def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
     outputs = {"trace": ["--svg", str(tmp_path / "t.svg")],

@@ -286,6 +286,22 @@ class TestTraceStates:
         with pytest.raises(TraceError, match="no converged state"):
             trace_bifurcation(**SMALL_DIAGRAM)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"scan_n": 0}, "mesh_count"),
+        ({"step_q": -1.0}, "step must be positive"),
+        ({"max_points": 1}, "max_points"),
+        ({"min_mass": 100.0}, "box bounds"),
+    ])
+    def test_bad_settings_fail_before_the_seed_solve(self, monkeypatch, setting, message):
+        def no_seed(self, M, Q0=None):
+            raise AssertionError("the seed solve ran")
+
+        monkeypatch.setattr(BifurcationField, "seed", no_seed)
+        with pytest.raises(ValueError, match=message):
+            lubrication.bifurcation_trace_config(**setting)
+        with pytest.raises(ValueError, match=message):
+            trace_bifurcation(**setting)
+
 
 _tags = itertools.count(1)
 

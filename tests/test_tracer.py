@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from foldtrace.astroid import astroid_field
+from foldtrace.astroid import astroid_field, trace_astroid
 from foldtrace.errors import FieldEvaluationError, TraceError
 from foldtrace.fields import circle_field
 from foldtrace.geometry import (
@@ -171,6 +171,14 @@ class TestTraceMisc:
 
 
 class TestTraceAstroid:
+
+    def test_stall_at_first_point_raises(self):
+        # the start cusp stalls the first slice solve at delta=0.002, and a
+        # one-point path has no history to choose an exit from
+        with pytest.raises(TraceError, match="first path point") as info:
+            trace_astroid(0.002)
+        assert len(info.value.path) == 1
+        assert info.value.path.flags == [FLAG_TURNING]
 
     def test_closes_through_cusps(self, astroid_path):
         assert astroid_path.termination is Termination.CLOSED
