@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,6 +79,13 @@ class SpectralGrid:
         """Rectangle-rule quadrature weight, exact for resolved modes."""
         return TWO_PI / self.m
 
+    @cached_property
+    def cos_third(self) -> np.ndarray:
+        """Read-only forcing term cos(theta)/3, computed once for every residual."""
+        out = np.cos(self.nodes) / 3.0
+        out.flags.writeable = False
+        return out
+
     def derivative_operator(self, epsilon: float) -> np.ndarray:
         """Read-only (epsilon/3)(D1 + D3): the state-independent part of every
         Jacobian, built once per epsilon and shared by all Newton iterations."""
@@ -98,14 +106,13 @@ class LubricationState:
     iterations: int = 0
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        if np.any(self.h <= 0.0):
-            raise NonpositiveThickness("state thickness must be positive")
+        self.h = _check_thickness(self.h)
 
 
 def _check_thickness(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
+    # min/max propagate NaN, and NaN fails both comparisons
+    if h.size and not (h.min() > 0.0 and h.max() < math.inf):
         raise NonpositiveThickness("film thickness must be positive and finite")
     return h
 
@@ -115,21 +122,29 @@ def residual_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid) -> np.ndar
     h = _check_thickness(h)
     return (
         (epsilon / 3.0) * (grid.d1 @ h + grid.d3 @ h)
-        - np.cos(grid.nodes) / 3.0
+        - grid.cos_third
         - Q / h**3
         + 1.0 / h**2
     )
 
 
+def _write_fixed_Q_block(J: np.ndarray, h: np.ndarray, Q: float, epsilon: float,
+                         grid: SpectralGrid) -> None:
+    """Write the fixed-flux Jacobian into the leading m x m block of J."""
+    m, n = grid.m, J.shape[1]
+    J[:m, :m] = grid.derivative_operator(epsilon)
+    J.ravel()[: m * (n + 1) : n + 1] += 3.0 * Q / h**4 - 2.0 / h**3
+
+
 def jacobian_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid) -> np.ndarray:
     h = _check_thickness(h)
-    J = grid.derivative_operator(epsilon).copy()
-    J.flat[:: grid.m + 1] += 3.0 * Q / h**4 - 2.0 / h**3
+    J = np.empty((grid.m, grid.m))
+    _write_fixed_Q_block(J, h, Q, epsilon, grid)
     return J
 
 
-def mass_of(h, grid: SpectralGrid) -> float:
-    return grid.weight * float(np.sum(h))
+def mass_of(h: np.ndarray, grid: SpectralGrid) -> float:
+    return grid.weight * float(h.sum())
 
 
 def flux_balance_defect(state: LubricationState, grid: SpectralGrid) -> float:
@@ -139,8 +154,8 @@ def flux_balance_defect(state: LubricationState, grid: SpectralGrid) -> float:
     zero (to round-off) at any converged state.
     """
     h = state.h
-    integrand = state.Q / h**3 - 1.0 / h**2 + np.cos(grid.nodes) / 3.0
-    return grid.weight * float(np.sum(integrand))
+    integrand = state.Q / h**3 - 1.0 / h**2 + grid.cos_third
+    return grid.weight * float(integrand.sum())
 
 
 def solve_at_Q(
@@ -179,13 +194,15 @@ def augmented_residual(z: np.ndarray, M: float, epsilon: float, grid: SpectralGr
 
 
 def augmented_jacobian(z: np.ndarray, epsilon: float, grid: SpectralGrid) -> np.ndarray:
-    """Bordered Jacobian: fixed-Q block, -1/h^3 column, quadrature row."""
-    h, Q = z[:-1], z[-1]
+    """Bordered Jacobian, built in one buffer: fixed-Q block, -1/h^3
+    column, quadrature row."""
+    h, Q = _check_thickness(z[:-1]), z[-1]
     m = grid.m
-    J = np.zeros((m + 1, m + 1))
-    J[:m, :m] = jacobian_fixed_Q(h, Q, epsilon, grid)
+    J = np.empty((m + 1, m + 1))
+    _write_fixed_Q_block(J, h, Q, epsilon, grid)
     J[:m, m] = -1.0 / h**3
     J[m, :m] = grid.weight
+    J[m, m] = 0.0
     return J
 
 

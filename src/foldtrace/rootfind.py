@@ -10,16 +10,16 @@ sign change has been seen.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import FoldtraceError, NoConvergence, SingularJacobian, SingularMatrix
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass
@@ -233,27 +233,33 @@ def solve_scalar(
 
 
 def dense_solve(A, b):
-    """Solve A x = b by LU factorization with row pivoting."""
+    """Solve A x = b by LU with row pivoting: one LAPACK getrf, one getrs.
+
+    Raises ValueError if A is not square, does not match b, or either holds
+    a non-finite entry. Raises SingularMatrix on an exactly zero pivot, a
+    smallest-to-largest |pivot| ratio at or below 1e-14, or a non-finite
+    solution. A and b are never overwritten.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     if A.shape[0] != b.shape[0]:
         raise ValueError("matrix/vector size mismatch")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("non-finite entries")
-    try:
-        with warnings.catch_warnings():
-            # singularity is detected below via the pivot ratio
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    diag = np.abs(np.diag(lu))
+    lu, piv, info = _getrf(A, overwrite_a=False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if info > 0:
+        raise SingularMatrix(f"pivot {info} is exactly zero")
+    diag = np.abs(lu.diagonal())
     if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
         raise SingularMatrix(f"pivot ratio {diag.min():.3e}/{diag.max():.3e} below threshold")
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    if not np.all(np.isfinite(x)):
+    x, info = _getrs(lu, piv, b, overwrite_b=False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    if not np.isfinite(x).all():
         raise SingularMatrix("factorization produced non-finite solution")
     return x
 
@@ -283,18 +289,19 @@ def solve_vector(
     """Damped Newton for a d-dimensional residual F(x) = 0.
 
     Each iteration solves J delta = -F by pivoted LU and halves the step
-    until the max-norm residual decreases or the damping floor is reached
-    (the floor step is then taken as-is). `jac` defaults to a forward
-    finite-difference Jacobian.
+    until the max-norm residual decreases. If the damping floor is reached
+    first, the longest step with a finite residual is taken, and
+    NoConvergence is raised when there is none. `jac` defaults to a
+    forward finite-difference Jacobian.
     """
     cfg = cfg or VectorSolveConfig()
     x = np.array(x0, dtype=float)
     fx = np.asarray(F(x), dtype=float)
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         raise NoConvergence("residual not finite at start", last_iterate=x, residual=fx)
 
     for k in range(cfg.max_iter):
-        norm = np.max(np.abs(fx))
+        norm = np.abs(fx).max()
         if callback is not None:
             callback(k, x, fx)
         if norm <= cfg.tol:
@@ -318,10 +325,10 @@ def solve_vector(
                     if first is None:
                         raise NoConvergence(f"line search left the residual domain: {exc}",
                                             last_iterate=x, residual=fx, iterations=k) from exc
-            if fc is not None and np.all(np.isfinite(fc)):
+            if fc is not None and np.isfinite(fc).all():
                 if first is None:
                     first = (candidate, fc)
-                if np.max(np.abs(fc)) < norm:
+                if np.abs(fc).max() < norm:
                     accepted = (candidate, fc)
                     break
             if lam / 2.0 < cfg.damping_min:
@@ -337,7 +344,7 @@ def solve_vector(
                                 last_iterate=x, residual=fx, iterations=k)
         x, fx = accepted
 
-    if np.max(np.abs(fx)) <= cfg.tol:
+    if np.abs(fx).max() <= cfg.tol:
         return x
     raise NoConvergence(f"no convergence after {cfg.max_iter} iterations",
                         last_iterate=x, residual=fx, iterations=cfg.max_iter)

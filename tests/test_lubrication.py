@@ -4,6 +4,7 @@ import pytest
 import itertools
 
 import foldtrace.lubrication as lubrication
+import foldtrace.rootfind as rootfind
 import foldtrace.tracer
 from foldtrace.errors import FieldEvaluationError, NoConvergence, NonpositiveThickness, TraceError
 from foldtrace.lubrication import (
@@ -94,6 +95,25 @@ class TestResidual:
             residual_fixed_Q(h, 1.0, 0.1, grid32)
         with pytest.raises(NonpositiveThickness):
             jacobian_fixed_Q(-h, 1.0, 0.1, grid32)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf, -np.inf])
+    def test_bad_thickness_rejected_everywhere(self, grid32, bad):
+        h = np.ones(32)
+        h[7] = bad
+        with pytest.raises(NonpositiveThickness):
+            lubrication._check_thickness(h)
+        with pytest.raises(NonpositiveThickness):
+            residual_fixed_Q(h, 1.0, 0.1, grid32)
+        with pytest.raises(NonpositiveThickness):
+            augmented_jacobian(np.concatenate([h, [1.0]]), 0.1, grid32)
+
+    def test_bit_identical_to_inline_forcing(self):
+        grid = SpectralGrid.build(128)
+        h = 0.5 + np.random.default_rng(4).random(128)
+        Q, eps = 0.7, 1e-3
+        inline = (eps / 3.0) * (grid.d1 @ h + grid.d3 @ h) - np.cos(grid.nodes) / 3.0 - Q / h**3 + 1.0 / h**2
+        assert (residual_fixed_Q(h, Q, eps, grid) == inline).all()
+        assert not grid.cos_third.flags.writeable
 
 
 class TestJacobians:
@@ -217,6 +237,11 @@ class TestBifurcationField:
     def test_state_validation(self):
         with pytest.raises(NonpositiveThickness):
             LubricationState(h=np.array([1.0, -0.1]), Q=0.5, M=1.0, epsilon=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_rejects_nonfinite_thickness(self, bad):
+        with pytest.raises(NonpositiveThickness):
+            LubricationState(h=np.array([1.0, bad, 1.0]), Q=1.0, M=1.0, epsilon=1e-3)
 
     def test_seed_homotopy_reaches_smaller_epsilon(self):
         # the staged walk down in surface tension also covers 1e-4, where
@@ -363,11 +388,31 @@ class TestDerivativeOperator:
 
     def test_jacobian_bit_identical_to_dense_build(self, grid32):
         rng = np.random.default_rng(3)
-        h = 0.5 + rng.random(32)
-        Q, eps = 0.7, 1e-3
-        dense = (eps / 3.0) * (grid32.d1 + grid32.d3) + np.diag(3.0 * Q / h**4 - 2.0 / h**3)
-        assert np.array_equal(jacobian_fixed_Q(h, Q, eps, grid32), dense)
-        J = augmented_jacobian(np.concatenate([h, [Q]]), eps, grid32)
-        assert np.array_equal(J[:32, :32], dense)
-        assert np.array_equal(J[:32, 32], -1.0 / h**3)
-        assert np.all(J[32, :32] == grid32.weight) and J[32, 32] == 0.0
+        for grid in (grid32, SpectralGrid.build(128)):
+            m = grid.m
+            h = 0.5 + rng.random(m)
+            Q, eps = 0.7, 1e-3
+            dense = (eps / 3.0) * (grid.d1 + grid.d3) + np.diag(3.0 * Q / h**4 - 2.0 / h**3)
+            assert np.array_equal(jacobian_fixed_Q(h, Q, eps, grid), dense)
+            J = augmented_jacobian(np.concatenate([h, [Q]]), eps, grid)
+            assert J.shape == (m + 1, m + 1)
+            assert np.array_equal(J[:m, :m], dense)
+            assert np.array_equal(J[:m, m], -1.0 / h**3)
+            assert np.all(J[m, :m] == grid.weight) and J[m, m] == 0.0
+
+    def test_every_newton_iteration_is_one_dense_solve(self, monkeypatch):
+        # per-layer benchmark counters count LU solves by wrapping
+        # rootfind.dense_solve, and Newton iterations by `iterations`
+        grid = SpectralGrid.build(32)
+        real = rootfind.dense_solve
+        shapes = []
+
+        def counting(A, b):
+            shapes.append(A.shape)
+            return real(A, b)
+
+        monkeypatch.setattr(rootfind, "dense_solve", counting)
+        state = solve_at_M(TWO_PI, 0.1, grid, np.full(32, 1.0), 1.0)
+        assert state.iterations >= 2
+        assert len(shapes) == state.iterations
+        assert set(shapes) == {(33, 33)}

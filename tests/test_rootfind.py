@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from foldtrace.errors import NoConvergence, SingularJacobian, SingularMatrix
 from foldtrace.geometry import cbrt
@@ -110,6 +112,62 @@ class TestDenseSolve:
             dense_solve(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ValueError):
             dense_solve(np.full((2, 2), np.nan), np.ones(2))
+
+    def test_nonfinite_rhs_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_solve(np.eye(3), np.array([1.0, np.inf, 0.0]))
+
+    def test_exact_zero_pivot_raises_without_warning(self):
+        A = np.array([[1.0, 2.0], [2.0, 4.0]])
+        assert scipy.linalg.lapack.dgetrf(A)[2] > 0  # getrf reports the zero pivot itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="exactly zero"):
+                dense_solve(A, np.array([1.0, 1.0]))
+
+    def test_tiny_pivot_ratio_raises(self):
+        # the second pivot is about 1e-15: nonzero, so only the ratio check catches it
+        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        assert scipy.linalg.lapack.dgetrf(A)[2] == 0
+        with pytest.raises(SingularMatrix, match="pivot ratio"):
+            dense_solve(A, np.array([1.0, 1.0]))
+
+
+def _lu_reference(A, b):
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+
+
+def _system(n: int, layout: str, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    A = n * np.eye(n) + rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    if layout == "F":
+        A = np.asfortranarray(A)
+    elif layout == "strided":
+        A_big = np.zeros((2 * n, 3 * n))
+        A_big[::2, ::3] = A
+        b_big = np.zeros(2 * n)
+        b_big[::2] = b
+        A, b = A_big[::2, ::3], b_big[::2]
+        assert not (A.flags.c_contiguous or A.flags.f_contiguous or b.flags.contiguous)
+    elif layout == "int":
+        A = np.rint(4.0 * A).astype(np.int64)
+        b = np.rint(4.0 * b).astype(np.int64)
+    return A, b
+
+
+class TestDenseSolveMatchesScipyLU:
+    """The direct getrf/getrs path gives the bits of scipy's LU wrappers."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "int"])
+    @pytest.mark.parametrize("n", [2, 5, 33, 129])
+    def test_bit_identical_and_inputs_untouched(self, layout, n):
+        A, b = _system(n, layout, seed=n)
+        A_before, b_before = A.copy(), b.copy()
+        x = dense_solve(A, b)
+        assert x.dtype == np.float64 and x.shape == (n,)
+        assert np.array_equal(x, _lu_reference(A, b))
+        assert np.array_equal(A, A_before) and np.array_equal(b, b_before)
 
 
 class TestSolveVector:
