@@ -3,8 +3,12 @@
 The scalar solver is deliberately defensive: the tracer points it at 1-D
 slices of implicit curves, which near cusps behave like |t|^(2/3) where a
 plain finite-difference Newton loop falls apart. It therefore uses a
-relative finite-difference step, backtracking, and bisection whenever a
-sign change has been seen.
+relative finite-difference step and backtracking, finishes with ITP (a
+bracketed regula falsi at worst one step slower than bisection) once a
+sign change has been seen, and gives up early when Newton circles a
+rootless minimum of |g|. Every slice solve of a trace, and so every
+turning point, goes through it; on the lubrication diagram each residual
+evaluation is a bordered Newton solve.
 """
 
 from __future__ import annotations
@@ -70,48 +74,63 @@ class _SignBracket:
         self.pos = None
 
     def update(self, x: float, gx: float) -> None:
+        # Until both signs are seen keep the latest abscissa; after that,
+        # only one closer to the opposite end, so the bracket only narrows.
         if gx == 0.0 or not math.isfinite(gx):
             return
-        if gx < 0.0:
-            if self.neg is None or (self.pos is not None and abs(x - self.pos[0]) < abs(self.neg[0] - self.pos[0])):
+        own, other = (self.neg, self.pos) if gx < 0.0 else (self.pos, self.neg)
+        if own is None or other is None or abs(x - other[0]) < abs(own[0] - other[0]):
+            if gx < 0.0:
                 self.neg = (x, gx)
-            elif self.pos is None:
-                self.neg = (x, gx)
-        else:
-            if self.pos is None or (self.neg is not None and abs(x - self.neg[0]) < abs(self.pos[0] - self.neg[0])):
-                self.pos = (x, gx)
-            elif self.neg is None:
+            else:
                 self.pos = (x, gx)
 
     @property
     def ready(self) -> bool:
         return self.neg is not None and self.pos is not None
 
-    def endpoints(self) -> Tuple[float, float]:
-        return self.neg[0], self.pos[0]
 
+def _itp(g, sign: _SignBracket, tol: float) -> float:
+    """Finish on a sign change with ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
 
-def _bisect(g, sign_bracket: _SignBracket, tol: float):
-    a, b = sign_bracket.endpoints()
-    ga, gb = sign_bracket.neg[1], sign_bracket.pos[1]
+    Each step interpolates by regula falsi, truncates the step toward the
+    midpoint by 0.2 w^2 / w0 so both ends of the bracket keep moving, and
+    projects it into a radius that keeps the bracket no wider than
+    bisection's with one step of slack. Returns the first abscissa with
+    |g| <= tol; raises NoConvergence once the bracket reaches machine width
+    without one, which is what a jump across zero looks like.
+    """
+    (a, ga), (b, gb) = sign.neg, sign.pos
     best_x, best_g = (a, ga) if abs(ga) <= abs(gb) else (b, gb)
+    if abs(best_g) <= tol:
+        return best_x
+    width0 = abs(b - a)
+    budget = 2.0 * width0  # bisection's width bound, with one step of slack
     for _ in range(200):
-        if abs(best_g) <= tol:
-            return best_x
         mid = 0.5 * (a + b)
         if mid == a or mid == b:  # bracket at machine width
             break
-        gm = g(mid)
-        if abs(gm) < abs(best_g):
-            best_x, best_g = mid, gm
-        if gm == 0.0:
-            return mid
-        if gm < 0.0:
-            a, ga = mid, gm
+        width = abs(b - a)
+        xf = a + (b - a) * (ga / (ga - gb))
+        sigma = math.copysign(1.0, mid - xf)
+        trunc = 0.2 * width * width / width0
+        xt = xf + sigma * trunc if trunc <= abs(mid - xf) else mid
+        r = max(0.5 * (budget - width), 0.0)
+        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        if x == a or x == b:
+            x = mid
+        budget *= 0.5
+        gx = g(x)
+        if not math.isfinite(gx):
+            raise NoConvergence("residual became non-finite", last_iterate=best_x, residual=best_g)
+        if abs(gx) <= tol:
+            return x
+        if abs(gx) < abs(best_g):
+            best_x, best_g = x, gx
+        if gx < 0.0:
+            a, ga = x, gx
         else:
-            b, gb = mid, gm
-    if abs(best_g) <= tol:
-        return best_x
+            b, gb = x, gx
     raise NoConvergence("bisection exhausted the bracket", last_iterate=best_x, residual=best_g)
 
 
@@ -125,10 +144,14 @@ def solve_scalar(
     """Find x with |g(x)| <= cfg.tol near x0.
 
     Newton iteration with a finite-difference derivative when `dg` is not
-    supplied, backtracking on residual growth, and bisection once a sign
-    change is known. When `bracket` is given the iterates are confined to
-    it and a root drifting outside counts as failure; the tracer relies on
-    that to detect stalls.
+    supplied and backtracking on residual growth, finished by ITP as soon
+    as a sign change is known. When `bracket` is given the iterates are
+    confined to it and a root drifting outside counts as failure; the
+    tracer relies on that to detect stalls. Before any sign change, a
+    step that no damping makes descend, or three steps in a row that cut
+    |g| by under 10%, mean a local minimum of |g| with no root: the
+    bracket endpoints are then probed once for a sign change, and the
+    solve fails if they show none.
 
     Raises NoConvergence with the last iterate and residual attached.
     """
@@ -138,20 +161,31 @@ def solve_scalar(
         raise ValueError("bracket bounds out of order")
 
     sign = _SignBracket()
-    probed_endpoints = False
+
+    def finish_from_endpoints(reason: str) -> float:
+        # Probe the confinement endpoints once, hoping for a sign change.
+        if bracket is not None:
+            for e in (lo, hi):
+                try:
+                    sign.update(e, g(e))
+                except (ArithmeticError, ValueError, FoldtraceError):
+                    continue
+            if sign.ready:
+                return _itp(g, sign, cfg.tol)
+        raise NoConvergence(reason, last_iterate=x, residual=gx)
 
     x = min(max(x0, lo), hi)
     gx = g(x)
     if not math.isfinite(gx):
         raise NoConvergence("residual not finite at start", last_iterate=x, residual=gx)
     sign.update(x, gx)
-    best_x, best_g = x, gx
+    slow = 0  # consecutive Newton steps that cut |g| by under 10%
 
     for _ in range(cfg.max_iter):
         if abs(gx) <= cfg.tol:
             return x
         if sign.ready:
-            return _bisect(g, sign, cfg.tol)
+            return _itp(g, sign, cfg.tol)
 
         if dg is not None:
             slope = dg(x)
@@ -176,60 +210,36 @@ def solve_scalar(
                 if xn == x:  # pressing against the boundary
                     stuck = True
         if stuck:
-            # Probe the confinement endpoints once, hoping for a sign change.
-            if not probed_endpoints and bracket is not None:
-                probed_endpoints = True
-                for e in (lo, hi):
-                    try:
-                        sign.update(e, g(e))
-                    except (ArithmeticError, ValueError, FoldtraceError):
-                        continue
-                if sign.ready:
-                    return _bisect(g, sign, cfg.tol)
-            raise NoConvergence("derivative vanished or iterate left the bracket",
-                                last_iterate=best_x, residual=best_g)
+            return finish_from_endpoints("derivative vanished or iterate left the bracket")
 
-        def _damped(target: float):
-            xt, gt = target, g(target)
-            sign.update(xt, gt)
-            halvings = 0
-            while (not math.isfinite(gt) or abs(gt) > abs(gx)) and halvings < 8:
-                xt = 0.5 * (x + xt)
-                gt = g(xt)
-                sign.update(xt, gt)
-                halvings += 1
-            return xt, gt
-
-        xn, gn = _damped(xn)
-        if dg is None and math.isfinite(gn) and abs(gn) > abs(gx):
-            # Noise-level relative-step slope can point the wrong way; one
-            # retry with the wide step before accepting a worse iterate.
-            h = _fd_step_wide(x)
-            if x + h > hi:
-                h = -h
-            gxh = g(x + h)
-            sign.update(x + h, gxh)
-            wide_slope = (gxh - gx) / h
-            if math.isfinite(wide_slope) and wide_slope != 0.0:
-                retry = x - gx / wide_slope
-                if math.isfinite(retry):
-                    retry = min(max(retry, lo), hi)
-                    if retry != x:
-                        xr, gr = _damped(retry)
-                        if math.isfinite(gr) and abs(gr) < abs(gn):
-                            xn, gn = xr, gr
+        gn = g(xn)
+        sign.update(xn, gn)
+        halvings = 0
+        while (not math.isfinite(gn) or abs(gn) > abs(gx)) and halvings < 8:
+            xn = 0.5 * (x + xn)
+            gn = g(xn)
+            sign.update(xn, gn)
+            halvings += 1
         if not math.isfinite(gn):
-            raise NoConvergence("residual became non-finite", last_iterate=best_x, residual=best_g)
+            raise NoConvergence("residual became non-finite", last_iterate=x, residual=gx)
+        if abs(gn) > cfg.tol and not sign.ready:
+            # Near a root where g ~ t^p, a Newton step leaves |1 - 1/p|^p of
+            # |g|: under 0.37 for p >= 1, while p < 1 overshoots into a sign
+            # change. A step that cannot descend, or three in a row that
+            # barely do, mean Newton is circling a rootless minimum of |g|.
+            slow = slow + 1 if abs(gn) > 0.9 * abs(gx) else 0
+            if abs(gn) > abs(gx):
+                return finish_from_endpoints("no damped step reduced |g| (rootless local minimum)")
+            if slow == 3:
+                return finish_from_endpoints("|g| shrank under 10% in 3 steps (rootless local minimum)")
         x, gx = xn, gn
-        if abs(gx) < abs(best_g):
-            best_x, best_g = x, gx
 
     if abs(gx) <= cfg.tol:
         return x
     if sign.ready:
-        return _bisect(g, sign, cfg.tol)
+        return _itp(g, sign, cfg.tol)
     raise NoConvergence(f"no root after {cfg.max_iter} iterations",
-                        last_iterate=best_x, residual=best_g, iterations=cfg.max_iter)
+                        last_iterate=x, residual=gx, iterations=cfg.max_iter)
 
 
 def dense_solve(A, b):

@@ -1,9 +1,16 @@
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+
+import foldtrace
 
 from foldtrace.errors import NoConvergence, SingularJacobian, SingularMatrix
 from foldtrace.geometry import cbrt
@@ -74,6 +81,103 @@ class TestSolveScalar:
             ScalarSolveConfig(tol=-1.0)
         with pytest.raises(ValueError):
             ScalarSolveConfig(max_iter=0)
+
+
+def _counted(g):
+    """Wrap a residual so its evaluations are recorded."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+
+    return wrapped, calls
+
+
+class TestSolveScalarBudget:
+    """Field evaluations per slice solve: on the lubrication diagram each one
+    is a bordered Newton solve, so these counts are the solver's cost."""
+
+    @pytest.mark.parametrize("g, x0, bracket, root", [
+        (lambda y: 0.3 ** 2 + y * y - 1.0, 0.9, (0.4, 1.4), math.sqrt(0.91)),
+        (lambda y: 0.5 ** (2.0 / 3.0) + abs(y) ** (2.0 / 3.0) - 1.0, 0.6, (0.1, 1.1),
+         (1.0 - 0.5 ** (2.0 / 3.0)) ** 1.5),
+        (lambda t: math.tanh(5.0 * (t - 0.3)), 0.0, (-1.0, 1.0), 0.3),
+        (lambda t: math.exp(t) - 2.0, 0.0, (-1.0, 1.0), math.log(2.0)),
+    ], ids=["circle", "astroid", "tanh", "exp"])
+    def test_sign_bracketed_smooth_slice(self, g, x0, bracket, root):
+        counted, calls = _counted(g)
+        x = solve_scalar(counted, x0, bracket=bracket)
+        assert abs(g(x)) <= 1e-10 and abs(x - root) < 1e-9
+        # the finish ran on a sign change: evaluations on both sides of the root
+        assert min(calls) < root < max(calls)
+        assert len(calls) <= 12
+
+    def test_rootless_astroid_slice_gives_up_early(self):
+        # x = 1.01 is one step past the cusp at (1, 0): |y|^(2/3) never
+        # reaches 1 - 1.01^(2/3) < 0, and Newton used to wander for all
+        # 60 iterations (891 evaluations).
+        x = 1.01
+        g, calls = _counted(lambda y: x ** (2.0 / 3.0) + abs(y) ** (2.0 / 3.0) - 1.0)
+        with pytest.raises(NoConvergence, match="rootless local minimum"):
+            solve_scalar(g, 0.0, bracket=(-0.1, 0.1))
+        assert len(calls) < 60
+
+    @pytest.mark.parametrize("x0", [0.3, -0.7, 1.0])
+    def test_x_squared_plus_one_on_a_bracket(self, x0):
+        g, calls = _counted(lambda t: t * t + 1.0)
+        with pytest.raises(NoConvergence):
+            solve_scalar(g, x0, bracket=(-1.0, 1.0))
+        assert len(calls) < 60
+
+    def test_jump_raises_at_machine_width(self):
+        # a sign change with no root: the finish narrows onto the jump
+        g, calls = _counted(lambda t: -1.0 if t < 0.25 else 1.0)
+        with pytest.raises(NoConvergence, match="bisection exhausted"):
+            solve_scalar(g, 0.0, bracket=(-1.0, 1.0))
+        jump = [c for c in calls if abs(c - 0.25) < 1e-6]
+        assert jump and min(abs(c - 0.25) for c in jump) <= 1e-16
+
+    @given(
+        scale=st.floats(0.01, 100.0),
+        cubic=st.floats(0.0, 10.0),
+        root=st.floats(-2.0, 2.0),
+        increasing=st.booleans(),
+        lo=st.floats(-3.0, 3.0),
+        width=st.floats(1e-3, 4.0),
+        start=st.floats(0.0, 1.0),
+    )
+    def test_monotone_cubic_property(self, scale, cubic, root, increasing, lo, width, start):
+        sign = 1.0 if increasing else -1.0
+
+        def g(t):
+            u = t - root
+            return sign * scale * (u + cubic * u ** 3)
+
+        hi = lo + width
+        x0 = lo + start * width
+        try:
+            x = solve_scalar(g, x0, bracket=(lo, hi))
+        except NoConvergence:
+            assert not lo <= root <= hi  # a bracketed root is always found
+            return
+        assert lo <= x <= hi
+        assert abs(g(x)) <= ScalarSolveConfig().tol
+
+
+def test_tracing_never_imports_scipy_optimize():
+    # scipy.optimize costs about 20 MB and a slower start-up; the slice
+    # solver is written out so the package never needs it.
+    package_root = Path(foldtrace.__file__).resolve().parent.parent
+    script = ("import sys, foldtrace\n"
+              "from foldtrace.astroid import trace_astroid\n"
+              "path = trace_astroid(0.05)\n"
+              "assert len(path.events) == 2, path.events\n"
+              "print('scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestDenseSolve:
