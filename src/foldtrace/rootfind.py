@@ -90,17 +90,25 @@ class _SignBracket:
         return self.neg is not None and self.pos is not None
 
 
-def _itp(g, sign: _SignBracket, tol: float) -> float:
-    """Finish on a sign change with ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
+def itp(
+    g: Callable[[float], float],
+    neg: Tuple[float, float],
+    pos: Tuple[float, float],
+    tol: float,
+) -> float:
+    """Root of g between a negative and a positive end, found by ITP.
 
-    Each step interpolates by regula falsi, truncates the step toward the
-    midpoint by 0.2 w^2 / w0 so both ends of the bracket keep moving, and
-    projects it into a radius that keeps the bracket no wider than
-    bisection's with one step of slack. Returns the first abscissa with
-    |g| <= tol; raises NoConvergence once the bracket reaches machine width
-    without one, which is what a jump across zero looks like.
+    `neg` and `pos` are (x, g(x)) pairs with g(x) < 0 and g(x) > 0, in
+    either order along x. ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020)
+    interpolates by regula falsi, truncates the step toward the midpoint by
+    0.2 w^2 / w0 so both ends of the bracket keep moving, and projects it
+    into a radius that keeps the bracket no wider than bisection's with one
+    step of slack. Returns the first abscissa with |g| <= tol; raises
+    NoConvergence on a non-finite residual, and once the bracket reaches
+    machine width without a root, which is what a jump across zero looks
+    like.
     """
-    (a, ga), (b, gb) = sign.neg, sign.pos
+    (a, ga), (b, gb) = neg, pos
     best_x, best_g = (a, ga) if abs(ga) <= abs(gb) else (b, gb)
     if abs(best_g) <= tol:
         return best_x
@@ -171,7 +179,7 @@ def solve_scalar(
                 except (ArithmeticError, ValueError, FoldtraceError):
                     continue
             if sign.ready:
-                return _itp(g, sign, cfg.tol)
+                return itp(g, sign.neg, sign.pos, cfg.tol)
         raise NoConvergence(reason, last_iterate=x, residual=gx)
 
     x = min(max(x0, lo), hi)
@@ -185,7 +193,7 @@ def solve_scalar(
         if abs(gx) <= cfg.tol:
             return x
         if sign.ready:
-            return _itp(g, sign, cfg.tol)
+            return itp(g, sign.neg, sign.pos, cfg.tol)
 
         if dg is not None:
             slope = dg(x)
@@ -237,7 +245,7 @@ def solve_scalar(
     if abs(gx) <= cfg.tol:
         return x
     if sign.ready:
-        return _itp(g, sign, cfg.tol)
+        return itp(g, sign.neg, sign.pos, cfg.tol)
     raise NoConvergence(f"no root after {cfg.max_iter} iterations",
                         last_iterate=x, residual=gx, iterations=cfg.max_iter)
 

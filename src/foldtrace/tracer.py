@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from .errors import (
     CurveTerminated,
@@ -29,7 +29,6 @@ from .turnpoint import (
     ResidualField,
     ScanConfig,
     choose_reference_point,
-    mesh_half_circle,
     new_direction,
     scan_boundary,
     select_exit_point,
@@ -92,8 +91,12 @@ class TraceConfig:
     """Step sizes, scan parameters, and stopping rules for one trace.
 
     `step` is the x-axis increment; `step_y` defaults to the same value.
-    Derived defaults: scan radius = max step, slice bracket = 10x the max
-    step, closure tolerance = max step.
+    Derived defaults, resolved once from the max step: scan radius = max
+    step, slice bracket = 10x the max step, closure tolerance = 1e-4x the
+    max step. Lattice marching makes a closing pass land back on the
+    opening points to solver precision, so the closure tolerance can be
+    far below one step; a looser one would swallow a final turning-point
+    event that happens right at the seed.
     """
 
     step: float
@@ -115,30 +118,18 @@ class TraceConfig:
             raise ValueError("closure_tol must be positive")
         if self.slice_bracket is not None and self.slice_bracket <= 0:
             raise ValueError("slice_bracket must be positive")
+        max_step = max(self.step_for(Axis.X), self.step_for(Axis.Y))
+        if self.scan is None:
+            self.scan = ScanConfig(radius=max_step)
+        if self.closure_tol is None:
+            self.closure_tol = 1e-4 * max_step
+        if self.slice_bracket is None:
+            self.slice_bracket = 10.0 * max_step
 
     def step_for(self, axis: Axis) -> float:
         if axis is Axis.Y:
             return self.step_y if self.step_y is not None else self.step
         return self.step
-
-    @property
-    def max_step(self) -> float:
-        return max(self.step_for(Axis.X), self.step_for(Axis.Y))
-
-    def scan_config(self) -> ScanConfig:
-        if self.scan is not None:
-            return self.scan
-        return ScanConfig(radius=self.max_step)
-
-    def bracket_half_width(self) -> float:
-        return self.slice_bracket if self.slice_bracket is not None else 10.0 * self.max_step
-
-    def closure_tolerance(self) -> float:
-        # Lattice marching makes a closing pass land back on the opening
-        # points to solver precision, so the default can be far below one
-        # step; a looser tolerance would swallow a final turning-point
-        # event that happens right at the seed.
-        return self.closure_tol if self.closure_tol is not None else 1e-4 * self.max_step
 
 
 def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> float:
@@ -158,6 +149,13 @@ def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> flo
     else:
         k = math.ceil(ratio) - 1
     return anchor + k * delta
+
+
+def _slice(residual: ResidualField, axis: Axis, value: float) -> Callable[[float], float]:
+    """The residual along the line `axis` = `value`, as a function of the other coordinate."""
+    if axis is Axis.X:
+        return lambda t: residual(value, t)
+    return lambda t: residual(t, value)
 
 
 def step(
@@ -182,18 +180,10 @@ def step(
         target = c0 + direction.sign * delta
 
     t0 = coordinate(current, transverse)
-    half_width = cfg.bracket_half_width()
-
-    if axis is Axis.X:
-        def g(t: float) -> float:
-            return residual(target, t)
-    else:
-        def g(t: float) -> float:
-            return residual(t, target)
-
-    scfg = ScalarSolveConfig(tol=cfg.scan_config().residual_tol)
+    scfg = ScalarSolveConfig(tol=cfg.scan.residual_tol)
     try:
-        root = solve_scalar(g, t0, scfg, bracket=(t0 - half_width, t0 + half_width))
+        root = solve_scalar(_slice(residual, axis, target), t0, scfg,
+                            bracket=(t0 - cfg.slice_bracket, t0 + cfg.slice_bracket))
     except NoConvergence as exc:
         return Stalled(f"slice solve failed at {axis.value}={target:.6g}: {exc}")
     except FieldEvaluationError as exc:
@@ -237,21 +227,19 @@ def trace(
     at the point budget. Turning points encountered on the way are
     navigated via the half-disk scan and recorded as events.
     """
-    scan_cfg = cfg.scan_config()
     path = SolutionPath()
     try:
         f0 = residual(start.x, start.y)
     except FieldEvaluationError as exc:
         raise TraceError(f"cannot evaluate field at start: {exc}", path=path) from exc
-    if not math.isfinite(f0) or abs(f0) > scan_cfg.residual_tol:
+    if not math.isfinite(f0) or abs(f0) > cfg.scan.residual_tol:
         raise ValueError(
-            f"start point residual {f0:.3e} exceeds tolerance {scan_cfg.residual_tol:.3e}; "
+            f"start point residual {f0:.3e} exceeds tolerance {cfg.scan.residual_tol:.3e}; "
             "polish the seed before tracing"
         )
     path.append(start, FLAG_ORDINARY)
 
     direction = initial_direction
-    closure_tol = cfg.closure_tolerance()
 
     while True:
         if len(path) >= cfg.max_points:
@@ -266,10 +254,9 @@ def trace(
             log.info("stall (%s) at point %d %s -> %s scan", outcome.reason, j, current, kind.name)
             path.flags[j] = FLAG_TURNING
 
-            mesh = mesh_half_circle(current, scan_cfg.radius, scan_cfg.mesh_count, kind)
-            candidates = scan_boundary(residual, mesh, current, scan_cfg.radius, scan_cfg)
+            candidates = scan_boundary(residual, current, kind, cfg.scan)
             try:
-                reference = choose_reference_point(path, j, scan_cfg)
+                reference = choose_reference_point(path, j, cfg.scan)
                 exit_point = select_exit_point(candidates, reference)
             except CurveTerminated:
                 path.termination = Termination.TERMINATED
@@ -284,7 +271,7 @@ def trace(
             path.append(restart, FLAG_RESTART)
             path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(path) - 1))
             log.info("restart at %s marching %s", restart, direction)
-            if len(path) > MIN_CLOSURE_POINTS and _closed(path, restart, closure_tol):
+            if len(path) > MIN_CLOSURE_POINTS and _closed(path, restart, cfg.closure_tol):
                 path.termination = Termination.CLOSED
                 break
             continue
@@ -294,7 +281,7 @@ def trace(
             path.termination = Termination.LEFT_DOMAIN
             break
         path.append(new_point, FLAG_ORDINARY)
-        if len(path) > MIN_CLOSURE_POINTS and _closed(path, new_point, closure_tol):
+        if len(path) > MIN_CLOSURE_POINTS and _closed(path, new_point, cfg.closure_tol):
             path.termination = Termination.CLOSED
             break
 
@@ -314,12 +301,6 @@ def polish_transverse(
     initial marching direction is adjusted, the driven one kept.
     """
     transverse = direction.axis.other
-    axis_value = coordinate(point, direction.axis)
-    if direction.axis is Axis.X:
-        def g(t: float) -> float:
-            return residual(axis_value, t)
-    else:
-        def g(t: float) -> float:
-            return residual(t, axis_value)
+    g = _slice(residual, direction.axis, coordinate(point, direction.axis))
     root = solve_scalar(g, coordinate(point, transverse), ScalarSolveConfig(tol=tol, max_iter=max_iter))
     return with_coordinate(point, transverse, root)

@@ -1,10 +1,11 @@
 """Half-disk boundary scan used to continue a trace past a turning point.
 
 Given a turning point whose blocked half-plane is known, the steps are:
-sample the opposite half-circle uniformly, collect every root of the
-residual field on that arc, pick the candidate farthest from a reference
-point a few steps back along the path, and derive the new marching
-direction from the vector to that candidate.
+sample the opposite half-circle uniformly in its arc parameter, collect
+every root of the residual field on that arc (each sign change between
+neighbouring samples is finished by `rootfind.itp`), pick the candidate
+farthest from a reference point a few steps back along the path, and
+derive the new marching direction from the vector to that candidate.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .errors import CurveTerminated, FieldEvaluationError, InsufficientHistory, ZeroVector
+from .errors import CurveTerminated, FieldEvaluationError, InsufficientHistory, NoConvergence, ZeroVector
 from .geometry import Axis, Point2, StepDirection, TurningPointKind
+from .rootfind import itp
 
 log = logging.getLogger(__name__)
 
@@ -97,119 +99,63 @@ def mesh_half_circle(center: Point2, radius: float, n: int, kind: TurningPointKi
     return [arc_point(center, radius, kind, math.pi * i / n) for i in range(n)]
 
 
-def _bisect_arc(
-    residual: ResidualField,
-    center: Point2,
-    radius: float,
-    lo: float,
-    f_lo: float,
-    hi: float,
-    f_hi: float,
-    tol: float,
-) -> Optional[Point2]:
-    """Refine a sign change of the residual along the arc angle."""
-    best = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    for _ in range(200):
-        if abs(best[1]) <= tol:
-            theta = best[0]
-            return Point2(center.x + radius * math.cos(theta), center.y + radius * math.sin(theta))
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = residual(center.x + radius * math.cos(mid), center.y + radius * math.sin(mid))
-        if abs(fm) < abs(best[1]):
-            best = (mid, fm)
-        if (fm < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, fm
-        else:
-            hi, f_hi = mid, fm
-    if abs(best[1]) <= tol:
-        theta = best[0]
-        return Point2(center.x + radius * math.cos(theta), center.y + radius * math.sin(theta))
-    log.debug("arc bisection stopped at machine width with |f|=%.3e > tol", abs(best[1]))
-    return None
-
-
 def scan_boundary(
     residual: ResidualField,
-    mesh: Sequence[Point2],
     center: Point2,
-    radius: float,
+    kind: TurningPointKind,
     cfg: ScanConfig,
 ) -> CandidateSet:
-    """Collect residual roots on the sampled arc.
+    """Collect residual roots on the half-circle opposite the blocked direction.
 
-    A mesh point with |f| <= residual_tol is accepted outright; a sign
-    change between consecutive mesh points is refined by bisection in arc
-    angle. Mesh points where the field cannot be evaluated are skipped and
-    recorded.
+    The arc is sampled at phi_i = pi*i/n for i = 0..n: the first n samples
+    are `mesh_half_circle(center, cfg.radius, n, kind)`, the last closes
+    the arc so a root in its final pi/n gap is not missed. A sample with
+    |f| <= residual_tol is accepted outright; a sign change between two
+    neighbouring samples, neither accepted, is refined by ITP in phi.
+    Samples and refinements where the field cannot be evaluated or is not
+    finite are skipped and their index recorded.
     """
-    if not mesh:
-        raise ValueError("mesh must be nonempty")
+    n = cfg.mesh_count
     tol = cfg.residual_tol
 
-    values: List[Optional[float]] = []
+    def f(phi: float) -> float:
+        ux, uy = _arc_unit(kind, phi)
+        x, y = center.x + cfg.radius * ux, center.y + cfg.radius * uy
+        v = residual(x, y)
+        if not math.isfinite(v):
+            raise FieldEvaluationError(f"non-finite residual at ({x}, {y})")
+        return v
+
     result = CandidateSet()
-    for i, p in enumerate(mesh):
+    samples: List[Optional[Tuple[float, float]]] = []
+    for i in range(n + 1):
+        phi = math.pi * i / n
         try:
-            v = residual(p.x, p.y)
-            if not math.isfinite(v):
-                raise FieldEvaluationError(f"non-finite residual at ({p.x}, {p.y})")
+            samples.append((phi, f(phi)))
         except FieldEvaluationError as exc:
-            log.debug("mesh point %d skipped: %s", i, exc)
+            log.debug("arc sample %d skipped: %s", i, exc)
             result.skipped_mesh_indices.append(i)
-            values.append(None)
-            continue
-        values.append(v)
+            samples.append(None)
 
-    angles = [math.atan2(p.y - center.y, p.x - center.x) for p in mesh]
-    # The mesh spans [phi_0, phi_0 + pi*(n-1)/n]; probe the far end of the
-    # half-circle too, otherwise a root in the terminal pi/n gap (common
-    # when the curve crosses close to the half-plane boundary) is missed.
-    spacing = math.pi / len(mesh)
-    end_angle = angles[-1] + spacing
-    end_point = Point2(center.x + radius * math.cos(end_angle),
-                       center.y + radius * math.sin(end_angle))
-    try:
-        end_value: Optional[float] = residual(end_point.x, end_point.y)
-        if not math.isfinite(end_value):
-            raise FieldEvaluationError("non-finite residual at arc end")
-    except FieldEvaluationError as exc:
-        log.debug("arc end probe skipped: %s", exc)
-        end_value = None
+    def accepted(s: Optional[Tuple[float, float]]) -> bool:
+        return s is not None and abs(s[1]) <= tol
 
-    accepted_direct = set()
-    for i, v in enumerate(values):
-        if v is not None and abs(v) <= tol:
-            accepted_direct.add(i)
-    if end_value is not None and abs(end_value) <= tol:
-        accepted_direct.add(len(mesh))  # suppresses refining the last segment
-
-    seg_angles = angles + [end_angle]
-    seg_values = values + [end_value]
-    for i in range(len(mesh)):
-        if i in accepted_direct:
-            result.candidates.append(Candidate(mesh[i], i))
-        f_lo, f_hi = seg_values[i], seg_values[i + 1]
-        if f_lo is None or f_hi is None:
-            continue
-        if i in accepted_direct or (i + 1) in accepted_direct:
-            continue  # a direct candidate already covers this crossing
-        if (f_lo < 0.0) == (f_hi < 0.0):
-            continue
-        lo = seg_angles[i]
-        # walk the short way around the circle
-        span = math.remainder(seg_angles[i + 1] - lo, 2.0 * math.pi)
+    for i, (lo, hi) in enumerate(zip(samples, samples[1:] + [None])):
+        if accepted(lo):
+            result.candidates.append(Candidate(arc_point(center, cfg.radius, kind, lo[0]), i))
+        if lo is None or hi is None or accepted(lo) or accepted(hi) or (lo[1] < 0.0) == (hi[1] < 0.0):
+            continue  # no sign change, or an accepted sample already covers it
+        neg, pos = (lo, hi) if lo[1] < 0.0 else (hi, lo)
         try:
-            refined = _bisect_arc(residual, center, radius, lo, f_lo, lo + span, f_hi, tol)
+            phi = itp(f, neg, pos, tol)
         except FieldEvaluationError as exc:
-            log.debug("bisection between mesh %d and %d failed: %s", i, i + 1, exc)
+            log.debug("refinement between samples %d and %d failed: %s", i, i + 1, exc)
             result.skipped_mesh_indices.append(i)
             continue
-        if refined is not None:
-            result.candidates.append(Candidate(refined, i))
-    if len(mesh) in accepted_direct and (len(mesh) - 1) not in accepted_direct:
-        result.candidates.append(Candidate(end_point, len(mesh)))
+        except NoConvergence as exc:
+            log.debug("refinement between samples %d and %d found no root: %s", i, i + 1, exc)
+            continue
+        result.candidates.append(Candidate(arc_point(center, cfg.radius, kind, phi), i))
     return result
 
 

@@ -11,6 +11,7 @@ from foldtrace.turnpoint import (
     Candidate,
     CandidateSet,
     ScanConfig,
+    arc_point,
     choose_reference_point,
     mesh_half_circle,
     new_direction,
@@ -89,8 +90,7 @@ class TestScanBoundary:
         field = circle_field()
         center = Point2(1.0, 0.0)
         cfg = ScanConfig(radius=0.2, mesh_count=n, residual_tol=1e-10)
-        mesh = mesh_half_circle(center, 0.2, n, TurningPointKind.TYPE1)
-        found = scan_boundary(field, mesh, center, 0.2, cfg)
+        found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         assert len(found) == 2
         expected_y = math.sqrt(1.0 - 0.98 ** 2)
         ys = sorted(c.point.y for c in found)
@@ -108,8 +108,7 @@ class TestScanBoundary:
     def test_line_crossing_found_on_every_arc(self, kind, field):
         center = Point2(0.0, 0.0)
         cfg = ScanConfig(radius=0.5, mesh_count=8, residual_tol=1e-10)
-        mesh = mesh_half_circle(center, 0.5, 8, kind)
-        found = scan_boundary(field, mesh, center, 0.5, cfg)
+        found = scan_boundary(field, center, kind, cfg)
         assert len(found) == 1
         assert abs(field(found.candidates[0].point.x, found.candidates[0].point.y)) <= 1e-10
         assert abs(found.candidates[0].point.distance_to(center) - 0.5) < 1e-9
@@ -118,16 +117,14 @@ class TestScanBoundary:
         field = circle_field()
         center = Point2(3.0, 0.0)
         cfg = ScanConfig(radius=0.2, mesh_count=8)
-        mesh = mesh_half_circle(center, 0.2, 8, TurningPointKind.TYPE1)
-        assert len(scan_boundary(field, mesh, center, 0.2, cfg)) == 0
+        assert len(scan_boundary(field, center, TurningPointKind.TYPE1, cfg)) == 0
 
     def test_astroid_cusp_symmetric_pair(self):
         field = astroid_field()
         center = Point2(1.0, 0.0)
         r = 1e-3
         cfg = ScanConfig(radius=r, mesh_count=8, residual_tol=1e-10)
-        mesh = mesh_half_circle(center, r, 8, TurningPointKind.TYPE1)
-        found = scan_boundary(field, mesh, center, r, cfg)
+        found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         assert len(found) == 2
         a, b = found.candidates
         assert a.point.x < 1.0 and b.point.x < 1.0
@@ -153,8 +150,7 @@ class TestScanBoundary:
         field = circle_field()
         center = Point2(1.0, 0.0)
         cfg = ScanConfig(radius=0.2, mesh_count=16)
-        mesh = mesh_half_circle(center, 0.2, 16, TurningPointKind.TYPE1)
-        found = scan_boundary(field, mesh, center, 0.2, cfg)
+        found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         indices = [c.mesh_index for c in found]
         assert indices == sorted(set(indices))
 
@@ -166,15 +162,83 @@ class TestScanBoundary:
 
         center = Point2(1.0, 0.0)
         cfg = ScanConfig(radius=0.2, mesh_count=8)
-        mesh = mesh_half_circle(center, 0.2, 8, TurningPointKind.TYPE1)
-        found = scan_boundary(field, mesh, center, 0.2, cfg)
+        found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         assert found.skipped_mesh_indices
         assert len(found) == 1  # only the lower intersection is reachable
         assert found.candidates[0].point.y < 0
 
-    def test_empty_mesh_rejected(self):
-        with pytest.raises(ValueError):
-            scan_boundary(circle_field(), [], Point2(0, 0), 0.1, ScanConfig(radius=0.1))
+    def test_samples_are_the_mesh_then_the_far_end(self):
+        # A field without roots is only sampled, so the spy sees exactly the
+        # n mesh points the paper's formula gives, then phi = pi.
+        center = Point2(0.3, -1.7)
+        r = 0.25
+        for kind in ALL_KINDS:
+            for n in (1, 2, 5, 8, 16):
+                calls = []
+
+                def field(x, y):
+                    calls.append((x, y))
+                    return 1.0
+
+                found = scan_boundary(field, center, kind, ScanConfig(radius=r, mesh_count=n))
+                assert len(found) == 0
+                mesh = mesh_half_circle(center, r, n, kind)
+                assert calls[:n] == [(p.x, p.y) for p in mesh]
+                far = arc_point(center, r, kind, math.pi)
+                assert calls[n:] == [(far.x, far.y)]
+                # phi = pi is the arc end diametrically opposite phi = 0
+                assert abs(far.x + mesh[0].x - 2.0 * center.x) < 1e-12
+                assert abs(far.y + mesh[0].y - 2.0 * center.y) < 1e-12
+
+    @pytest.mark.parametrize("field,center,r,budget", [
+        (circle_field(), Point2(1.0, 0.0), 0.2, 33),
+        (astroid_field(), Point2(1.0, 0.0), 1e-3, 35),
+    ])
+    def test_evaluation_budget(self, field, center, r, budget):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return field(x, y)
+
+        found = scan_boundary(counted, center, TurningPointKind.TYPE1, ScanConfig(radius=r, mesh_count=8))
+        assert len(found) == 2
+        assert len(calls) <= budget
+
+    def test_nan_inside_refinement_skipped(self):
+        # NaN on a small patch of the arc around the upper circle crossing:
+        # no sample lands there, so only the refinement meets it.
+        upper = Point2(0.98, math.sqrt(1.0 - 0.98 ** 2))
+
+        def field(x, y):
+            if math.hypot(x - upper.x, y - upper.y) < 1e-3:
+                return math.nan
+            return x * x + y * y - 1.0
+
+        center = Point2(1.0, 0.0)
+        found = scan_boundary(field, center, TurningPointKind.TYPE1, ScanConfig(radius=0.2, mesh_count=8))
+        assert found.skipped_mesh_indices == [0]
+        assert len(found) == 1
+        assert found.candidates[0].mesh_index == 7
+        assert found.candidates[0].point.y < 0
+
+    def test_last_mesh_point_and_far_end_both_accepted(self):
+        # The line x + y + 1 = 0 meets the unit circle at the n=2 mesh
+        # point (-1, 0) and at the far end (0, -1); both are roots.
+        center = Point2(0.0, 0.0)
+        kind = TurningPointKind.TYPE1
+        found = scan_boundary(lambda x, y: x + y + 1.0, center, kind, ScanConfig(radius=1.0, mesh_count=2))
+        assert [c.mesh_index for c in found] == [1, 2]
+        assert found.candidates[0].point == mesh_half_circle(center, 1.0, 2, kind)[1]
+        assert found.candidates[1].point == arc_point(center, 1.0, kind, math.pi)
+
+
+class TestScanConfig:
+    def test_invalid_values_rejected(self):
+        for kwargs in ({"mesh_count": 0}, {"radius": 0.0}, {"radius": -1.0}, {"reference_lag": 0},
+                       {"residual_tol": 0.0}, {"residual_tol": -1e-10}):
+            with pytest.raises(ValueError):
+                ScanConfig(**{"radius": 0.1, **kwargs})
 
 
 class TestChooseReferencePoint:
