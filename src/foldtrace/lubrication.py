@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness, SingularJacobian,
                      TraceError)
 from .geometry import Box, Point2, StepDirection
-from .rootfind import VectorSolveConfig, solve_vector
+from .rootfind import LUHolder, VectorSolveConfig, solve_vector
 from .tracer import TraceConfig
 from .turnpoint import ScanConfig
 
@@ -167,7 +167,6 @@ def solve_at_Q(
 ) -> LubricationState:
     """Newton-solve the m-dimensional fixed-flux system; mass comes out."""
     cfg = cfg or VectorSolveConfig()
-    h0 = _check_thickness(h0)
     counter = {"k": 0}
 
     def cb(k, _x, _fx):
@@ -213,11 +212,15 @@ def solve_at_M(
     h0,
     Q0: float,
     cfg: Optional[VectorSolveConfig] = None,
+    held: Optional[LUHolder] = None,
 ) -> LubricationState:
-    """Newton-solve the bordered (m+1)-dimensional fixed-mass system."""
+    """Newton-solve the bordered (m+1)-dimensional fixed-mass system.
+
+    `held` carries a bordered LU factorization between solves; see
+    `solve_vector`.
+    """
     cfg = cfg or VectorSolveConfig()
-    h0 = _check_thickness(h0)
-    z0 = np.concatenate([h0, [Q0]])
+    z0 = np.append(h0, Q0)
     counter = {"k": 0}
 
     def cb(k, _x, _fx):
@@ -229,6 +232,7 @@ def solve_at_M(
         cfg,
         jac=lambda z_: augmented_jacobian(z_, epsilon, grid),
         callback=cb,
+        held=held,
     )
     h, Q = z[:-1], float(z[-1])
     return LubricationState(h=h, Q=Q, M=mass_of(h, grid), epsilon=epsilon,
@@ -278,6 +282,7 @@ class BifurcationField:
         self.cache_size = cache_size
         self._cache: List[LubricationState] = []
         self._cache_QM = np.empty((0, 2))  # (Q, M) of each cached state, same order
+        self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
 
     def _remember(self, state: LubricationState) -> None:
@@ -298,7 +303,7 @@ class BifurcationField:
     def __call__(self, Q: float, M: float) -> float:
         h0, Q0 = self._warm(Q, M)
         try:
-            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, self.solve_config)
+            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, self.solve_config, self._lu)
             residual = state.Q - Q
         except _SOLVE_FAILURES as first:
             try:

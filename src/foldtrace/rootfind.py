@@ -9,6 +9,12 @@ sign change has been seen, and gives up early when Newton circles a
 rootless minimum of |g|. Every slice solve of a trace, and so every
 turning point, goes through it; on the lubrication diagram each residual
 evaluation is a bordered Newton solve.
+
+The vector solver is a chord (modified) Newton method: it keeps the last
+LU factorization of the Jacobian and reuses it while the steps it gives
+cut the residual tenfold, and factors a fresh Jacobian only when they
+stop doing so. A caller that runs many nearby solves can carry that
+factorization from one solve to the next in an `LUHolder`.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .errors import FoldtraceError, NoConvergence, SingularJacobian, SingularMat
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+# A chord step is kept only if it cuts max|F| at least this much; otherwise
+# the Jacobian is factored afresh.
+_CHORD_CONTRACTION = 0.1
 
 
 @dataclass
@@ -250,36 +259,63 @@ def solve_scalar(
                         last_iterate=x, residual=gx, iterations=cfg.max_iter)
 
 
-def dense_solve(A, b):
-    """Solve A x = b by LU with row pivoting: one LAPACK getrf, one getrs.
+class LUFactorization:
+    """LU with row pivoting of a square matrix: one LAPACK getrf.
 
-    Raises ValueError if A is not square, does not match b, or either holds
-    a non-finite entry. Raises SingularMatrix on an exactly zero pivot, a
-    smallest-to-largest |pivot| ratio at or below 1e-14, or a non-finite
-    solution. A and b are never overwritten.
+    Raises ValueError if A is not square or holds a non-finite entry, and
+    SingularMatrix on an exactly zero pivot or a smallest-to-largest |pivot|
+    ratio at or below 1e-14. A is never overwritten.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape}")
-    if A.shape[0] != b.shape[0]:
-        raise ValueError("matrix/vector size mismatch")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("non-finite entries")
-    lu, piv, info = _getrf(A, overwrite_a=False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    if info > 0:
-        raise SingularMatrix(f"pivot {info} is exactly zero")
-    diag = np.abs(lu.diagonal())
-    if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-        raise SingularMatrix(f"pivot ratio {diag.min():.3e}/{diag.max():.3e} below threshold")
-    x, info = _getrs(lu, piv, b, overwrite_b=False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    if not np.isfinite(x).all():
-        raise SingularMatrix("factorization produced non-finite solution")
-    return x
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix must be square, got {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("non-finite entries")
+        lu, piv, info = _getrf(A, overwrite_a=False)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrf")
+        if info > 0:
+            raise SingularMatrix(f"pivot {info} is exactly zero")
+        diag = np.abs(lu.diagonal())
+        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+            raise SingularMatrix(f"pivot ratio {diag.min():.3e}/{diag.max():.3e} below threshold")
+        self.lu, self.piv = lu, piv
+
+    @property
+    def n(self) -> int:
+        return self.lu.shape[0]
+
+    def solve(self, b):
+        """x with A x = b: one LAPACK getrs. b is never overwritten.
+
+        Raises ValueError if b does not match A or holds a non-finite
+        entry, and SingularMatrix on a non-finite solution.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.n:
+            raise ValueError("matrix/vector size mismatch")
+        if not np.isfinite(b).all():
+            raise ValueError("non-finite entries")
+        x, info = _getrs(self.lu, self.piv, b, overwrite_b=False)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        if not np.isfinite(x).all():
+            raise SingularMatrix("factorization produced non-finite solution")
+        return x
+
+
+@dataclass
+class LUHolder:
+    """The factorization `solve_vector` starts from and leaves its last one in."""
+
+    lu: Optional[LUFactorization] = None
+
+
+def dense_solve(A, b):
+    """Solve A x = b: `LUFactorization(A).solve(b)`, with the checks of both."""
+    return LUFactorization(A).solve(b)
 
 
 def fd_jacobian(F, x, fx=None):
@@ -303,16 +339,24 @@ def solve_vector(
     cfg: Optional[VectorSolveConfig] = None,
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     callback: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
+    held: Optional[LUHolder] = None,
 ) -> np.ndarray:
-    """Damped Newton for a d-dimensional residual F(x) = 0.
+    """Chord-accelerated damped Newton for a d-dimensional residual F(x) = 0.
 
-    Each iteration solves J delta = -F by pivoted LU and halves the step
+    Before each Newton iteration, chord steps x <- x - LU^-1 F(x) reuse the
+    factorization in `held` for as long as each one stays finite and cuts
+    the max-norm residual at least tenfold. The iteration then factors J(x)
+    by pivoted LU, keeps that factorization in `held`, and halves the step
     until the max-norm residual decreases. If the damping floor is reached
     first, the longest step with a finite residual is taken, and
-    NoConvergence is raised when there is none. `jac` defaults to a
-    forward finite-difference Jacobian.
+    NoConvergence is raised when there is none. Only factorizing iterations
+    count toward `cfg.max_iter` and the callback's iteration number, so the
+    last number the callback sees is the number of factorizations. `jac`
+    defaults to a forward finite-difference Jacobian; `held` defaults to a
+    fresh, empty holder.
     """
     cfg = cfg or VectorSolveConfig()
+    held = held if held is not None else LUHolder()
     x = np.array(x0, dtype=float)
     fx = np.asarray(F(x), dtype=float)
     if not np.isfinite(fx).all():
@@ -324,9 +368,22 @@ def solve_vector(
             callback(k, x, fx)
         if norm <= cfg.tol:
             return x
+        while held.lu is not None:  # a held LU of the wrong size fails its solve
+            try:
+                candidate = x - held.lu.solve(fx)
+                fc = np.asarray(F(candidate), dtype=float)
+            except (ArithmeticError, ValueError, FoldtraceError):
+                break
+            norm_c = np.abs(fc).max()
+            if not norm_c <= _CHORD_CONTRACTION * norm:  # NaN fails the test
+                break
+            x, fx, norm = candidate, fc, norm_c
+            if norm <= cfg.tol:
+                return x
         J = jac(x) if jac is not None else fd_jacobian(F, x, fx)
         try:
-            delta = dense_solve(J, -fx)
+            held.lu = LUFactorization(J)
+            delta = held.lu.solve(-fx)
         except SingularMatrix as exc:
             raise SingularJacobian(str(exc)) from exc
 

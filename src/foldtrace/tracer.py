@@ -93,7 +93,8 @@ class TraceConfig:
     `step` is the x-axis increment; `step_y` defaults to the same value.
     Derived defaults, resolved once from the max step: scan radius = max
     step, slice bracket = 10x the max step, closure tolerance = 1e-4x the
-    max step. Lattice marching makes a closing pass land back on the
+    max step; the slice solver's settings, from the scan's residual
+    tolerance. Lattice marching makes a closing pass land back on the
     opening points to solver precision, so the closure tolerance can be
     far below one step; a looser one would swallow a final turning-point
     event that happens right at the seed.
@@ -125,6 +126,7 @@ class TraceConfig:
             self.closure_tol = 1e-4 * max_step
         if self.slice_bracket is None:
             self.slice_bracket = 10.0 * max_step
+        self._slice_solve = ScalarSolveConfig(tol=self.scan.residual_tol)
 
     def step_for(self, axis: Axis) -> float:
         if axis is Axis.Y:
@@ -180,9 +182,8 @@ def step(
         target = c0 + direction.sign * delta
 
     t0 = coordinate(current, transverse)
-    scfg = ScalarSolveConfig(tol=cfg.scan.residual_tol)
     try:
-        root = solve_scalar(_slice(residual, axis, target), t0, scfg,
+        root = solve_scalar(_slice(residual, axis, target), t0, cfg._slice_solve,
                             bracket=(t0 - cfg.slice_bracket, t0 + cfg.slice_bracket))
     except NoConvergence as exc:
         return Stalled(f"slice solve failed at {axis.value}={target:.6g}: {exc}")

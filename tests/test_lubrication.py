@@ -400,19 +400,56 @@ class TestDerivativeOperator:
             assert np.array_equal(J[:m, m], -1.0 / h**3)
             assert np.all(J[m, :m] == grid.weight) and J[m, m] == 0.0
 
-    def test_every_newton_iteration_is_one_dense_solve(self, monkeypatch):
-        # per-layer benchmark counters count LU solves by wrapping
-        # rootfind.dense_solve, and Newton iterations by `iterations`
+    def test_every_newton_iteration_is_one_factorization(self, monkeypatch):
+        # Newton iterations are counted by `iterations`, and each one is a
+        # single rootfind.LUFactorization; chord steps between them are not
         grid = SpectralGrid.build(32)
-        real = rootfind.dense_solve
-        shapes = []
-
-        def counting(A, b):
-            shapes.append(A.shape)
-            return real(A, b)
-
-        monkeypatch.setattr(rootfind, "dense_solve", counting)
+        shapes = _spy_factorizations(monkeypatch)
         state = solve_at_M(TWO_PI, 0.1, grid, np.full(32, 1.0), 1.0)
         assert state.iterations >= 2
         assert len(shapes) == state.iterations
         assert set(shapes) == {(33, 33)}
+
+
+def _spy_factorizations(monkeypatch):
+    """Record the shape of every matrix handed to rootfind.LUFactorization."""
+    real = rootfind.LUFactorization.__init__
+    shapes = []
+
+    def counting(self, A):
+        shapes.append(np.shape(A))
+        real(self, A)
+
+    monkeypatch.setattr(rootfind.LUFactorization, "__init__", counting)
+    return shapes
+
+
+class TestFactorizationReuse:
+    @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf])
+    def test_bad_start_raises_before_any_factorization(self, monkeypatch, grid32, bad):
+        shapes = _spy_factorizations(monkeypatch)
+        h0 = np.ones(32)
+        h0[3] = bad
+        with pytest.raises(NonpositiveThickness):
+            solve_at_M(TWO_PI, 0.1, grid32, h0, 1.0)
+        with pytest.raises(NonpositiveThickness):
+            solve_at_Q(1.0, 0.1, grid32, h0)
+        assert shapes == []
+
+    def test_default_diagram_reuses_the_bordered_factorization(self, monkeypatch):
+        # the whole default diagram made 1,468 factorizations when every
+        # Newton iteration factored; the shared one brings it under 500
+        shapes = _spy_factorizations(monkeypatch)
+        at_Q = []
+        real_at_Q = lubrication.solve_at_Q
+
+        def counting_at_Q(*args, **kwargs):
+            at_Q.append(args[0])
+            return real_at_Q(*args, **kwargs)
+
+        monkeypatch.setattr(lubrication, "solve_at_Q", counting_at_Q)
+        path, states, _field = trace_bifurcation()
+        assert len(path.points) == 280 and len(path.events) == 1
+        assert path.termination.name == "LEFT_DOMAIN"
+        assert len(at_Q) == 1
+        assert 0 < len(shapes) <= 500

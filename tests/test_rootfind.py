@@ -15,6 +15,8 @@ import foldtrace
 from foldtrace.errors import NoConvergence, SingularJacobian, SingularMatrix
 from foldtrace.geometry import cbrt
 from foldtrace.rootfind import (
+    LUFactorization,
+    LUHolder,
     ScalarSolveConfig,
     VectorSolveConfig,
     dense_solve,
@@ -237,6 +239,37 @@ class TestDenseSolve:
             dense_solve(A, np.array([1.0, 1.0]))
 
 
+class TestLUFactorization:
+    """The factorization object keeps every check `dense_solve` makes."""
+
+    def test_one_factorization_solves_many_rhs(self):
+        A, _ = _system(33, "C", seed=4)
+        lu = LUFactorization(A)
+        assert lu.n == 33
+        for seed in range(3):
+            b = np.random.default_rng(seed).standard_normal(33)
+            assert np.array_equal(lu.solve(b), dense_solve(A, b))
+
+    def test_non_square_or_nonfinite_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            LUFactorization(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            LUFactorization(np.full((2, 2), np.nan))
+
+    def test_singular_matrix(self):
+        with pytest.raises(SingularMatrix, match="exactly zero"):
+            LUFactorization(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(SingularMatrix, match="pivot ratio"):
+            LUFactorization(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+
+    def test_rhs_checks(self):
+        lu = LUFactorization(np.eye(3))
+        with pytest.raises(ValueError, match="size mismatch"):
+            lu.solve(np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            lu.solve(np.array([1.0, np.nan, 0.0]))
+
+
 def _lu_reference(A, b):
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
 
@@ -293,6 +326,17 @@ class TestSolveVector:
         assert np.max(np.abs(A @ x - b)) < 1e-11
         assert iterations[-1] == 1  # Newton is exact on affine residuals
 
+    def test_linear_system_from_its_own_factorization(self):
+        # an exact held factorization solves an affine residual without factoring
+        A, b = _system(6, "C", seed=6)
+        held = LUHolder(LUFactorization(A))
+        lu = held.lu
+        iterations = []
+        x = solve_vector(lambda v: A @ v - b, np.zeros(6), jac=lambda _v: A,
+                         callback=lambda k, _x, _f: iterations.append(k), held=held)
+        assert np.max(np.abs(A @ x - b)) < 1e-11
+        assert iterations == [0] and held.lu is lu
+
     def test_returned_iterate_satisfies_tolerance(self):
         cfg = VectorSolveConfig(tol=1e-12)
 
@@ -329,3 +373,69 @@ class TestSolveVector:
             ])
             J_fd = fd_jacobian(F, v)
             assert np.max(np.abs(J_fd - J_true)) < 1e-6
+
+
+class TestChordSteps:
+    """solve_vector reuses a held factorization while it cuts max|F| tenfold."""
+
+    @staticmethod
+    def _problem(n=8, seed=2):
+        A, b = _system(n, "C", seed=seed)
+
+        def F(v):
+            return A @ v + 0.1 * np.sin(v) - b
+
+        def jac(v):
+            return A + np.diag(0.1 * np.cos(v))
+
+        return A, F, jac
+
+    def test_stale_factorization_of_a_nearby_matrix(self):
+        A, F, jac = self._problem()
+        held = LUHolder(LUFactorization(1.02 * A))
+        cfg = VectorSolveConfig(tol=1e-12)
+        iterations = []
+        x = solve_vector(F, np.zeros(8), cfg, jac=jac, held=held,
+                         callback=lambda k, _x, _f: iterations.append(k))
+        assert np.max(np.abs(F(x))) <= cfg.tol
+        # without a held factorization the same solve factors more often
+        fresh = []
+        solve_vector(F, np.zeros(8), cfg, jac=jac, callback=lambda k, _x, _f: fresh.append(k))
+        assert iterations[-1] < fresh[-1]
+
+    def test_useless_factorization_is_replaced(self):
+        A, F, jac = self._problem()
+        stale = LUFactorization(-A)  # its steps point the wrong way
+        held = LUHolder(stale)
+        iterations = []
+        x = solve_vector(F, np.zeros(8), jac=jac, held=held,
+                         callback=lambda k, _x, _f: iterations.append(k))
+        assert np.max(np.abs(F(x))) <= VectorSolveConfig().tol
+        assert iterations[-1] >= 1 and held.lu is not stale
+        x_near = solve_vector(F, x + 1e-3, jac=jac, held=held)  # the new one is kept for reuse
+        assert np.max(np.abs(F(x_near))) <= VectorSolveConfig().tol
+
+    def test_wrong_size_factorization_is_ignored(self):
+        A, F, jac = self._problem()
+        held = LUHolder(LUFactorization(np.eye(3)))
+        x = solve_vector(F, np.zeros(8), jac=jac, held=held)
+        assert np.max(np.abs(F(x))) <= VectorSolveConfig().tol
+        assert held.lu.n == 8
+
+    def test_chord_steps_do_not_spend_the_iteration_budget(self):
+        # each chord step with a 0.1%-off matrix cuts the residual about
+        # 1000x: several are needed, and none counts toward max_iter
+        A, b = _system(8, "C", seed=9)
+        calls = []
+
+        def F(v):
+            calls.append(1)
+            return A @ v - b
+
+        held = LUHolder(LUFactorization(1.001 * A))
+        lu = held.lu
+        iterations = []
+        x = solve_vector(F, np.zeros(8), VectorSolveConfig(max_iter=1), jac=lambda _v: A,
+                         held=held, callback=lambda k, _x, _f: iterations.append(k))
+        assert np.max(np.abs(A @ x - b)) <= VectorSolveConfig().tol
+        assert len(calls) >= 3 and iterations == [0] and held.lu is lu
