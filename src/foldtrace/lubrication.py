@@ -107,6 +107,8 @@ class LubricationState:
 
     def __post_init__(self):
         self.h = _check_thickness(self.h)
+        if self.h.ndim != 1 or not self.h.size:
+            raise ValueError(f"film thickness must be a non-empty 1-D array, not shape {self.h.shape}")
 
 
 def _check_thickness(h: np.ndarray) -> np.ndarray:
@@ -120,12 +122,8 @@ def _check_thickness(h: np.ndarray) -> np.ndarray:
 def residual_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid) -> np.ndarray:
     """Per-node residual of the steady equation at fixed flux."""
     h = _check_thickness(h)
-    return (
-        (epsilon / 3.0) * (grid.d1 @ h + grid.d3 @ h)
-        - grid.cos_third
-        - Q / h**3
-        + 1.0 / h**2
-    )
+    r = 1.0 / h
+    return grid.derivative_operator(epsilon) @ h - grid.cos_third + r * r * (1.0 - Q * r)
 
 
 def _write_fixed_Q_block(J: np.ndarray, h: np.ndarray, Q: float, epsilon: float,

@@ -54,12 +54,13 @@ def write_states_csv(states: Sequence[LubricationState], stream: IO[str]) -> Non
     if not states:
         raise ValueError("no states to write")
     m = states[0].h.size
-    writer = csv.writer(stream)
-    writer.writerow(["Q", "M", "epsilon", "m"] + [f"h_{i}" for i in range(m)])
+    if any(s.h.size != m for s in states):
+        raise ValueError("states have inconsistent grid sizes")
+    csv.writer(stream).writerow(["Q", "M", "epsilon", "m"] + [f"h_{i}" for i in range(m)])
+    # one template per call: "%.17g" gives _fmt's characters, "\r\n" is csv's line end
+    row = ",".join(["%.17g"] * 3 + [str(m)] + ["%.17g"] * m) + "\r\n"
     for s in states:
-        if s.h.size != m:
-            raise ValueError("states have inconsistent grid sizes")
-        writer.writerow([_fmt(s.Q), _fmt(s.M), _fmt(s.epsilon), m] + [_fmt(v) for v in s.h])
+        stream.write(row % (s.Q, s.M, s.epsilon, *s.h.tolist()))
 
 
 def _segments(path: SolutionPath) -> List[List[Point2]]:

@@ -111,9 +111,30 @@ class TestResidual:
         grid = SpectralGrid.build(128)
         h = 0.5 + np.random.default_rng(4).random(128)
         Q, eps = 0.7, 1e-3
-        inline = (eps / 3.0) * (grid.d1 @ h + grid.d3 @ h) - np.cos(grid.nodes) / 3.0 - Q / h**3 + 1.0 / h**2
+        r = 1.0 / h
+        inline = (eps / 3.0) * (grid.d1 + grid.d3) @ h - np.cos(grid.nodes) / 3.0 + r * r * (1.0 - Q * r)
         assert (residual_fixed_Q(h, Q, eps, grid) == inline).all()
         assert not grid.cos_third.flags.writeable
+
+    @pytest.mark.parametrize("m", [32, 128])
+    def test_matches_two_matvec_and_fft_forms(self, m):
+        # the one-matvec residual against the two-matvec form it replaced and
+        # against FFT derivatives built without the grid's matrices
+        grid = SpectralGrid.build(m)
+        th = grid.nodes
+        k = np.fft.fftfreq(m, d=1.0 / m)
+        mult = 1j * k + (1j * k) ** 3
+        mult[m // 2] = 0.0  # odd orders: no Nyquist mode
+        Q, eps = 0.7, 1e-3
+        rng = np.random.default_rng(m)
+        for h in (0.5 + rng.random(m), 1.0 + 0.3 * np.cos(th) + 0.1 * np.sin(3 * th)):
+            forcing = -np.cos(th) / 3.0 - Q / h**3 + 1.0 / h**2
+            two_matvec = (eps / 3.0) * (grid.d1 @ h + grid.d3 @ h) + forcing
+            spectral = (eps / 3.0) * np.fft.ifft(mult * np.fft.fft(h)).real + forcing
+            residual = residual_fixed_Q(h, Q, eps, grid)
+            assert np.max(np.abs(residual)) > 0.5  # not a vacuous comparison
+            assert np.max(np.abs(residual - two_matvec)) < 1e-12
+            assert np.max(np.abs(residual - spectral)) < 1e-12
 
 
 class TestJacobians:
@@ -242,6 +263,11 @@ class TestBifurcationField:
     def test_state_rejects_nonfinite_thickness(self, bad):
         with pytest.raises(NonpositiveThickness):
             LubricationState(h=np.array([1.0, bad, 1.0]), Q=1.0, M=1.0, epsilon=1e-3)
+
+    @pytest.mark.parametrize("h", [np.array([]), np.ones((4, 8)), np.ones((0, 3)), np.float64(1.0)])
+    def test_state_rejects_shapeless_thickness(self, h):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            LubricationState(h=h, Q=1.0, M=1.0, epsilon=1e-3)
 
     def test_seed_homotopy_reaches_smaller_epsilon(self):
         # the staged walk down in surface tension also covers 1e-4, where
@@ -424,6 +450,31 @@ def _spy_factorizations(monkeypatch):
     return shapes
 
 
+@pytest.fixture(scope="module")
+def default_diagram_counts():
+    """Trace the default diagram once, counting factorizations, fixed-Q
+    fallbacks and residual evaluations."""
+    residuals = []
+    at_Q = []
+    real_residual, real_at_Q = lubrication.residual_fixed_Q, lubrication.solve_at_Q
+
+    def counting_residual(*args, **kwargs):
+        residuals.append(1)
+        return real_residual(*args, **kwargs)
+
+    def counting_at_Q(*args, **kwargs):
+        at_Q.append(args[0])
+        return real_at_Q(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = _spy_factorizations(mp)
+        mp.setattr(lubrication, "residual_fixed_Q", counting_residual)
+        mp.setattr(lubrication, "solve_at_Q", counting_at_Q)
+        path, _states, _field = trace_bifurcation()
+    return dict(path=path, factorizations=len(shapes), fallbacks=len(at_Q),
+                residuals=len(residuals))
+
+
 class TestFactorizationReuse:
     @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf])
     def test_bad_start_raises_before_any_factorization(self, monkeypatch, grid32, bad):
@@ -436,20 +487,15 @@ class TestFactorizationReuse:
             solve_at_Q(1.0, 0.1, grid32, h0)
         assert shapes == []
 
-    def test_default_diagram_reuses_the_bordered_factorization(self, monkeypatch):
+    def test_default_diagram_reuses_the_bordered_factorization(self, default_diagram_counts):
         # the whole default diagram made 1,468 factorizations when every
         # Newton iteration factored; the shared one brings it under 500
-        shapes = _spy_factorizations(monkeypatch)
-        at_Q = []
-        real_at_Q = lubrication.solve_at_Q
-
-        def counting_at_Q(*args, **kwargs):
-            at_Q.append(args[0])
-            return real_at_Q(*args, **kwargs)
-
-        monkeypatch.setattr(lubrication, "solve_at_Q", counting_at_Q)
-        path, states, _field = trace_bifurcation()
+        path = default_diagram_counts["path"]
         assert len(path.points) == 280 and len(path.events) == 1
         assert path.termination.name == "LEFT_DOMAIN"
-        assert len(at_Q) == 1
-        assert 0 < len(shapes) <= 500
+        assert default_diagram_counts["fallbacks"] == 1
+        assert 0 < default_diagram_counts["factorizations"] <= 500
+
+    def test_default_diagram_residual_budget(self, default_diagram_counts):
+        # about 4,200 residual evaluations (bordered and fixed-Q) per diagram
+        assert 0 < default_diagram_counts["residuals"] <= 4400

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import xml.etree.ElementTree as ET
@@ -5,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import foldtrace.cli
 from foldtrace.astroid import SweepResult
 from foldtrace.fields import circle_field
 from foldtrace.geometry import MINUS_Y, Point2
@@ -83,6 +85,59 @@ class TestStatesCsv:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             write_states_csv([], io.StringIO())
+
+    def test_mixed_sizes_rejected_before_any_write(self):
+        states = [LubricationState(h=np.ones(m), Q=0.6, M=6.2, epsilon=1e-3) for m in (8, 16)]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="inconsistent"):
+            write_states_csv(states, buf)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("m", [8, 128])
+    def test_bytes_match_csv_writer_reference(self, m):
+        rng = np.random.default_rng(m)
+        states = []
+        for i in range(len(AWKWARD)):
+            h = np.roll(np.resize(AWKWARD, m), i) * rng.choice([1.0, 3.0, 7.0], size=m)
+            states.append(LubricationState(h=h, Q=AWKWARD[i], M=AWKWARD[-1 - i], epsilon=1e-3))
+        buf = io.StringIO()
+        write_states_csv(states, buf)
+        assert buf.getvalue() == _reference_states_csv(states)
+
+    def test_cli_file_matches_reference(self, tmp_path, monkeypatch):
+        written = []
+        real = foldtrace.cli.write_states_csv
+
+        def recording(states, stream):
+            written.append(list(states))
+            real(states, stream)
+
+        monkeypatch.setattr(foldtrace.cli, "write_states_csv", recording)
+        states_csv = tmp_path / "s.csv"
+        code = foldtrace.cli.main(["lubrication", "--m", "32", "--max-points", "40",
+                                   "--csv", str(tmp_path / "b.csv"),
+                                   "--states-csv", str(states_csv),
+                                   "--svg", str(tmp_path / "b.svg")])
+        assert code == 0 and len(written) == 1
+        with open(states_csv, newline="") as fh:
+            assert fh.read() == _reference_states_csv(written[0])
+
+
+# positive, finite values that stress 17-digit text: a subnormal, extreme
+# exponents, inexact fractions and an integer past 2**53
+AWKWARD = [5e-324, 1e-300, 1e300, 0.1, 1.0 / 3.0, 2.0**53 + 2]
+
+
+def _reference_states_csv(states):
+    """The states CSV as csv.writer writes it, one format(v, ".17g") per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    m = states[0].h.size
+    writer.writerow(["Q", "M", "epsilon", "m"] + [f"h_{i}" for i in range(m)])
+    for s in states:
+        writer.writerow([format(v, ".17g") for v in (s.Q, s.M, s.epsilon)] + [m]
+                        + [format(v, ".17g") for v in s.h])
+    return buf.getvalue()
 
 
 class TestSvg:
