@@ -47,7 +47,6 @@ from .lubrication import (
 from .rootfind import (
     ScalarSolveConfig,
     VectorSolveConfig,
-    dense_solve,
     fd_jacobian,
     solve_scalar,
     solve_vector,

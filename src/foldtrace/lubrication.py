@@ -211,14 +211,19 @@ def solve_at_M(
     Q0: float,
     cfg: Optional[VectorSolveConfig] = None,
     held: Optional[LUHolder] = None,
+    z0: Optional[np.ndarray] = None,
 ) -> LubricationState:
     """Newton-solve the bordered (m+1)-dimensional fixed-mass system.
 
     `held` carries a bordered LU factorization between solves; see
-    `solve_vector`.
+    `solve_vector`. `z0`, an (m+1)-vector, receives the start (h0, Q0);
+    `solve_vector` copies it, so a caller may reuse one buffer for every
+    solve. It defaults to a fresh array.
     """
     cfg = cfg or VectorSolveConfig()
-    z0 = np.append(h0, Q0)
+    z0 = np.empty(grid.m + 1) if z0 is None else z0
+    z0[:-1] = h0
+    z0[-1] = Q0
     counter = {"k": 0}
 
     def cb(k, _x, _fx):
@@ -255,8 +260,9 @@ class BifurcationField:
     the lower branch, so mixing them scrambles sign changes along scan
     arcs.
 
-    Converged profiles are cached and the one nearest the probe seeds the
-    next solve, so evaluations track whichever branch the tracer is on.
+    The last `cache_size` converged profiles are kept in a ring, and the
+    one nearest the probe in (Q, M) seeds the next solve (the oldest on a
+    tie), so evaluations track whichever branch the tracer is on.
     Every converged evaluation is also recorded in `solved`, keyed by its
     exact probe point (Q, M). The tracer only accepts points at which it
     evaluated the field, so after a trace the state at each path point is
@@ -274,34 +280,52 @@ class BifurcationField:
     ):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if cache_size < 1:
+            raise ValueError("cache_size must be >= 1")
         self.epsilon = epsilon
         self.grid = grid
         self.solve_config = solve_config or VectorSolveConfig(tol=1e-11, max_iter=12)
         self.cache_size = cache_size
+        # The warm-start ring: slot i of `_cache_QM` holds (Q, M) of
+        # `_cache[i]`; `_next` is the slot written next, which holds the
+        # oldest state once the ring is full. Empty slots hold inf, so they
+        # are never nearest.
         self._cache: List[LubricationState] = []
-        self._cache_QM = np.empty((0, 2))  # (Q, M) of each cached state, same order
+        self._cache_QM = np.full((cache_size, 2), math.inf)
+        self._next = 0
+        self._z0 = np.empty(grid.m + 1)  # bordered start buffer, refilled by each solve_at_M
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
 
     def _remember(self, state: LubricationState) -> None:
-        self._cache.append(state)
-        self._cache_QM = np.append(self._cache_QM, [(state.Q, state.M)], axis=0)
-        if len(self._cache) > self.cache_size:
-            self._cache.pop(0)
-            self._cache_QM = self._cache_QM[1:]
+        i = self._next
+        if len(self._cache) < self.cache_size:
+            self._cache.append(state)
+        else:
+            self._cache[i] = state
+        self._cache_QM[i, 0] = state.Q
+        self._cache_QM[i, 1] = state.M
+        self._next = (i + 1) % self.cache_size
 
     def _warm(self, Q: float, M: float) -> Tuple[np.ndarray, float]:
         if not self._cache:
             mean = max(M, 0.5) / TWO_PI
             return np.full(self.grid.m, max(mean, 0.05)), max(Q, 0.05)
-        Qs, Ms = self._cache_QM.T
-        nearest = self._cache[int(np.argmin((Qs - Q) ** 2 + (Ms - M) ** 2))]  # ties: oldest
+        d = (self._cache_QM[:, 0] - Q) ** 2 + (self._cache_QM[:, 1] - M) ** 2
+        i = int(np.argmin(d))  # the first nearest slot
+        if i < self._next < len(self._cache):
+            # ring wrapped: slots from _next on are older than slot i
+            j = self._next + int(np.argmin(d[self._next:]))
+            if d[j] == d[i]:
+                i = j
+        nearest = self._cache[i]
         return nearest.h.copy(), nearest.Q
 
     def __call__(self, Q: float, M: float) -> float:
         h0, Q0 = self._warm(Q, M)
         try:
-            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, self.solve_config, self._lu)
+            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, self.solve_config, self._lu,
+                               self._z0)
             residual = state.Q - Q
         except _SOLVE_FAILURES as first:
             try:

@@ -313,11 +313,6 @@ class LUHolder:
     lu: Optional[LUFactorization] = None
 
 
-def dense_solve(A, b):
-    """Solve A x = b: `LUFactorization(A).solve(b)`, with the checks of both."""
-    return LUFactorization(A).solve(b)
-
-
 def fd_jacobian(F, x, fx=None):
     """Forward-difference Jacobian of a vector residual."""
     x = np.asarray(x, dtype=float)

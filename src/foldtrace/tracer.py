@@ -2,9 +2,11 @@
 
 The driver marches one coordinate along a fixed lattice of step multiples
 and solves the transverse coordinate from the residual field at every
-stop. When the transverse solve loses its root the last point is declared
-a turning point, the half-disk boundary scan picks the exit point, and
-marching resumes from there in the direction the scan decided.
+stop, starting each solve at the secant extrapolation of the last two
+points of the current march. When the transverse solve loses its root
+the last point is declared a turning point, the half-disk boundary scan
+picks the exit point, and marching resumes from there in the direction
+the scan decided.
 """
 
 from __future__ import annotations
@@ -166,11 +168,18 @@ def step(
     direction: StepDirection,
     cfg: TraceConfig,
     anchor: Optional[Point2] = None,
+    previous: Optional[Point2] = None,
 ) -> Union[Point2, Stalled]:
     """Advance the driven coordinate one lattice stop and re-solve the slice.
 
-    Returns the new on-curve point, or Stalled when the transverse solve
-    fails or its root escapes the search bracket.
+    With `previous`, the point before `current` on the same march, the
+    solve starts at the secant extrapolation through the two (Allgower &
+    Georg, Introduction to Numerical Continuation Methods, ch. 2); without
+    it, or when the extrapolation is undefined or not finite, it starts at
+    the current transverse coordinate. The search bracket is centred on
+    the current point either way. Returns the new on-curve point, or
+    Stalled when the transverse solve fails or its root escapes the
+    search bracket.
     """
     axis = direction.axis
     transverse = axis.other
@@ -182,14 +191,20 @@ def step(
         target = c0 + direction.sign * delta
 
     t0 = coordinate(current, transverse)
+    guess = t0
+    if previous is not None and coordinate(previous, axis) != c0:
+        slope = (t0 - coordinate(previous, transverse)) / (c0 - coordinate(previous, axis))
+        guess = t0 + slope * (target - c0)
+        if not math.isfinite(guess):
+            guess = t0
     try:
-        root = solve_scalar(_slice(residual, axis, target), t0, cfg._slice_solve,
+        root = solve_scalar(_slice(residual, axis, target), guess, cfg._slice_solve,
                             bracket=(t0 - cfg.slice_bracket, t0 + cfg.slice_bracket))
     except NoConvergence as exc:
         return Stalled(f"slice solve failed at {axis.value}={target:.6g}: {exc}")
     except FieldEvaluationError as exc:
         return Stalled(f"field undefined near {axis.value}={target:.6g}: {exc}")
-    return with_coordinate(with_coordinate(current, axis, target), transverse, root)
+    return Point2(target, root) if axis is Axis.X else Point2(root, target)
 
 
 def _segment_distance(p: Point2, a: Point2, b: Point2) -> float:
@@ -213,6 +228,17 @@ def _closed(path: SolutionPath, p: Point2, tol: float) -> bool:
         if _segment_distance(p, pts[i], pts[i + 1]) <= tol:
             return True
     return False
+
+
+def _closure_reach(path: SolutionPath, tol: float) -> float:
+    """Distance from the second path point beyond which `_closed` is False.
+
+    A point within `tol` of the start or of either opening segment lies
+    within `tol` plus the longer opening segment of the second point, by
+    the triangle inequality; the second `tol` is slack for rounding.
+    """
+    p0, p1, p2 = path.points[:3]
+    return 2.0 * tol + max(p1.distance_to(p0), p1.distance_to(p2))
 
 
 def trace(
@@ -241,13 +267,15 @@ def trace(
     path.append(start, FLAG_ORDINARY)
 
     direction = initial_direction
+    reach2 = None  # squared closure reach, fixed once the opening points are
 
     while True:
         if len(path) >= cfg.max_points:
             path.termination = Termination.MAX_POINTS
             break
         current = path.points[-1]
-        outcome = step(residual, current, direction, cfg, anchor=path.points[0])
+        previous = path.points[-2] if len(path) > 1 and path.flags[-1] == FLAG_ORDINARY else None
+        outcome = step(residual, current, direction, cfg, anchor=path.points[0], previous=previous)
 
         if isinstance(outcome, Stalled):
             j = len(path) - 1
@@ -282,9 +310,14 @@ def trace(
             path.termination = Termination.LEFT_DOMAIN
             break
         path.append(new_point, FLAG_ORDINARY)
-        if len(path) > MIN_CLOSURE_POINTS and _closed(path, new_point, cfg.closure_tol):
-            path.termination = Termination.CLOSED
-            break
+        if len(path) > MIN_CLOSURE_POINTS:
+            if reach2 is None:
+                reach2 = _closure_reach(path, cfg.closure_tol) ** 2
+            p1 = path.points[1]
+            dx, dy = new_point.x - p1.x, new_point.y - p1.y
+            if dx * dx + dy * dy <= reach2 and _closed(path, new_point, cfg.closure_tol):
+                path.termination = Termination.CLOSED
+                break
 
     return path
 

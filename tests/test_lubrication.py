@@ -362,11 +362,16 @@ def _state(Q, M, m=8):
     return LubricationState(h=np.full(m, float(next(_tags))), Q=Q, M=M, epsilon=1e-3)
 
 
+def _oldest_first(field):
+    """The cached states in insertion order: the ring read from its write slot on."""
+    return field._cache[field._next:] + field._cache[:field._next]
+
+
 class TestWarmStartLookup:
     @staticmethod
     def _min_lookup(field, Q, M):
         # the linear scan the vectorised lookup replaced
-        return min(field._cache, key=lambda s: (s.Q - Q) ** 2 + (s.M - M) ** 2)
+        return min(_oldest_first(field), key=lambda s: (s.Q - Q) ** 2 + (s.M - M) ** 2)
 
     def _assert_same_pick(self, field, probes):
         for Q, M in probes:
@@ -383,7 +388,7 @@ class TestWarmStartLookup:
         for Q, M in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]:
             field._remember(_state(Q, M))
         h0, Q0 = field._warm(0.0, 0.0)
-        assert Q0 == 1.0 and np.array_equal(h0, field._cache[0].h)
+        assert Q0 == 1.0 and np.array_equal(h0, _oldest_first(field)[0].h)
         self._assert_same_pick(field, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
 
     def test_same_pick_after_eviction(self):
@@ -397,7 +402,33 @@ class TestWarmStartLookup:
             assert len(field._cache) == min(i + 1, 5)
             self._assert_same_pick(field, probes)
         # the FIFO holds exactly the five newest states, oldest first
-        assert [s.M for s in field._cache] == [M for _Q, M in grid_points[-5:]]
+        assert [s.M for s in _oldest_first(field)] == [M for _Q, M in grid_points[-5:]]
+
+    def test_ring_matches_a_plain_list_fifo(self):
+        # cache_size + 37 insertions wrap the ring several times; at every
+        # stage the lookup equals a first-minimum scan of a list FIFO that
+        # appends and pops from the front, ties included
+        size = 16
+        field = BifurcationField(1e-3, SpectralGrid.build(8), cache_size=size)
+        rng = np.random.default_rng(11)
+        reference = []
+        probes = [(float(q), float(m)) for q, m in rng.integers(0, 3, size=(12, 2))]
+        probes += [(float(q), float(m)) for q, m in rng.uniform(-1, 4, size=(4, 2))]
+        for Q, M in rng.integers(0, 3, size=(size + 37, 2)):
+            state = _state(float(Q), float(M))
+            field._remember(state)
+            reference.append(state)
+            if len(reference) > size:
+                reference.pop(0)
+            for q, m in probes:
+                expected = min(reference, key=lambda s: (s.Q - q) ** 2 + (s.M - m) ** 2)
+                h0, Q0 = field._warm(q, m)
+                assert Q0 == expected.Q and np.array_equal(h0, expected.h)
+        assert _oldest_first(field) == reference
+
+    def test_cache_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="cache_size"):
+            BifurcationField(1e-3, SpectralGrid.build(8), cache_size=0)
 
     def test_empty_cache_uses_flat_film(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
@@ -452,11 +483,17 @@ def _spy_factorizations(monkeypatch):
 
 @pytest.fixture(scope="module")
 def default_diagram_counts():
-    """Trace the default diagram once, counting factorizations, fixed-Q
-    fallbacks and residual evaluations."""
+    """Trace the default diagram once, counting field evaluations,
+    factorizations, fixed-Q fallbacks and residual evaluations."""
     residuals = []
     at_Q = []
+    evaluations = []
     real_residual, real_at_Q = lubrication.residual_fixed_Q, lubrication.solve_at_Q
+    real_call = BifurcationField.__call__
+
+    def counting_call(self, Q, M):
+        evaluations.append((Q, M))
+        return real_call(self, Q, M)
 
     def counting_residual(*args, **kwargs):
         residuals.append(1)
@@ -470,9 +507,10 @@ def default_diagram_counts():
         shapes = _spy_factorizations(mp)
         mp.setattr(lubrication, "residual_fixed_Q", counting_residual)
         mp.setattr(lubrication, "solve_at_Q", counting_at_Q)
+        mp.setattr(BifurcationField, "__call__", counting_call)
         path, _states, _field = trace_bifurcation()
     return dict(path=path, factorizations=len(shapes), fallbacks=len(at_Q),
-                residuals=len(residuals))
+                residuals=len(residuals), evaluations=len(evaluations))
 
 
 class TestFactorizationReuse:
@@ -489,13 +527,20 @@ class TestFactorizationReuse:
 
     def test_default_diagram_reuses_the_bordered_factorization(self, default_diagram_counts):
         # the whole default diagram made 1,468 factorizations when every
-        # Newton iteration factored; the shared one brings it under 500
+        # Newton iteration factored; the shared one brought it to 373, and
+        # the tracer's secant predictor to 336
         path = default_diagram_counts["path"]
         assert len(path.points) == 280 and len(path.events) == 1
         assert path.termination.name == "LEFT_DOMAIN"
         assert default_diagram_counts["fallbacks"] == 1
-        assert 0 < default_diagram_counts["factorizations"] <= 500
+        assert 0 < default_diagram_counts["factorizations"] <= 400
 
     def test_default_diagram_residual_budget(self, default_diagram_counts):
-        # about 4,200 residual evaluations (bordered and fixed-Q) per diagram
-        assert 0 < default_diagram_counts["residuals"] <= 4400
+        # 3,668 residual evaluations (bordered and fixed-Q) per diagram;
+        # 4,208 before the secant predictor
+        assert 0 < default_diagram_counts["residuals"] <= 4000
+
+    def test_default_diagram_field_evaluation_budget(self, default_diagram_counts):
+        # 884 field evaluations, each a warm-started bordered solve; 1,031
+        # before the secant predictor
+        assert 0 < default_diagram_counts["evaluations"] <= 950

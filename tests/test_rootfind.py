@@ -19,7 +19,6 @@ from foldtrace.rootfind import (
     LUHolder,
     ScalarSolveConfig,
     VectorSolveConfig,
-    dense_solve,
     fd_jacobian,
     solve_scalar,
     solve_vector,
@@ -183,20 +182,22 @@ def test_tracing_never_imports_scipy_optimize():
 
 
 class TestDenseSolve:
+    """A dense solve end to end: `LUFactorization(A).solve(b)`."""
+
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.5])
-        x = dense_solve(np.eye(3), b)
+        x = LUFactorization(np.eye(3)).solve(b)
         assert np.array_equal(x, b)
 
     def test_diagonal(self):
-        x = dense_solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 4.0]))
+        x = LUFactorization(np.array([[2.0, 0.0], [0.0, 4.0]])).solve(np.array([2.0, 4.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_recovers_known_solution_50x50(self):
         rng = np.random.default_rng(7)
         A = np.eye(50) + 0.1 * rng.standard_normal((50, 50))
         x_true = rng.standard_normal(50)
-        x = dense_solve(A, A @ x_true)
+        x = LUFactorization(A).solve(A @ x_true)
         assert np.max(np.abs(x - x_true)) < 1e-9
 
     def test_residual_bound(self):
@@ -204,24 +205,24 @@ class TestDenseSolve:
         for _ in range(5):
             A = np.eye(20) + 0.2 * rng.standard_normal((20, 20))
             b = rng.standard_normal(20)
-            x = dense_solve(A, b)
+            x = LUFactorization(A).solve(b)
             norm_a = np.max(np.sum(np.abs(A), axis=1))
             bound = 1e-10 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
             assert np.max(np.abs(A @ x - b)) <= bound
 
     def test_singular_matrix(self):
         with pytest.raises(SingularMatrix):
-            dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+            LUFactorization(np.array([[1.0, 2.0], [2.0, 4.0]])).solve(np.array([1.0, 1.0]))
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            dense_solve(np.ones((2, 3)), np.ones(2))
+            LUFactorization(np.ones((2, 3))).solve(np.ones(2))
         with pytest.raises(ValueError):
-            dense_solve(np.full((2, 2), np.nan), np.ones(2))
+            LUFactorization(np.full((2, 2), np.nan)).solve(np.ones(2))
 
     def test_nonfinite_rhs_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            dense_solve(np.eye(3), np.array([1.0, np.inf, 0.0]))
+            LUFactorization(np.eye(3)).solve(np.array([1.0, np.inf, 0.0]))
 
     def test_exact_zero_pivot_raises_without_warning(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -229,18 +230,18 @@ class TestDenseSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrix, match="exactly zero"):
-                dense_solve(A, np.array([1.0, 1.0]))
+                LUFactorization(A).solve(np.array([1.0, 1.0]))
 
     def test_tiny_pivot_ratio_raises(self):
         # the second pivot is about 1e-15: nonzero, so only the ratio check catches it
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         assert scipy.linalg.lapack.dgetrf(A)[2] == 0
         with pytest.raises(SingularMatrix, match="pivot ratio"):
-            dense_solve(A, np.array([1.0, 1.0]))
+            LUFactorization(A).solve(np.array([1.0, 1.0]))
 
 
 class TestLUFactorization:
-    """The factorization object keeps every check `dense_solve` makes."""
+    """One factorization serves many right-hand sides, with every check."""
 
     def test_one_factorization_solves_many_rhs(self):
         A, _ = _system(33, "C", seed=4)
@@ -248,7 +249,7 @@ class TestLUFactorization:
         assert lu.n == 33
         for seed in range(3):
             b = np.random.default_rng(seed).standard_normal(33)
-            assert np.array_equal(lu.solve(b), dense_solve(A, b))
+            assert np.array_equal(lu.solve(b), LUFactorization(A).solve(b))
 
     def test_non_square_or_nonfinite_matrix(self):
         with pytest.raises(ValueError, match="square"):
@@ -301,7 +302,7 @@ class TestDenseSolveMatchesScipyLU:
     def test_bit_identical_and_inputs_untouched(self, layout, n):
         A, b = _system(n, layout, seed=n)
         A_before, b_before = A.copy(), b.copy()
-        x = dense_solve(A, b)
+        x = LUFactorization(A).solve(b)
         assert x.dtype == np.float64 and x.shape == (n,)
         assert np.array_equal(x, _lu_reference(A, b))
         assert np.array_equal(A, A_before) and np.array_equal(b, b_before)
