@@ -5,7 +5,7 @@ transverse solve stalls, and continues past them by scanning the boundary
 of a half-disk around the turning point.
 """
 
-from .astroid import SweepResult, astroid_field, percent_error, run_sweep, trace_astroid
+from .astroid import SweepResult, astroid_field, run_sweep, trace_astroid
 from .errors import (
     CurveTerminated,
     ExpressionError,

@@ -110,17 +110,6 @@ def percent_errors(xs, ys) -> np.ndarray:
     return (np.hypot(a, b) - rho_exact) / rho_exact * 100.0
 
 
-def percent_error(path_point: Point2) -> float:
-    """percent_errors for a single point."""
-    return float(percent_errors([path_point.x], [path_point.y])[0])
-
-
-def max_abs_percent_error(path: Iterable[Point2]) -> float:
-    points = list(path)
-    errors = percent_errors([p.x for p in points], [p.y for p in points])
-    return float(np.max(np.abs(errors), initial=0.0))
-
-
 def navigated_all_cusps(path: Iterable[Point2], delta: float) -> bool:
     radius = NAVIGATED_RADIUS_STEPS * delta
     remaining = set(range(len(CUSPS)))

@@ -2,13 +2,14 @@
 thin-film bifurcation diagram.
 
 Exit codes: 0 success, 1 configuration error, 2 trace failure (a partial
-points CSV is still written). FOLDTRACE_LOG in {error, info, debug}
-controls stderr diagnostics.
+points CSV is still written) or a path that retraced itself (written in
+full). FOLDTRACE_LOG in {error, info, debug} controls stderr diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import math
 import os
@@ -22,7 +23,7 @@ from .fields import circle_field
 from .geometry import Box, Point2, StepDirection
 from .lubrication import bifurcation_trace_config, trace_bifurcation
 from .output import write_points_csv, write_states_csv, write_sweep_csv, write_trace_svg
-from .tracer import SolutionPath, TraceConfig, polish_transverse, trace
+from .tracer import SolutionPath, Termination, TraceConfig, polish_transverse, trace
 from .turnpoint import ScanConfig
 
 log = logging.getLogger("foldtrace")
@@ -131,8 +132,8 @@ def cmd_trace(args) -> int:
         step = args.step if args.step is not None else default_step
 
     direction = _parse_direction(direction)
-    if step <= 0:
-        raise _CliError("--step must be positive")
+    if not 0.0 < step < math.inf:
+        raise _CliError("--step must be positive and finite")
 
     try:
         scan = ScanConfig(
@@ -147,7 +148,6 @@ def cmd_trace(args) -> int:
             scan=scan,
             max_points=args.max_points,
             domain=_parse_box(args.box) if args.box else None,
-            closure_tol=args.closure_tol,
             slice_bracket=args.bracket,
         )
     except ValueError as exc:
@@ -170,7 +170,7 @@ def cmd_trace(args) -> int:
 
     _print_summary(path)
     _write_outputs(path, args.csv, args.svg, args.problem)
-    return 0
+    return 2 if path.termination is Termination.RETRACED else 0
 
 
 _VALID_R = (1e-4, 100.0)
@@ -179,11 +179,16 @@ _VALID_N = (4, 10)
 
 
 def cmd_verify(args) -> int:
-    if args.delta <= 0:
-        raise _CliError("--delta must be positive")
+    if not 0.0 < args.delta < math.inf:
+        raise _CliError("--delta must be positive and finite")
     r_factors = _parse_numbers(args.r_factors)
     k_values = _parse_numbers(args.k_values, round)
     n_values = _parse_numbers(args.n_values, round)
+    try:
+        for r, k, n in itertools.product(r_factors, k_values, n_values):
+            ScanConfig(radius=r * args.delta, mesh_count=n, reference_lag=k)
+    except ValueError as exc:
+        raise _CliError(f"bad verify setting: {exc}") from exc
     results = astroid_mod.run_sweep(r_factors, k_values, n_values, args.delta)
 
     if args.csv:
@@ -218,10 +223,10 @@ def cmd_verify(args) -> int:
 def cmd_lubrication(args) -> int:
     if args.m < 8 or args.m % 2:
         raise _CliError(f"--m must be even and >= 8, got {args.m}")
-    if args.epsilon <= 0:
-        raise _CliError("--epsilon must be positive")
-    if args.seed_mass <= 0:
-        raise _CliError("--seed-mass must be positive")
+    if not 0.0 < args.epsilon < math.inf:
+        raise _CliError("--epsilon must be positive and finite")
+    if not 0.0 < args.seed_mass < math.inf:
+        raise _CliError("--seed-mass must be positive and finite")
     _parse_direction(args.dir)
     settings = dict(seed_mass=args.seed_mass, step_q=args.step_q, step_m=args.step_m,
                     scan_radius=args.scan_r, scan_n=args.scan_n, scan_k=args.scan_k,
@@ -248,7 +253,7 @@ def cmd_lubrication(args) -> int:
         with open(args.states_csv, "w", newline="") as fh:
             write_states_csv(states, fh)
         print(f"states csv: {args.states_csv}")
-    return 0
+    return 2 if path.termination is Termination.RETRACED else 0
 
 
 def build_parser() -> _Parser:
@@ -269,7 +274,6 @@ def build_parser() -> _Parser:
     p_trace.add_argument("--tol", type=float, default=1e-10, help="on-curve residual tolerance")
     p_trace.add_argument("--max-points", type=int, default=20000)
     p_trace.add_argument("--box", help="tracing domain XMIN,XMAX,YMIN,YMAX")
-    p_trace.add_argument("--closure-tol", type=float, help="closed-curve detection distance")
     p_trace.add_argument("--bracket", type=float, help="transverse search half-width")
     p_trace.add_argument("--csv", default="trace.csv", help="points CSV path")
     p_trace.add_argument("--svg", default="trace.svg", help="SVG plot path")

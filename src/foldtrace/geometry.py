@@ -111,8 +111,8 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError("box bounds out of order")
+        if not (self.x_min <= self.x_max and self.y_min <= self.y_max):  # NaN fails too
+            raise ValueError("box bounds out of order or NaN")
 
     def contains(self, p: Point2) -> bool:
         return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max

@@ -243,6 +243,8 @@ def solve_at_M(
 
 
 _SOLVE_FAILURES = (NoConvergence, SingularJacobian, NonpositiveThickness)
+# Newton settings of every field evaluation; the seed converges to the same tol.
+_FIELD_SOLVE = VectorSolveConfig(tol=1e-11, max_iter=12)
 
 
 class BifurcationField:
@@ -260,76 +262,55 @@ class BifurcationField:
     the lower branch, so mixing them scrambles sign changes along scan
     arcs.
 
-    The last `cache_size` converged profiles are kept in a ring, and the
-    one nearest the probe in (Q, M) seeds the next solve (the oldest on a
-    tie), so evaluations track whichever branch the tracer is on.
+    Every converged state is kept, oldest first, and the one nearest the
+    probe in (Q, M) seeds the next solve (the oldest on a tie), so
+    evaluations track whichever branch the tracer is on.
     Every converged evaluation is also recorded in `solved`, keyed by its
     exact probe point (Q, M). The tracer only accepts points at which it
     evaluated the field, so after a trace the state at each path point is
     read from `solved` instead of being solved again; clear it between
-    traces. One instance services one trace at a time: the cache and the
-    record are mutable state.
+    traces. One instance services one trace at a time: the kept states and
+    the record are mutable state.
     """
 
-    def __init__(
-        self,
-        epsilon: float,
-        grid: SpectralGrid,
-        solve_config: Optional[VectorSolveConfig] = None,
-        cache_size: int = 512,
-    ):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
+    def __init__(self, epsilon: float, grid: SpectralGrid):
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.epsilon = epsilon
         self.grid = grid
-        self.solve_config = solve_config or VectorSolveConfig(tol=1e-11, max_iter=12)
-        self.cache_size = cache_size
-        # The warm-start ring: slot i of `_cache_QM` holds (Q, M) of
-        # `_cache[i]`; `_next` is the slot written next, which holds the
-        # oldest state once the ring is full. Empty slots hold inf, so they
-        # are never nearest.
-        self._cache: List[LubricationState] = []
-        self._cache_QM = np.full((cache_size, 2), math.inf)
-        self._next = 0
+        # row i of `_QM` is (Q, M) of `_states[i]`; later rows are spare, doubled when full
+        self._states: List[LubricationState] = []
+        self._QM = np.empty((256, 2))
         self._z0 = np.empty(grid.m + 1)  # bordered start buffer, refilled by each solve_at_M
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
 
     def _remember(self, state: LubricationState) -> None:
-        i = self._next
-        if len(self._cache) < self.cache_size:
-            self._cache.append(state)
-        else:
-            self._cache[i] = state
-        self._cache_QM[i, 0] = state.Q
-        self._cache_QM[i, 1] = state.M
-        self._next = (i + 1) % self.cache_size
+        n = len(self._states)
+        if n == len(self._QM):
+            self._QM = np.concatenate([self._QM, np.empty_like(self._QM)])
+        self._QM[n, 0] = state.Q
+        self._QM[n, 1] = state.M
+        self._states.append(state)
 
     def _warm(self, Q: float, M: float) -> Tuple[np.ndarray, float]:
-        if not self._cache:
+        n = len(self._states)
+        if not n:
             mean = max(M, 0.5) / TWO_PI
             return np.full(self.grid.m, max(mean, 0.05)), max(Q, 0.05)
-        d = (self._cache_QM[:, 0] - Q) ** 2 + (self._cache_QM[:, 1] - M) ** 2
-        i = int(np.argmin(d))  # the first nearest slot
-        if i < self._next < len(self._cache):
-            # ring wrapped: slots from _next on are older than slot i
-            j = self._next + int(np.argmin(d[self._next:]))
-            if d[j] == d[i]:
-                i = j
-        nearest = self._cache[i]
+        d = (self._QM[:n, 0] - Q) ** 2 + (self._QM[:n, 1] - M) ** 2
+        nearest = self._states[int(np.argmin(d))]  # the first minimum: the oldest
         return nearest.h.copy(), nearest.Q
 
     def __call__(self, Q: float, M: float) -> float:
         h0, Q0 = self._warm(Q, M)
         try:
-            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, self.solve_config, self._lu,
+            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, _FIELD_SOLVE, self._lu,
                                self._z0)
             residual = state.Q - Q
         except _SOLVE_FAILURES as first:
             try:
-                state = solve_at_Q(Q, self.epsilon, self.grid, h0, self.solve_config)
+                state = solve_at_Q(Q, self.epsilon, self.grid, h0, _FIELD_SOLVE)
             except _SOLVE_FAILURES as second:
                 raise FieldEvaluationError(
                     f"both solves failed at (Q={Q:.6g}, M={M:.6g}): "
@@ -347,8 +328,8 @@ class BifurcationField:
         so the solve walks down from a comfortable value in factor-of-
         sqrt(10) stages, warm-starting each from the last.
         """
-        if M <= 0:
-            raise ValueError("seed mass must be positive")
+        if not 0.0 < M < math.inf:
+            raise ValueError("seed mass must be positive and finite")
         mean = M / TWO_PI
         h = np.full(self.grid.m, mean)
         Q = Q0 if Q0 is not None else mean
@@ -360,10 +341,8 @@ class BifurcationField:
             e /= math.sqrt(10.0)
         stages.append(self.epsilon)
 
-        relaxed = VectorSolveConfig(tol=1e-9, max_iter=60,
-                                    damping_min=self.solve_config.damping_min)
-        final = VectorSolveConfig(tol=self.solve_config.tol, max_iter=60,
-                                  damping_min=self.solve_config.damping_min)
+        relaxed = VectorSolveConfig(tol=1e-9, max_iter=60)
+        final = VectorSolveConfig(tol=_FIELD_SOLVE.tol, max_iter=60)
         state = None
         for eps in stages:
             state = solve_at_M(M, eps, self.grid, h, Q,

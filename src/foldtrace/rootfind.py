@@ -33,6 +33,7 @@ _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 # A chord step is kept only if it cuts max|F| at least this much; otherwise
 # the Jacobian is factored afresh.
 _CHORD_CONTRACTION = 0.1
+_DAMPING_MIN = 1.0 / 64.0  # the line search halves a Newton step down to this fraction
 
 
 @dataclass
@@ -41,25 +42,18 @@ class ScalarSolveConfig:
     max_iter: int = 60
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:  # NaN fails too
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
-class VectorSolveConfig:
+class VectorSolveConfig(ScalarSolveConfig):
+    """The same settings and checks, with the vector solver's defaults."""
+
     tol: float = 1e-11
     max_iter: int = 25
-    damping_min: float = 1.0 / 64.0
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.damping_min <= 1.0:
-            raise ValueError("damping_min must be in (0, 1]")
 
 
 def _fd_step(x: float) -> float:
@@ -155,20 +149,18 @@ def solve_scalar(
     g: Callable[[float], float],
     x0: float,
     cfg: Optional[ScalarSolveConfig] = None,
-    dg: Optional[Callable[[float], float]] = None,
     bracket: Optional[Tuple[float, float]] = None,
 ) -> float:
     """Find x with |g(x)| <= cfg.tol near x0.
 
-    Newton iteration with a finite-difference derivative when `dg` is not
-    supplied and backtracking on residual growth, finished by ITP as soon
-    as a sign change is known. When `bracket` is given the iterates are
-    confined to it and a root drifting outside counts as failure; the
-    tracer relies on that to detect stalls. Before any sign change, a
-    step that no damping makes descend, or three steps in a row that cut
-    |g| by under 10%, mean a local minimum of |g| with no root: the
-    bracket endpoints are then probed once for a sign change, and the
-    solve fails if they show none.
+    Newton iteration with a finite-difference derivative and backtracking
+    on residual growth, finished by ITP as soon as a sign change is known.
+    When `bracket` is given the iterates are confined to it and a root
+    drifting outside counts as failure; the tracer relies on that to
+    detect stalls. Before any sign change, a step that no damping makes
+    descend, or three steps in a row that cut |g| by under 10%, mean a
+    local minimum of |g| with no root: the bracket endpoints are then
+    probed once for a sign change, and the solve fails if they show none.
 
     Raises NoConvergence with the last iterate and residual attached.
     """
@@ -204,18 +196,14 @@ def solve_scalar(
         if sign.ready:
             return itp(g, sign.neg, sign.pos, cfg.tol)
 
-        if dg is not None:
-            slope = dg(x)
-        else:
-            slope = None
-            for h in (_fd_step(x), _fd_step_wide(x)):
-                if x + h > hi:
-                    h = -h
-                gxh = g(x + h)
-                sign.update(x + h, gxh)
-                slope = (gxh - gx) / h
-                if math.isfinite(slope) and slope != 0.0:
-                    break
+        for h in (_fd_step(x), _fd_step_wide(x)):
+            if x + h > hi:
+                h = -h
+            gxh = g(x + h)
+            sign.update(x + h, gxh)
+            slope = (gxh - gx) / h
+            if math.isfinite(slope) and slope != 0.0:
+                break
 
         stuck = not math.isfinite(slope) or slope == 0.0
         if not stuck:
@@ -342,9 +330,9 @@ def solve_vector(
     factorization in `held` for as long as each one stays finite and cuts
     the max-norm residual at least tenfold. The iteration then factors J(x)
     by pivoted LU, keeps that factorization in `held`, and halves the step
-    until the max-norm residual decreases. If the damping floor is reached
-    first, the longest step with a finite residual is taken, and
-    NoConvergence is raised when there is none. Only factorizing iterations
+    until the max-norm residual decreases. If the damping floor, 1/64 of
+    the step, is reached first, the longest step with a finite residual is
+    taken, and NoConvergence is raised when there is none. Only factorizing iterations
     count toward `cfg.max_iter` and the callback's iteration number, so the
     last number the callback sees is the number of factorizations. `jac`
     defaults to a forward finite-difference Jacobian; `held` defaults to a
@@ -391,7 +379,7 @@ def solve_vector(
                 fc = np.asarray(F(candidate), dtype=float)
             except (ArithmeticError, ValueError, FoldtraceError) as exc:
                 fc = None
-                if lam / 2.0 < cfg.damping_min:
+                if lam / 2.0 < _DAMPING_MIN:
                     if first is None:
                         raise NoConvergence(f"line search left the residual domain: {exc}",
                                             last_iterate=x, residual=fx, iterations=k) from exc
@@ -401,7 +389,7 @@ def solve_vector(
                 if np.abs(fc).max() < norm:
                     accepted = (candidate, fc)
                     break
-            if lam / 2.0 < cfg.damping_min:
+            if lam / 2.0 < _DAMPING_MIN:
                 break
             lam /= 2.0
         if accepted is None:

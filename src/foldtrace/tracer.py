@@ -47,6 +47,7 @@ MIN_CLOSURE_POINTS = 10  # closure is tested only on longer paths
 
 class Termination(Enum):
     CLOSED = "closed"
+    RETRACED = "retraced"
     TERMINATED = "terminated"
     LEFT_DOMAIN = "left domain"
     MAX_POINTS = "max points"
@@ -93,13 +94,13 @@ class TraceConfig:
     """Step sizes, scan parameters, and stopping rules for one trace.
 
     `step` is the x-axis increment; `step_y` defaults to the same value.
-    Derived defaults, resolved once from the max step: scan radius = max
-    step, slice bracket = 10x the max step, closure tolerance = 1e-4x the
-    max step; the slice solver's settings, from the scan's residual
-    tolerance. Lattice marching makes a closing pass land back on the
-    opening points to solver precision, so the closure tolerance can be
-    far below one step; a looser one would swallow a final turning-point
-    event that happens right at the seed.
+    Steps and the slice bracket are positive and finite. Derived from the
+    max step: scan radius = max step and slice bracket = 10x it unless
+    given, closure tolerance = 1e-4x it; the slice solver's settings, from
+    the scan's residual tolerance. Lattice marching makes a closing pass
+    land back on the opening points to solver precision, so the closure
+    tolerance can be far below one step; a looser one would swallow a
+    final turning-point event that happens right at the seed.
     """
 
     step: float
@@ -107,25 +108,19 @@ class TraceConfig:
     scan: Optional[ScanConfig] = None
     max_points: int = 20000
     domain: Optional[Box] = None
-    closure_tol: Optional[float] = None
     slice_bracket: Optional[float] = None
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.step_y is not None and self.step_y <= 0:
-            raise ValueError("step_y must be positive")
+        for name in ("step", "step_y", "slice_bracket"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_points < 2:
             raise ValueError("max_points must be >= 2")
-        if self.closure_tol is not None and self.closure_tol <= 0:
-            raise ValueError("closure_tol must be positive")
-        if self.slice_bracket is not None and self.slice_bracket <= 0:
-            raise ValueError("slice_bracket must be positive")
         max_step = max(self.step_for(Axis.X), self.step_for(Axis.Y))
         if self.scan is None:
             self.scan = ScanConfig(radius=max_step)
-        if self.closure_tol is None:
-            self.closure_tol = 1e-4 * max_step
+        self.closure_tol = 1e-4 * max_step
         if self.slice_bracket is None:
             self.slice_bracket = 10.0 * max_step
         self._slice_solve = ScalarSolveConfig(tol=self.scan.residual_tol)
@@ -172,23 +167,22 @@ def step(
 ) -> Union[Point2, Stalled]:
     """Advance the driven coordinate one lattice stop and re-solve the slice.
 
-    With `previous`, the point before `current` on the same march, the
-    solve starts at the secant extrapolation through the two (Allgower &
-    Georg, Introduction to Numerical Continuation Methods, ch. 2); without
-    it, or when the extrapolation is undefined or not finite, it starts at
-    the current transverse coordinate. The search bracket is centred on
-    the current point either way. Returns the new on-curve point, or
-    Stalled when the transverse solve fails or its root escapes the
-    search bracket.
+    The stop is on the lattice anchor + k*step, anchored at `current` when
+    `anchor` is None. With `previous`, the point before `current` on the
+    same march, the solve starts at the secant extrapolation through the
+    two (Allgower & Georg, Introduction to Numerical Continuation Methods,
+    ch. 2); without it, or when the extrapolation is undefined or not
+    finite, at the current transverse coordinate. The search bracket is
+    centred on the current point either way. Returns the new on-curve
+    point, or Stalled when the transverse solve fails or its root escapes
+    the search bracket.
     """
     axis = direction.axis
     transverse = axis.other
     delta = cfg.step_for(axis)
     c0 = coordinate(current, axis)
-    if anchor is not None:
-        target = _next_lattice(c0, delta, direction.sign, coordinate(anchor, axis))
-    else:
-        target = c0 + direction.sign * delta
+    target = _next_lattice(c0, delta, direction.sign,
+                           c0 if anchor is None else coordinate(anchor, axis))
 
     t0 = coordinate(current, transverse)
     guess = t0
@@ -230,6 +224,25 @@ def _closed(path: SolutionPath, p: Point2, tol: float) -> bool:
     return False
 
 
+def _retraced(points: List[Point2]) -> bool:
+    """Whether a path that met its opening points retraced itself instead of closing.
+
+    A simple closed curve bounds area: with A the shoelace area and L the
+    length of the polygon through `points`, |A|/L^2 is 1/(4 pi) for a
+    circle, about 0.2/k for an ellipse of aspect k and 0.03 for an astroid.
+    A trace that reversed at a fold and walked back over itself bounds
+    almost none: under 1e-3 L^2.
+    """
+    o = points[0]
+    area = length = ax = ay = 0.0  # coordinates relative to the start
+    for p in points[1:] + points[:1]:
+        bx, by = p.x - o.x, p.y - o.y
+        area += ax * by - bx * ay
+        length += math.hypot(bx - ax, by - ay)
+        ax, ay = bx, by
+    return abs(0.5 * area) < 1e-3 * length * length
+
+
 def _closure_reach(path: SolutionPath, tol: float) -> float:
     """Distance from the second path point beyond which `_closed` is False.
 
@@ -249,10 +262,11 @@ def trace(
 ) -> SolutionPath:
     """March along the zero set of `residual` from an on-curve start point.
 
-    Stops when the curve closes onto its opening points, when a boundary
-    scan comes back empty, when the path leaves the configured domain, or
-    at the point budget. Turning points encountered on the way are
-    navigated via the half-disk scan and recorded as events.
+    Stops when the curve closes onto its opening points (RETRACED if the
+    path bounds no area, see `_retraced`), when a boundary scan comes back
+    empty, when the path leaves the configured domain, or at the point
+    budget. Turning points on the way are navigated via the half-disk scan
+    and recorded as events.
     """
     path = SolutionPath()
     try:
@@ -301,7 +315,6 @@ def trace(
             path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(path) - 1))
             log.info("restart at %s marching %s", restart, direction)
             if len(path) > MIN_CLOSURE_POINTS and _closed(path, restart, cfg.closure_tol):
-                path.termination = Termination.CLOSED
                 break
             continue
 
@@ -316,9 +329,10 @@ def trace(
             p1 = path.points[1]
             dx, dy = new_point.x - p1.x, new_point.y - p1.y
             if dx * dx + dy * dy <= reach2 and _closed(path, new_point, cfg.closure_tol):
-                path.termination = Termination.CLOSED
                 break
 
+    if path.termination is None:  # the closure test ended the loop
+        path.termination = Termination.RETRACED if _retraced(path.points) else Termination.CLOSED
     return path
 
 

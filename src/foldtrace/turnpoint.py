@@ -34,14 +34,14 @@ class ScanConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:  # NaN fails too
+            raise ValueError("radius must be positive and finite")
         if self.mesh_count < 1:
             raise ValueError("mesh_count must be >= 1")
         if self.reference_lag < 1:
             raise ValueError("reference_lag must be >= 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

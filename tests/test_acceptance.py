@@ -19,8 +19,8 @@ import pytest
 
 from foldtrace.astroid import (
     astroid_field,
-    max_abs_percent_error,
     navigated_all_cusps,
+    percent_errors,
     run_sweep,
     trace_astroid,
 )
@@ -71,7 +71,8 @@ def test_criterion_01_astroid_accuracy(astroid_run):
     path, seconds = astroid_run
     closed = path.termination is Termination.CLOSED
     navigated = navigated_all_cusps(path.points, DELTA_ASTROID)
-    max_pe = max_abs_percent_error(path.points)
+    max_pe = float(np.max(np.abs(percent_errors([p.x for p in path.points],
+                                                [p.y for p in path.points])), initial=0.0))
     ok = closed and navigated and max_pe < 0.01 and seconds < 5.0
     _report(1, ok, f"closed={closed} cusps={navigated} max|PE|={max_pe:.3e}% "
                    f"(<0.01 target, <0.1 required) runtime={seconds:.2f}s")

@@ -11,9 +11,7 @@ from foldtrace.astroid import (
     CUSPS,
     SweepResult,
     astroid_field,
-    max_abs_percent_error,
     navigated_all_cusps,
-    percent_error,
     percent_errors,
     run_sweep,
     trace_astroid,
@@ -109,37 +107,47 @@ class TestAstroidField:
             assert f(y, x) == v
 
 
+def _pe(p):
+    """percent_errors of one point."""
+    return float(percent_errors([p.x], [p.y])[0])
+
+
+def _max_abs_pe(points):
+    return float(np.max(np.abs(percent_errors([p.x for p in points], [p.y for p in points])),
+                        initial=0.0))
+
+
 class TestPercentError:
     def test_exact_point_zero(self):
-        assert percent_error(Point2(0.0, 1.0)) == 0.0
+        assert _pe(Point2(0.0, 1.0)) == 0.0
 
     def test_radial_offset(self):
         # (0, 1.001) is 0.1 percent radially outside the cusp (0, 1)
-        assert abs(percent_error(Point2(0.0, 1.001)) - 0.1) < 1e-9
+        assert abs(_pe(Point2(0.0, 1.001)) - 0.1) < 1e-9
 
     def test_diagonal_on_curve_point(self):
         c = math.cos(math.pi / 4.0) ** 3  # = 2^(-3/2) ~ 0.35355
-        assert abs(percent_error(Point2(c, c))) < 1e-10
+        assert abs(_pe(Point2(c, c))) < 1e-10
 
     def test_signed_inside(self):
-        assert percent_error(Point2(0.0, 0.999)) < 0.0
+        assert _pe(Point2(0.0, 0.999)) < 0.0
 
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
-            percent_error(Point2(0.0, 0.0))
+            percent_errors([0.0], [0.0])
         with pytest.raises(ValueError):
             percent_errors([0.5, 0.0, 1.0], [0.5, 0.0, 0.0])
 
     def test_empty_batch(self):
         assert percent_errors([], []).shape == (0,)
-        assert max_abs_percent_error([]) == 0.0
+        assert _max_abs_pe([]) == 0.0
 
     @given(st.lists(_astroid_points(), min_size=1, max_size=40))
     def test_batch_matches_scalar_oracle(self, points):
         got = percent_errors([p.x for p in points], [p.y for p in points])
         for p, value in zip(points, got):
             assert abs(value - oracle_percent_error(p)) <= 1e-12
-        assert max_abs_percent_error(points) == np.max(np.abs(got))
+        assert _max_abs_pe(points) == np.max(np.abs(got))
 
     @given(st.lists(_astroid_points(), min_size=1, max_size=40))
     def test_windowed_index_is_full_argmin(self, points):
@@ -169,7 +177,7 @@ class TestPercentError:
                     p = Point2(sx * math.cos(t) ** 3, sy * math.sin(t) ** 3)
                     if p.x == 0.0 and p.y == 0.0:
                         continue
-                    assert abs(percent_error(p)) < 1e-10
+                    assert abs(_pe(p)) < 1e-10
 
 
 class TestSweep:
@@ -243,7 +251,7 @@ class TestTraceAstroidHelper:
         path = trace_astroid(0.02, r_factor=1.0, k=5, n=8)
         assert path.termination is Termination.CLOSED
         assert navigated_all_cusps(path.points, 0.02)
-        assert max_abs_percent_error(path.points) < 0.01
+        assert _max_abs_pe(path.points) < 0.01
 
     def test_navigation_radius(self):
         near = [Point2(1.0 - 0.05, 0.0), Point2(0.0, 0.95), Point2(-0.96, 0.0),

@@ -68,6 +68,21 @@ class TestTraceCommand:
             points, flags = read_points_csv(fh)
         assert len(points) == 1 and flags == ["turning_point"]
 
+    def test_retraced_exits_2_with_outputs(self, tmp_path, capsys):
+        # the ellipse reverses at an off-lattice fold and walks back onto
+        # its opening segments: reported, written, and not a success
+        csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+        code = run(["trace", "--problem", "expression", "--expr", "x^2/4+y^2-1",
+                    "--start", "2,0", "--dir", "-y", "--step", "0.05",
+                    "--csv", str(csv), "--svg", str(svg)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "termination: retraced" in out
+        with csv.open() as fh:
+            points, _flags = read_points_csv(fh)
+        assert len(points) == 48
+        ET.parse(svg)
+
     def test_expression_leaves_domain(self, tmp_path, capsys):
         code = run(["trace", "--problem", "expression", "--expr", "y - x",
                     "--start", "0,0", "--dir", "+x", "--box", "0,1,0,1",
@@ -117,6 +132,13 @@ class TestTraceCommand:
     ["verify", "--k-values", "abc"],
     ["verify", "--n-values", "nan"],
     ["verify", "--delta", "-1"],
+    ["verify", "--delta", "nan"],
+    ["verify", "--r-factors", "-1"],
+    ["verify", "--r-factors", "nan"],
+    ["verify", "--k-values", "0"],
+    ["verify", "--n-values", "0"],
+    ["trace", "--problem", "circle", "--scan-r", "nan"],
+    ["lubrication", "--step-q", "nan"],
     ["lubrication", "--dir", "z"],
     ["lubrication", "--scan-n", "0"],
     ["lubrication", "--tol", "-1"],
@@ -192,3 +214,22 @@ class TestLubricationCommand:
             header = fh.readline().strip().split(",")
         assert header[:4] == ["Q", "M", "epsilon", "m"]
         assert len(header) == 4 + 32
+
+    def test_retraced_exits_2_with_outputs(self, tmp_path, capsys, monkeypatch):
+        import foldtrace.cli as cli
+        from foldtrace.geometry import Point2
+        from foldtrace.lubrication import LubricationState
+        from foldtrace.tracer import SolutionPath, Termination
+
+        path = SolutionPath()
+        for x in (0.5, 0.6, 0.5 + 1e-3):
+            path.append(Point2(x, 6.0))
+        path.termination = Termination.RETRACED
+        states = [LubricationState(h=[1.0] * 8, Q=p.x, M=p.y, epsilon=1e-3) for p in path]
+        monkeypatch.setattr(cli, "trace_bifurcation", lambda **_kw: (path, states, None))
+        outputs = [tmp_path / name for name in ("b.csv", "st.csv", "b.svg")]
+        code = run(["lubrication", "--csv", str(outputs[0]), "--states-csv", str(outputs[1]),
+                    "--svg", str(outputs[2])])
+        assert code == 2
+        assert "termination: retraced" in capsys.readouterr().out
+        assert all(o.exists() for o in outputs)

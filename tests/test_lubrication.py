@@ -362,73 +362,49 @@ def _state(Q, M, m=8):
     return LubricationState(h=np.full(m, float(next(_tags))), Q=Q, M=M, epsilon=1e-3)
 
 
-def _oldest_first(field):
-    """The cached states in insertion order: the ring read from its write slot on."""
-    return field._cache[field._next:] + field._cache[:field._next]
-
-
 class TestWarmStartLookup:
     @staticmethod
-    def _min_lookup(field, Q, M):
-        # the linear scan the vectorised lookup replaced
-        return min(_oldest_first(field), key=lambda s: (s.Q - Q) ** 2 + (s.M - M) ** 2)
+    def _min_lookup(states, Q, M):
+        # the first-minimum scan the vectorised lookup replaced
+        return min(states, key=lambda s: (s.Q - Q) ** 2 + (s.M - M) ** 2)
 
-    def _assert_same_pick(self, field, probes):
+    def _assert_same_pick(self, field, states, probes):
         for Q, M in probes:
             h0, Q0 = field._warm(Q, M)
-            expected = self._min_lookup(field, Q, M)
+            expected = self._min_lookup(states, Q, M)
             assert Q0 == expected.Q
             assert np.array_equal(h0, expected.h)
             assert h0 is not expected.h  # the caller gets a copy
 
     def test_exact_ties_pick_the_oldest(self):
-        field = BifurcationField(1e-3, SpectralGrid.build(8), cache_size=8)
+        field = BifurcationField(1e-3, SpectralGrid.build(8))
         # four states at distance 1 from (0, 0), one per axis direction,
         # then a duplicate of the first: min() keeps the first inserted
-        for Q, M in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]:
-            field._remember(_state(Q, M))
+        states = [_state(Q, M) for Q, M in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+                                            (1.0, 0.0)]]
+        for state in states:
+            field._remember(state)
         h0, Q0 = field._warm(0.0, 0.0)
-        assert Q0 == 1.0 and np.array_equal(h0, _oldest_first(field)[0].h)
-        self._assert_same_pick(field, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
+        assert Q0 == 1.0 and np.array_equal(h0, states[0].h)
+        self._assert_same_pick(field, states, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
 
-    def test_same_pick_after_eviction(self):
-        field = BifurcationField(1e-3, SpectralGrid.build(8), cache_size=5)
-        rng = np.random.default_rng(7)
-        grid_points = [(float(q), float(m)) for q, m in rng.integers(0, 4, size=(23, 2))]
-        probes = [(float(q), float(m)) for q, m in rng.uniform(-1, 5, size=(10, 2))]
-        probes += [(1.5, 1.5), (0.0, 0.0), (3.0, 3.0)]  # integer lattice: many ties
-        for i, (Q, M) in enumerate(grid_points):
-            field._remember(_state(Q + 1e-3 * (i % 2), M))
-            assert len(field._cache) == min(i + 1, 5)
-            self._assert_same_pick(field, probes)
-        # the FIFO holds exactly the five newest states, oldest first
-        assert [s.M for s in _oldest_first(field)] == [M for _Q, M in grid_points[-5:]]
-
-    def test_ring_matches_a_plain_list_fifo(self):
-        # cache_size + 37 insertions wrap the ring several times; at every
-        # stage the lookup equals a first-minimum scan of a list FIFO that
-        # appends and pops from the front, ties included
-        size = 16
-        field = BifurcationField(1e-3, SpectralGrid.build(8), cache_size=size)
+    def test_every_state_is_kept_and_ties_go_to_the_oldest(self):
+        # 600 insertions on a 3 x 3 integer lattice, so nearly every probe
+        # ties, and enough to grow the record's capacity past its first
+        # doubling; at every stage the lookup equals a first-minimum scan of
+        # a plain list of every inserted state
+        field = BifurcationField(1e-3, SpectralGrid.build(8))
         rng = np.random.default_rng(11)
-        reference = []
-        probes = [(float(q), float(m)) for q, m in rng.integers(0, 3, size=(12, 2))]
-        probes += [(float(q), float(m)) for q, m in rng.uniform(-1, 4, size=(4, 2))]
-        for Q, M in rng.integers(0, 3, size=(size + 37, 2)):
+        states = []
+        probes = [(float(q), float(m)) for q, m in rng.integers(0, 3, size=(6, 2))]
+        probes += [(float(q), float(m)) for q, m in rng.uniform(-1, 4, size=(2, 2))]
+        for Q, M in rng.integers(0, 3, size=(600, 2)):
             state = _state(float(Q), float(M))
             field._remember(state)
-            reference.append(state)
-            if len(reference) > size:
-                reference.pop(0)
-            for q, m in probes:
-                expected = min(reference, key=lambda s: (s.Q - q) ** 2 + (s.M - m) ** 2)
-                h0, Q0 = field._warm(q, m)
-                assert Q0 == expected.Q and np.array_equal(h0, expected.h)
-        assert _oldest_first(field) == reference
-
-    def test_cache_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="cache_size"):
-            BifurcationField(1e-3, SpectralGrid.build(8), cache_size=0)
+            states.append(state)
+            self._assert_same_pick(field, states, probes)
+            h0, Q0 = field._warm(states[0].Q, states[0].M)
+            assert Q0 == states[0].Q and np.array_equal(h0, states[0].h)
 
     def test_empty_cache_uses_flat_film(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))

@@ -66,17 +66,6 @@ class TestSolveScalar:
         root = solve_scalar(g, 0.0, ScalarSolveConfig(tol=1e-6, max_iter=50), bracket=(-1.0, 1.0))
         assert abs(root - 0.3) < 1e-6
 
-    def test_analytic_derivative_used(self):
-        calls = {"n": 0}
-
-        def dg(x):
-            calls["n"] += 1
-            return 2.0 * x
-
-        root = solve_scalar(lambda x: x * x - 9.0, 5.0, dg=dg)
-        assert abs(root - 3.0) < 1e-9
-        assert calls["n"] > 0
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScalarSolveConfig(tol=-1.0)

@@ -315,6 +315,40 @@ class TestTraceEllipse:
         assert min(p.distance_to(Point2(2.0, 0.0)) for p in path.points) < 0.1
 
 
+def _winding(points):
+    """Turns of the closed polyline through `points` around the origin."""
+    theta = [math.atan2(p.y, p.x) for p in points + points[:1]]
+    return sum(math.remainder(b - a, 2.0 * math.pi) for a, b in zip(theta, theta[1:])) / (2.0 * math.pi)
+
+
+class TestRetraceGuard:
+    """A simple closed curve bounds area; a path that walked back along itself does not."""
+
+    def test_reversed_ellipse_is_not_closed(self):
+        # the fold at (0, -1) falls off the lattice, the trace reverses there
+        # and walks back onto its opening segments
+        from foldtrace.expressions import expression_field
+        path = trace(expression_field("x^2/4+y^2-1"), Point2(2.0, 0.0), MINUS_Y,
+                     TraceConfig(step=0.05))
+        assert path.termination is Termination.RETRACED
+        assert (len(path), len(path.events)) == (48, 1)
+        assert round(_winding(path.points)) == 0
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    @pytest.mark.parametrize("step_size", [0.05, 0.04, 0.03, 0.07, 0.013, 0.0123])
+    def test_circle_closed_implies_winding_one(self, step_size, angle):
+        start = Point2(math.cos(angle), math.sin(angle))
+        cfg = TraceConfig(step=step_size, max_points=int(3.0 * 2.0 * math.pi / step_size))
+        path = trace(circle_field(), start, PLUS_Y, cfg)
+        if path.termination is Termination.CLOSED:
+            assert abs(abs(_winding(path.points)) - 1.0) < 1e-9
+
+    def test_genuine_closures_stay_closed(self, circle_path, astroid_path):
+        for path in (circle_path, astroid_path):
+            assert path.termination is Termination.CLOSED
+            assert abs(abs(_winding(path.points)) - 1.0) < 1e-9
+
+
 def _recording(field):
     """Wrap a field so every point it is evaluated at is kept."""
     seen = set()
