@@ -388,11 +388,31 @@ class TestWarmStartLookup:
         assert Q0 == 1.0 and np.array_equal(h0, states[0].h)
         self._assert_same_pick(field, states, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
 
-    def test_every_state_is_kept_and_ties_go_to_the_oldest(self):
+    def test_same_pick_after_eviction(self):
+        # 23 insertions, well past the five states a bounded cache would
+        # hold: nothing is evicted, every state stays in the record in
+        # insertion order, and each pick equals a first-minimum scan of all
+        # of them, ties on the integer lattice included
+        field = BifurcationField(1e-3, SpectralGrid.build(8))
+        rng = np.random.default_rng(7)
+        grid_points = [(float(q), float(m)) for q, m in rng.integers(0, 4, size=(23, 2))]
+        probes = [(float(q), float(m)) for q, m in rng.uniform(-1, 5, size=(10, 2))]
+        probes += [(1.5, 1.5), (0.0, 0.0), (3.0, 3.0)]  # integer lattice: many ties
+        states = []
+        for i, (Q, M) in enumerate(grid_points):
+            state = _state(Q + 1e-3 * (i % 2), M)
+            field._remember(state)
+            states.append(state)
+            assert field._states == states
+            self._assert_same_pick(field, states, probes)
+            h0, Q0 = field._warm(states[0].Q, states[0].M)
+            assert Q0 == states[0].Q and np.array_equal(h0, states[0].h)
+
+    def test_ring_matches_a_plain_list_fifo(self):
         # 600 insertions on a 3 x 3 integer lattice, so nearly every probe
         # ties, and enough to grow the record's capacity past its first
         # doubling; at every stage the lookup equals a first-minimum scan of
-        # a plain list of every inserted state
+        # a plain list that appends every inserted state and drops none
         field = BifurcationField(1e-3, SpectralGrid.build(8))
         rng = np.random.default_rng(11)
         states = []
@@ -403,8 +423,7 @@ class TestWarmStartLookup:
             field._remember(state)
             states.append(state)
             self._assert_same_pick(field, states, probes)
-            h0, Q0 = field._warm(states[0].Q, states[0].M)
-            assert Q0 == states[0].Q and np.array_equal(h0, states[0].h)
+        assert field._states == states
 
     def test_empty_cache_uses_flat_film(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
