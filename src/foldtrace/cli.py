@@ -4,6 +4,10 @@ thin-film bifurcation diagram.
 Exit codes: 0 success, 1 configuration error, 2 trace failure (a partial
 points CSV is still written) or a path that retraced itself (written in
 full). FOLDTRACE_LOG in {error, info, debug} controls stderr diagnostics.
+
+`lubrication` passes `trace_bifurcation` only the setting flags given, so
+each omitted one takes that function's keyword default, and its checks,
+all run before the seed solve, are the only ones: a bad setting exits 1.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import ExpressionError, FoldtraceError, TraceError
 from .expressions import expression_field
 from .fields import circle_field
 from .geometry import Box, Point2, StepDirection
-from .lubrication import bifurcation_trace_config, trace_bifurcation
+from .lubrication import trace_bifurcation
 from .output import write_points_csv, write_states_csv, write_sweep_csv, write_trace_svg
 from .tracer import SolutionPath, Termination, TraceConfig, polish_transverse, trace
 from .turnpoint import ScanConfig
@@ -221,34 +225,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lubrication(args) -> int:
-    if args.m < 8 or args.m % 2:
-        raise _CliError(f"--m must be even and >= 8, got {args.m}")
-    if not 0.0 < args.epsilon < math.inf:
-        raise _CliError("--epsilon must be positive and finite")
-    if not 0.0 < args.seed_mass < math.inf:
-        raise _CliError("--seed-mass must be positive and finite")
-    _parse_direction(args.dir)
-    settings = dict(seed_mass=args.seed_mass, step_q=args.step_q, step_m=args.step_m,
-                    scan_radius=args.scan_r, scan_n=args.scan_n, scan_k=args.scan_k,
-                    residual_tol=args.tol, max_points=args.max_points, min_mass=args.min_mass)
+    # the subparser suppresses defaults, so only the flags given reach the library
+    settings = {k: v for k, v in vars(args).items()
+                if k not in ("command", "func", "csv", "states_csv", "svg")}
     try:
-        bifurcation_trace_config(**settings)
-    except ValueError as exc:
-        raise _CliError(f"bad lubrication setting: {exc}") from exc
-
-    try:
-        path, states, field = trace_bifurcation(epsilon=args.epsilon, m=args.m,
-                                                initial=args.dir, **settings)
+        path, states, _field = trace_bifurcation(**settings)
     except TraceError as exc:
         log.error("bifurcation trace failed: %s", exc)
         if exc.path is not None and len(exc.path):
             _write_outputs(exc.path, args.csv, args.svg, "lubrication (partial)")
         return 2
+    except ValueError as exc:
+        raise _CliError(f"bad lubrication setting: {exc}") from exc
     except FoldtraceError as exc:
         raise _CliError(f"lubrication setup failed: {exc}") from exc
 
     _print_summary(path)
-    _write_outputs(path, args.csv, args.svg, f"(Q, M) diagram, eps={args.epsilon:g}")
+    _write_outputs(path, args.csv, args.svg, f"(Q, M) diagram, eps={states[0].epsilon:g}")
     if args.states_csv:
         with open(args.states_csv, "w", newline="") as fh:
             write_states_csv(states, fh)
@@ -291,21 +284,24 @@ def build_parser() -> _Parser:
                                "validated parameter region")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_lub = sub.add_parser("lubrication", help="trace the thin-film (Q, M) diagram")
-    p_lub.add_argument("--epsilon", type=float, default=1e-3)
-    p_lub.add_argument("--m", type=int, default=128, help="periodic grid size (even)")
-    p_lub.add_argument("--seed-mass", type=float, default=2.0 * math.pi,
+    p_lub = sub.add_parser("lubrication", help="trace the thin-film (Q, M) diagram",
+                           argument_default=argparse.SUPPRESS)
+    p_lub.add_argument("--epsilon", type=float, help="surface-tension parameter")
+    p_lub.add_argument("--m", type=int, help="periodic grid size (even)")
+    p_lub.add_argument("--seed-mass", type=float,
                        help="mass at which the first state is converged")
-    p_lub.add_argument("--dir", default="+x", help="initial direction (+x drives flux)")
-    p_lub.add_argument("--step-q", type=float, default=2.5e-5, help="flux step")
-    p_lub.add_argument("--step-m", type=float, default=0.02, help="mass step")
-    p_lub.add_argument("--scan-r", type=float, default=0.35, help="boundary-scan radius")
-    p_lub.add_argument("--scan-n", type=int, default=8)
-    p_lub.add_argument("--scan-k", type=int, default=5)
-    p_lub.add_argument("--tol", type=float, default=1e-9, help="on-curve residual tolerance")
-    p_lub.add_argument("--max-points", type=int, default=300)
-    p_lub.add_argument("--min-mass", type=float, default=0.3,
-                       help="stop the trace below this mass")
+    p_lub.add_argument("--dir", dest="initial", metavar="DIR",
+                       help="initial direction (+x drives flux)")
+    p_lub.add_argument("--step-q", type=float, help="flux step")
+    p_lub.add_argument("--step-m", type=float, help="mass step")
+    p_lub.add_argument("--scan-r", dest="scan_radius", metavar="SCAN_R", type=float,
+                       help="boundary-scan radius")
+    p_lub.add_argument("--scan-n", type=int, help="boundary-scan mesh points")
+    p_lub.add_argument("--scan-k", type=int, help="reference-point lag")
+    p_lub.add_argument("--tol", dest="residual_tol", metavar="TOL", type=float,
+                       help="on-curve residual tolerance")
+    p_lub.add_argument("--max-points", type=int)
+    p_lub.add_argument("--min-mass", type=float, help="stop the trace below this mass")
     p_lub.add_argument("--csv", default="bifurcation.csv", help="curve points CSV path")
     p_lub.add_argument("--states-csv", default="states.csv", help="per-point film states CSV")
     p_lub.add_argument("--svg", default="bifurcation.svg", help="SVG plot path")

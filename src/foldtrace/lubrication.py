@@ -211,17 +211,14 @@ def solve_at_M(
     Q0: float,
     cfg: Optional[VectorSolveConfig] = None,
     held: Optional[LUHolder] = None,
-    z0: Optional[np.ndarray] = None,
 ) -> LubricationState:
     """Newton-solve the bordered (m+1)-dimensional fixed-mass system.
 
     `held` carries a bordered LU factorization between solves; see
-    `solve_vector`. `z0`, an (m+1)-vector, receives the start (h0, Q0);
-    `solve_vector` copies it, so a caller may reuse one buffer for every
-    solve. It defaults to a fresh array.
+    `solve_vector`.
     """
     cfg = cfg or VectorSolveConfig()
-    z0 = np.empty(grid.m + 1) if z0 is None else z0
+    z0 = np.empty(grid.m + 1)
     z0[:-1] = h0
     z0[-1] = Q0
     counter = {"k": 0}
@@ -281,7 +278,6 @@ class BifurcationField:
         # row i of `_QM` is (Q, M) of `_states[i]`; later rows are spare, doubled when full
         self._states: List[LubricationState] = []
         self._QM = np.empty((256, 2))
-        self._z0 = np.empty(grid.m + 1)  # bordered start buffer, refilled by each solve_at_M
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
 
@@ -305,8 +301,7 @@ class BifurcationField:
     def __call__(self, Q: float, M: float) -> float:
         h0, Q0 = self._warm(Q, M)
         try:
-            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, _FIELD_SOLVE, self._lu,
-                               self._z0)
+            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, _FIELD_SOLVE, self._lu)
             residual = state.Q - Q
         except _SOLVE_FAILURES as first:
             try:
@@ -352,29 +347,6 @@ class BifurcationField:
         return state
 
 
-def bifurcation_trace_config(
-    seed_mass: float = TWO_PI,
-    step_q: float = 2.5e-5,
-    step_m: float = 0.02,
-    scan_radius: float = 0.35,
-    scan_n: int = 8,
-    scan_k: int = 5,
-    residual_tol: float = 1e-9,
-    max_points: int = 300,
-    min_mass: float = 0.3,
-) -> TraceConfig:
-    """Trace settings of `trace_bifurcation`; raises ValueError for an invalid one."""
-    return TraceConfig(
-        step=step_q,
-        step_y=step_m,
-        scan=ScanConfig(radius=scan_radius, mesh_count=scan_n, reference_lag=scan_k,
-                        residual_tol=residual_tol),
-        slice_bracket=50.0 * step_m,
-        max_points=max_points,
-        domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
-    )
-
-
 def trace_bifurcation(
     epsilon: float = 1e-3,
     m: int = 128,
@@ -398,15 +370,23 @@ def trace_bifurcation(
     axis is driven first with a fine step because the folds are shallow in
     Q, the scan radius spans them in M, and the mass floor stops the walk
     before the thin-film limit stiffens the solves.
+    Every setting is checked, raising ValueError, before the seed solve runs.
     """
     from .tracer import trace  # looked up per call, so a wrapped tracer.trace sees it
 
-    cfg = bifurcation_trace_config(seed_mass, step_q, step_m, scan_radius, scan_n, scan_k,
-                                   residual_tol, max_points, min_mass)
-    grid = SpectralGrid.build(m)
-    field = BifurcationField(epsilon, grid)
+    direction = StepDirection.parse(initial)
+    cfg = TraceConfig(
+        step=step_q,
+        step_y=step_m,
+        scan=ScanConfig(radius=scan_radius, mesh_count=scan_n, reference_lag=scan_k,
+                        residual_tol=residual_tol),
+        slice_bracket=50.0 * step_m,
+        max_points=max_points,
+        domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
+    )
+    field = BifurcationField(epsilon, SpectralGrid.build(m))
     seed = field.seed(seed_mass)
-    path = trace(field, Point2(seed.Q, seed.M), StepDirection.parse(initial), cfg)
+    path = trace(field, Point2(seed.Q, seed.M), direction, cfg)
     states = [field.solved.get((p.x, p.y)) for p in path.points]
     field.solved.clear()
     for p, state in zip(path.points, states):

@@ -299,7 +299,7 @@ def trace(
 
             candidates = scan_boundary(residual, current, kind, cfg.scan)
             try:
-                reference = choose_reference_point(path, j, cfg.scan)
+                reference = choose_reference_point(path.points, j, cfg.scan)
                 exit_point = select_exit_point(candidates, reference)
             except CurveTerminated:
                 path.termination = Termination.TERMINATED
@@ -341,7 +341,6 @@ def polish_transverse(
     point: Point2,
     direction: StepDirection,
     tol: float = 1e-10,
-    max_iter: int = 80,
 ) -> Point2:
     """Solve the transverse coordinate so `point` lands on the curve.
 
@@ -350,5 +349,5 @@ def polish_transverse(
     """
     transverse = direction.axis.other
     g = _slice(residual, direction.axis, coordinate(point, direction.axis))
-    root = solve_scalar(g, coordinate(point, transverse), ScalarSolveConfig(tol=tol, max_iter=max_iter))
+    root = solve_scalar(g, coordinate(point, transverse), ScalarSolveConfig(tol=tol, max_iter=80))
     return with_coordinate(point, transverse, root)

@@ -159,7 +159,7 @@ def scan_boundary(
     return result
 
 
-def choose_reference_point(path, turning_index: int, cfg: ScanConfig) -> Point2:
+def choose_reference_point(points, turning_index: int, cfg: ScanConfig) -> Point2:
     """Pick the path point the cost function measures distances from.
 
     Preferred is the point reference_lag steps back; if that lies outside
@@ -167,7 +167,6 @@ def choose_reference_point(path, turning_index: int, cfg: ScanConfig) -> Point2:
     first point strictly inside the disk wins, the immediate predecessor
     serving as the fallback when none is.
     """
-    points = getattr(path, "points", path)
     j = turning_index
     if len(points) < 2 or j < 1:
         raise InsufficientHistory("need at least one path point before the turning point")

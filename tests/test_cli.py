@@ -148,6 +148,11 @@ class TestTraceCommand:
     ["lubrication", "--scan-r", "0"],
     ["lubrication", "--scan-k", "0"],
     ["lubrication", "--min-mass", "100"],
+    ["lubrication", "--m", "7"],
+    ["lubrication", "--epsilon", "nan"],
+    ["lubrication", "--epsilon", "0"],
+    ["lubrication", "--seed-mass", "nan"],
+    ["lubrication", "--seed-mass", "0"],
 ])
 def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
     outputs = {"trace": ["--svg", str(tmp_path / "t.svg")],
@@ -214,6 +219,28 @@ class TestLubricationCommand:
             header = fh.readline().strip().split(",")
         assert header[:4] == ["Q", "M", "epsilon", "m"]
         assert len(header) == 4 + 32
+
+    def test_omitted_flags_take_the_library_defaults(self, tmp_path, capsys, monkeypatch):
+        import foldtrace.cli as cli
+        from foldtrace.geometry import Point2
+        from foldtrace.lubrication import LubricationState
+        from foldtrace.tracer import SolutionPath
+
+        received = {}
+
+        def stub(**kwargs):
+            received.update(kwargs)
+            path = SolutionPath()
+            path.append(Point2(0.5, 6.0))
+            return path, [LubricationState(h=[1.0] * 8, Q=0.5, M=6.0, epsilon=1e-3)], None
+
+        monkeypatch.setattr(cli, "trace_bifurcation", stub)
+        code = run(["lubrication", "--step-q", "1e-4", "--dir", "-y", "--scan-r", "0.2",
+                    "--csv", str(tmp_path / "b.csv"), "--states-csv", str(tmp_path / "st.csv"),
+                    "--svg", str(tmp_path / "b.svg")])
+        capsys.readouterr()
+        assert code == 0
+        assert received == {"step_q": 1e-4, "initial": "-y", "scan_radius": 0.2}
 
     def test_retraced_exits_2_with_outputs(self, tmp_path, capsys, monkeypatch):
         import foldtrace.cli as cli

@@ -342,14 +342,15 @@ class TestTraceStates:
         ({"step_q": -1.0}, "step must be positive"),
         ({"max_points": 1}, "max_points"),
         ({"min_mass": 100.0}, "box bounds"),
+        ({"initial": "z"}, "cannot parse direction"),
+        ({"m": 7}, "m must be even"),
+        ({"epsilon": float("nan")}, "epsilon must be positive"),
     ])
     def test_bad_settings_fail_before_the_seed_solve(self, monkeypatch, setting, message):
         def no_seed(self, M, Q0=None):
             raise AssertionError("the seed solve ran")
 
         monkeypatch.setattr(BifurcationField, "seed", no_seed)
-        with pytest.raises(ValueError, match=message):
-            lubrication.bifurcation_trace_config(**setting)
         with pytest.raises(ValueError, match=message):
             trace_bifurcation(**setting)
 
