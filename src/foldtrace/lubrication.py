@@ -375,6 +375,8 @@ def trace_bifurcation(
     from .tracer import trace  # looked up per call, so a wrapped tracer.trace sees it
 
     direction = StepDirection.parse(initial)
+    if not 0.0 < seed_mass < math.inf:  # before the domain box below would misreport it
+        raise ValueError("seed mass must be positive and finite")
     cfg = TraceConfig(
         step=step_q,
         step_y=step_m,

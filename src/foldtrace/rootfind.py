@@ -8,7 +8,8 @@ bracketed regula falsi at worst one step slower than bisection) once a
 sign change has been seen, and gives up early when Newton circles a
 rootless minimum of |g|. Every slice solve of a trace, and so every
 turning point, goes through it; on the lubrication diagram each residual
-evaluation is a bordered Newton solve.
+evaluation is a bordered Newton solve, so its steps reuse earlier
+iterates where they can instead of taking fresh finite differences.
 
 The vector solver is a chord (modified) Newton method: it keeps the last
 LU factorization of the Jacobian and reuses it while the steps it gives
@@ -155,6 +156,16 @@ def solve_scalar(
 
     Newton iteration with a finite-difference derivative and backtracking
     on residual growth, finished by ITP as soon as a sign change is known.
+    After a step that cuts |g| tenfold, the next one runs along the secant
+    through the last two iterates for one evaluation instead of two; it is
+    kept if it halves |g|, else its residual only feeds the sign bracket.
+    At a zero like |t - t*|^p with p < 1 Newton keeps |1 - 1/p|^p of |g|
+    per step (0.63 at a cusp tip) and u = g/g' = (t - t*)/p. Once two
+    steps keep the same share in (0.5, 0.9), to 1%, every later step is
+    x - p*u with p = dx/du over the last two: the modified Newton step for
+    a zero of multiplicity p (Traub, ch. 7). On the way down to a rootless
+    minimum such as |t|^(2/3) + c the share drifts, so those still stall.
+
     When `bracket` is given the iterates are confined to it and a root
     drifting outside counts as failure; the tracer relies on that to
     detect stalls. Before any sign change, a step that no damping makes
@@ -189,12 +200,29 @@ def solve_scalar(
         raise NoConvergence("residual not finite at start", last_iterate=x, residual=gx)
     sign.update(x, gx)
     slow = 0  # consecutive Newton steps that cut |g| by under 10%
+    before = None  # (x, g) before a step that cut |g| tenfold: the secant's far end
+    newton = []  # (x, u = g/g', share of |g| kept) of each finite-difference step
+    multiple, p = False, 1.0  # two steps kept the same share of |g|: a zero of multiplicity p
 
     for _ in range(cfg.max_iter):
         if abs(gx) <= cfg.tol:
             return x
         if sign.ready:
             return itp(g, sign.neg, sign.pos, cfg.tol)
+
+        if before is not None:
+            xs = min(max(x - gx * (x - before[0]) / (gx - before[1]), lo), hi)
+            before = None
+            if xs != x:
+                gs = g(xs)
+                sign.update(xs, gs)
+                if abs(gs) <= 0.5 * abs(gx):  # NaN fails
+                    if abs(gs) <= 0.1 * abs(gx):
+                        before = (x, gx)
+                    x, gx = xs, gs
+                    continue
+                if sign.ready:
+                    return itp(g, sign.neg, sign.pos, cfg.tol)
 
         for h in (_fd_step(x), _fd_step_wide(x)):
             if x + h > hi:
@@ -207,7 +235,13 @@ def solve_scalar(
 
         stuck = not math.isfinite(slope) or slope == 0.0
         if not stuck:
-            xn = x - gx / slope
+            u = gx / slope
+            if len(newton) >= 2 and not multiple:
+                q1, q2 = newton[-2][2], newton[-1][2]
+                multiple = 0.5 < q2 < 0.9 and abs(q1 - q2) <= 0.01 * q2
+            if multiple and u != newton[-1][1]:
+                p = (x - newton[-1][0]) / (u - newton[-1][1])
+            xn = x - (p if 0.0 < p <= 1.0 else 1.0) * u
             if not math.isfinite(xn):
                 stuck = True
             elif xn < lo or xn > hi:
@@ -228,15 +262,16 @@ def solve_scalar(
         if not math.isfinite(gn):
             raise NoConvergence("residual became non-finite", last_iterate=x, residual=gx)
         if abs(gn) > cfg.tol and not sign.ready:
-            # Near a root where g ~ t^p, a Newton step leaves |1 - 1/p|^p of
-            # |g|: under 0.37 for p >= 1, while p < 1 overshoots into a sign
-            # change. A step that cannot descend, or three in a row that
-            # barely do, mean Newton is circling a rootless minimum of |g|.
+            # A step that cannot descend, or three in a row that barely do (Newton
+            # keeps under 0.37 of |g| near a simple root), mean a rootless minimum.
             slow = slow + 1 if abs(gn) > 0.9 * abs(gx) else 0
             if abs(gn) > abs(gx):
                 return finish_from_endpoints("no damped step reduced |g| (rootless local minimum)")
             if slow == 3:
                 return finish_from_endpoints("|g| shrank under 10% in 3 steps (rootless local minimum)")
+        newton.append((x, u, abs(gn) / abs(gx)))
+        if abs(gn) <= 0.1 * abs(gx) and not multiple:
+            before = (x, gx)
         x, gx = xn, gn
 
     if abs(gx) <= cfg.tol:

@@ -224,23 +224,23 @@ def _closed(path: SolutionPath, p: Point2, tol: float) -> bool:
     return False
 
 
-def _retraced(points: List[Point2]) -> bool:
+def _retraced(points: List[Point2], width: float) -> bool:
     """Whether a path that met its opening points retraced itself instead of closing.
 
-    A simple closed curve bounds area: with A the shoelace area and L the
-    length of the polygon through `points`, |A|/L^2 is 1/(4 pi) for a
-    circle, about 0.2/k for an ellipse of aspect k and 0.03 for an astroid.
-    A trace that reversed at a fold and walked back over itself bounds
-    almost none: under 1e-3 L^2.
+    A simple closed curve bounds area. With A the shoelace area and L the
+    length of the polygon through `points`, its mean width 2|A|/L is the
+    radius of a circle but only the gap between the passes of a path that
+    reversed at a fold and walked back over itself: a fraction of a step.
+    So a mean width under `width`, the largest step, means a retrace.
     """
     o = points[0]
-    area = length = ax = ay = 0.0  # coordinates relative to the start
+    area2 = length = ax = ay = 0.0  # coordinates relative to the start
     for p in points[1:] + points[:1]:
         bx, by = p.x - o.x, p.y - o.y
-        area += ax * by - bx * ay
+        area2 += ax * by - bx * ay
         length += math.hypot(bx - ax, by - ay)
         ax, ay = bx, by
-    return abs(0.5 * area) < 1e-3 * length * length
+    return abs(area2) < width * length
 
 
 def _closure_reach(path: SolutionPath, tol: float) -> float:
@@ -332,7 +332,8 @@ def trace(
                 break
 
     if path.termination is None:  # the closure test ended the loop
-        path.termination = Termination.RETRACED if _retraced(path.points) else Termination.CLOSED
+        retraced = _retraced(path.points, max(cfg.step_for(Axis.X), cfg.step_for(Axis.Y)))
+        path.termination = Termination.RETRACED if retraced else Termination.CLOSED
     return path
 
 

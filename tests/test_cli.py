@@ -31,6 +31,15 @@ def test_console_entry_point_subprocess(tmp_path):
     assert (tmp_path / "c.csv").exists()
 
 
+def test_package_runs_as_a_module():
+    package_root = Path(foldtrace.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "foldtrace", "--help"],
+                          capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 0, proc.stderr
+    assert "lubrication" in proc.stdout
+
+
 class TestTraceCommand:
     def test_circle_defaults(self, tmp_path, capsys):
         csv = tmp_path / "c.csv"
@@ -124,6 +133,13 @@ class TestTraceCommand:
         assert code == 1
 
 
+# the message names the bad setting, not a check it failed further on
+_NAMED_IN_THE_MESSAGE = {
+    ("lubrication", "--seed-mass", "nan"): "seed mass must be positive and finite",
+    ("lubrication", "--seed-mass", "0"): "seed mass must be positive and finite",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "--problem", "expression", "--expr", "x +", "--start", "0,0", "--dir", "+x"],
     ["trace", "--problem", "circle", "--scan-n", "0"],
@@ -163,6 +179,7 @@ def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert _NAMED_IN_THE_MESSAGE.get(tuple(argv), "") in err
 
 
 class TestVerifyCommand:

@@ -44,10 +44,14 @@ class TestSolveScalar:
 
     def test_cusp_tangential_root(self):
         # |y|^(2/3) has a root at zero with unbounded derivative; the
-        # relative finite-difference step is what makes this converge.
+        # relative finite-difference step is what makes this converge, and
+        # the multiplicity step what makes it fast (about 80 evaluations
+        # with plain Newton, which keeps 0.63 of |g| per step).
         cfg = ScalarSolveConfig(tol=1e-10, max_iter=60)
-        root = solve_scalar(lambda y: cbrt(y) ** 2, 5.46e-4, cfg)
+        g, calls = _counted(lambda y: cbrt(y) ** 2)
+        root = solve_scalar(g, 5.46e-4, cfg)
         assert abs(root) < 1e-14
+        assert len(calls) <= 25
 
     def test_cancellation_prone_residual(self):
         # x^2 + 1 - 1 quantizes to identical doubles under a tiny fd step
@@ -102,6 +106,50 @@ class TestSolveScalarBudget:
         # the finish ran on a sign change: evaluations on both sides of the root
         assert min(calls) < root < max(calls)
         assert len(calls) <= 12
+
+    @pytest.mark.parametrize("g, x0, root", [
+        (lambda y: 0.3 ** 2 + y * y - 1.0, 0.96, math.sqrt(0.91)),
+        (lambda t: math.exp(t) - 2.0, 0.7, math.log(2.0)),
+    ], ids=["circle", "exp"])
+    def test_secant_follows_a_tenfold_newton_step(self, g, x0, root):
+        # start, one finite-difference Newton step, one secant step: a
+        # third finite difference (7 evaluations) is not needed
+        counted, calls = _counted(g)
+        x = solve_scalar(counted, x0)
+        assert abs(g(x)) <= 1e-10 and abs(x - root) < 1e-9
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("p, c, tol, budget", [
+        (1.0 / 3.0, 0.0, 1e-5, 16),
+        (2.0 / 3.0, 0.0, 1e-10, 12),
+        (2.0, 0.3, 1e-10, 40),
+    ], ids=["p=1/3", "p=2/3", "p=2"])
+    @pytest.mark.parametrize("x0, bracket", [
+        (1e-3, None), (-0.02, None), (0.5, (-2.0, 2.0)), (1.7, (-2.0, 2.0)),
+    ])
+    def test_power_law_zero(self, p, c, tol, budget, x0, bracket):
+        # |t - c|^p touches zero without a sign change. For p < 1 Newton
+        # keeps the same share of |g| at every step (damped for p = 1/3),
+        # at a cost of 60 to 150 evaluations; the multiplicity step lands on
+        # the zero. p = 2 keeps a quarter per step, outside the window the
+        # multiplicity step watches, so it costs what plain Newton does.
+        # The finite-difference step reaches |t - c| of about 1e-15 only
+        # at c = 0 for p < 1, hence the tolerances.
+        g, calls = _counted(lambda t: abs(t - c) ** p)
+        x = solve_scalar(g, x0, ScalarSolveConfig(tol=tol), bracket=bracket)
+        assert abs(x - c) ** p <= tol
+        assert len(calls) <= budget
+
+    @pytest.mark.parametrize("x0, evals_before", [(1.0, 52), (0.3, 42), (-0.7, 50)])
+    def test_rootless_minimum_costs_no_more(self, x0, evals_before):
+        # t^2 + 1e-6 never reaches zero; far from its minimum Newton keeps a
+        # quarter of |g| per step, outside the multiplicity window, so the
+        # stall exit fires after as many evaluations as before that step
+        # existed (evals_before, measured with plain Newton steps)
+        g, calls = _counted(lambda t: t * t + 1e-6)
+        with pytest.raises(NoConvergence, match="rootless local minimum"):
+            solve_scalar(g, x0, bracket=(-1.0, 1.0))
+        assert len(calls) <= evals_before
 
     def test_rootless_astroid_slice_gives_up_early(self):
         # x = 1.01 is one step past the cusp at (1, 0): |y|^(2/3) never
