@@ -44,13 +44,7 @@ from .lubrication import (
     solve_at_Q,
     trace_bifurcation,
 )
-from .rootfind import (
-    ScalarSolveConfig,
-    VectorSolveConfig,
-    fd_jacobian,
-    solve_scalar,
-    solve_vector,
-)
+from .rootfind import fd_jacobian, solve_scalar, solve_vector
 from .tracer import (
     SolutionPath,
     Stalled,

@@ -136,17 +136,12 @@ def trace_astroid(
     r_factor: float = 1.0,
     k: int = 5,
     n: int = 8,
-    residual_tol: float = 1e-10,
-    max_points: int = 0,
 ) -> SolutionPath:
     """Trace the full astroid from (0, 1) marching +x."""
-    if max_points <= 0:
-        max_points = int(6.0 / delta) + 500
     cfg = TraceConfig(
         step=delta,
-        scan=ScanConfig(radius=r_factor * delta, mesh_count=n, reference_lag=k,
-                        residual_tol=residual_tol),
-        max_points=max_points,
+        scan=ScanConfig(radius=r_factor * delta, mesh_count=n, reference_lag=k),
+        max_points=int(6.0 / delta) + 500,
     )
     return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, cfg)
 

@@ -84,8 +84,14 @@ def _parse_numbers(text: str, convert: Callable[[float], Any] = float) -> List[A
         raise _CliError(f"empty list {text!r}")
     try:
         return [convert(float(p)) for p in items]
-    except (ValueError, OverflowError) as exc:  # round() rejects nan and inf
+    except ValueError as exc:
         raise _CliError(f"bad number list {text!r}: {exc}") from exc
+
+
+def _integral(value: float) -> int:
+    if not value.is_integer():  # nan and inf are not integers either
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _parse_direction(text: str) -> StepDirection:
@@ -186,8 +192,8 @@ def cmd_verify(args) -> int:
     if not 0.0 < args.delta < math.inf:
         raise _CliError("--delta must be positive and finite")
     r_factors = _parse_numbers(args.r_factors)
-    k_values = _parse_numbers(args.k_values, round)
-    n_values = _parse_numbers(args.n_values, round)
+    k_values = _parse_numbers(args.k_values, _integral)
+    n_values = _parse_numbers(args.n_values, _integral)
     try:
         for r, k, n in itertools.product(r_factors, k_values, n_values):
             ScanConfig(radius=r * args.delta, mesh_count=n, reference_lag=k)

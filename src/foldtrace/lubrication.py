@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness, SingularJacobian,
                      TraceError)
 from .geometry import Box, Point2, StepDirection
-from .rootfind import LUHolder, VectorSolveConfig, solve_vector
+from .rootfind import LUHolder, solve_vector
 from .tracer import TraceConfig
 from .turnpoint import ScanConfig
 
@@ -161,24 +161,13 @@ def solve_at_Q(
     epsilon: float,
     grid: SpectralGrid,
     h0,
-    cfg: Optional[VectorSolveConfig] = None,
+    tol: float = 1e-11,
+    max_iter: int = 25,
 ) -> LubricationState:
     """Newton-solve the m-dimensional fixed-flux system; mass comes out."""
-    cfg = cfg or VectorSolveConfig()
-    counter = {"k": 0}
-
-    def cb(k, _x, _fx):
-        counter["k"] = k
-
-    h = solve_vector(
-        lambda h_: residual_fixed_Q(h_, Q, epsilon, grid),
-        h0,
-        cfg,
-        jac=lambda h_: jacobian_fixed_Q(h_, Q, epsilon, grid),
-        callback=cb,
-    )
-    return LubricationState(h=h, Q=Q, M=mass_of(h, grid), epsilon=epsilon,
-                            iterations=counter["k"])
+    h, k = solve_vector(lambda h_: residual_fixed_Q(h_, Q, epsilon, grid), h0, tol, max_iter,
+                        jac=lambda h_: jacobian_fixed_Q(h_, Q, epsilon, grid))
+    return LubricationState(h=h, Q=Q, M=mass_of(h, grid), epsilon=epsilon, iterations=k)
 
 
 def augmented_residual(z: np.ndarray, M: float, epsilon: float, grid: SpectralGrid) -> np.ndarray:
@@ -209,7 +198,8 @@ def solve_at_M(
     grid: SpectralGrid,
     h0,
     Q0: float,
-    cfg: Optional[VectorSolveConfig] = None,
+    tol: float = 1e-11,
+    max_iter: int = 25,
     held: Optional[LUHolder] = None,
 ) -> LubricationState:
     """Newton-solve the bordered (m+1)-dimensional fixed-mass system.
@@ -217,31 +207,19 @@ def solve_at_M(
     `held` carries a bordered LU factorization between solves; see
     `solve_vector`.
     """
-    cfg = cfg or VectorSolveConfig()
     z0 = np.empty(grid.m + 1)
     z0[:-1] = h0
     z0[-1] = Q0
-    counter = {"k": 0}
-
-    def cb(k, _x, _fx):
-        counter["k"] = k
-
-    z = solve_vector(
-        lambda z_: augmented_residual(z_, M, epsilon, grid),
-        z0,
-        cfg,
-        jac=lambda z_: augmented_jacobian(z_, epsilon, grid),
-        callback=cb,
-        held=held,
-    )
+    z, k = solve_vector(lambda z_: augmented_residual(z_, M, epsilon, grid), z0, tol, max_iter,
+                        jac=lambda z_: augmented_jacobian(z_, epsilon, grid), held=held)
     h, Q = z[:-1], float(z[-1])
-    return LubricationState(h=h, Q=Q, M=mass_of(h, grid), epsilon=epsilon,
-                            iterations=counter["k"])
+    return LubricationState(h=h, Q=Q, M=mass_of(h, grid), epsilon=epsilon, iterations=k)
 
 
 _SOLVE_FAILURES = (NoConvergence, SingularJacobian, NonpositiveThickness)
 # Newton settings of every field evaluation; the seed converges to the same tol.
-_FIELD_SOLVE = VectorSolveConfig(tol=1e-11, max_iter=12)
+_FIELD_TOL = 1e-11
+_FIELD_MAX_ITER = 12
 
 
 class BifurcationField:
@@ -301,11 +279,12 @@ class BifurcationField:
     def __call__(self, Q: float, M: float) -> float:
         h0, Q0 = self._warm(Q, M)
         try:
-            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, _FIELD_SOLVE, self._lu)
+            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, _FIELD_TOL, _FIELD_MAX_ITER,
+                               self._lu)
             residual = state.Q - Q
         except _SOLVE_FAILURES as first:
             try:
-                state = solve_at_Q(Q, self.epsilon, self.grid, h0, _FIELD_SOLVE)
+                state = solve_at_Q(Q, self.epsilon, self.grid, h0, _FIELD_TOL, _FIELD_MAX_ITER)
             except _SOLVE_FAILURES as second:
                 raise FieldEvaluationError(
                     f"both solves failed at (Q={Q:.6g}, M={M:.6g}): "
@@ -316,7 +295,7 @@ class BifurcationField:
         self.solved[(Q, M)] = state
         return residual
 
-    def seed(self, M: float, Q0: Optional[float] = None) -> LubricationState:
+    def seed(self, M: float) -> LubricationState:
         """Converge an initial on-curve state at the given mass.
 
         Newton from a flat film diverges at small surface-tension values,
@@ -327,7 +306,7 @@ class BifurcationField:
             raise ValueError("seed mass must be positive and finite")
         mean = M / TWO_PI
         h = np.full(self.grid.m, mean)
-        Q = Q0 if Q0 is not None else mean
+        Q = mean
 
         stages = []
         e = 0.3
@@ -336,12 +315,10 @@ class BifurcationField:
             e /= math.sqrt(10.0)
         stages.append(self.epsilon)
 
-        relaxed = VectorSolveConfig(tol=1e-9, max_iter=60)
-        final = VectorSolveConfig(tol=_FIELD_SOLVE.tol, max_iter=60)
         state = None
         for eps in stages:
             state = solve_at_M(M, eps, self.grid, h, Q,
-                               final if eps == self.epsilon else relaxed)
+                               _FIELD_TOL if eps == self.epsilon else 1e-9, max_iter=60)
             h, Q = state.h, state.Q
         self._remember(state)
         return state

@@ -80,11 +80,9 @@ def _segments(path: SolutionPath) -> List[List[Point2]]:
 def write_trace_svg(
     path: SolutionPath,
     stream: IO[str],
-    size: int = 640,
-    margin: float = 0.06,
     label: Union[str, None] = None,
 ) -> None:
-    """Polyline plot of the traced curve with turning points marked."""
+    """Polyline plot, 640 px square, of the traced curve with turning points marked."""
     if not path.points:
         raise ValueError("empty path")
     xs = [p.x for p in path.points]
@@ -92,7 +90,8 @@ def write_trace_svg(
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
-    pad = margin * span
+    pad = 0.06 * span
+    size = 640
 
     def to_px(p: Point2) -> Tuple[float, float]:
         sx = (p.x - x_lo + pad) / (span + 2 * pad) * size

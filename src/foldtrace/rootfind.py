@@ -37,24 +37,11 @@ _CHORD_CONTRACTION = 0.1
 _DAMPING_MIN = 1.0 / 64.0  # the line search halves a Newton step down to this fraction
 
 
-@dataclass
-class ScalarSolveConfig:
-    tol: float = 1e-10
-    max_iter: int = 60
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:  # NaN fails too
-            raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass
-class VectorSolveConfig(ScalarSolveConfig):
-    """The same settings and checks, with the vector solver's defaults."""
-
-    tol: float = 1e-11
-    max_iter: int = 25
+def _check_settings(tol: float, max_iter: int) -> None:
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
 
 def _fd_step(x: float) -> float:
@@ -149,10 +136,11 @@ def itp(
 def solve_scalar(
     g: Callable[[float], float],
     x0: float,
-    cfg: Optional[ScalarSolveConfig] = None,
+    tol: float = 1e-10,
     bracket: Optional[Tuple[float, float]] = None,
+    max_iter: int = 60,
 ) -> float:
-    """Find x with |g(x)| <= cfg.tol near x0.
+    """Find x with |g(x)| <= tol near x0, in at most `max_iter` Newton steps.
 
     Newton iteration with a finite-difference derivative and backtracking
     on residual growth, finished by ITP as soon as a sign change is known.
@@ -173,9 +161,10 @@ def solve_scalar(
     local minimum of |g| with no root: the bracket endpoints are then
     probed once for a sign change, and the solve fails if they show none.
 
-    Raises NoConvergence with the last iterate and residual attached.
+    Raises ValueError unless tol is positive and finite and max_iter >= 1,
+    and NoConvergence with the last iterate and residual attached.
     """
-    cfg = cfg or ScalarSolveConfig()
+    _check_settings(tol, max_iter)
     lo, hi = bracket if bracket is not None else (-math.inf, math.inf)
     if lo > hi:
         raise ValueError("bracket bounds out of order")
@@ -191,7 +180,7 @@ def solve_scalar(
                 except (ArithmeticError, ValueError, FoldtraceError):
                     continue
             if sign.ready:
-                return itp(g, sign.neg, sign.pos, cfg.tol)
+                return itp(g, sign.neg, sign.pos, tol)
         raise NoConvergence(reason, last_iterate=x, residual=gx)
 
     x = min(max(x0, lo), hi)
@@ -204,11 +193,11 @@ def solve_scalar(
     newton = []  # (x, u = g/g', share of |g| kept) of each finite-difference step
     multiple, p = False, 1.0  # two steps kept the same share of |g|: a zero of multiplicity p
 
-    for _ in range(cfg.max_iter):
-        if abs(gx) <= cfg.tol:
+    for _ in range(max_iter):
+        if abs(gx) <= tol:
             return x
         if sign.ready:
-            return itp(g, sign.neg, sign.pos, cfg.tol)
+            return itp(g, sign.neg, sign.pos, tol)
 
         if before is not None:
             xs = min(max(x - gx * (x - before[0]) / (gx - before[1]), lo), hi)
@@ -222,7 +211,7 @@ def solve_scalar(
                     x, gx = xs, gs
                     continue
                 if sign.ready:
-                    return itp(g, sign.neg, sign.pos, cfg.tol)
+                    return itp(g, sign.neg, sign.pos, tol)
 
         for h in (_fd_step(x), _fd_step_wide(x)):
             if x + h > hi:
@@ -261,7 +250,7 @@ def solve_scalar(
             halvings += 1
         if not math.isfinite(gn):
             raise NoConvergence("residual became non-finite", last_iterate=x, residual=gx)
-        if abs(gn) > cfg.tol and not sign.ready:
+        if abs(gn) > tol and not sign.ready:
             # A step that cannot descend, or three in a row that barely do (Newton
             # keeps under 0.37 of |g| near a simple root), mean a rootless minimum.
             slow = slow + 1 if abs(gn) > 0.9 * abs(gx) else 0
@@ -274,12 +263,12 @@ def solve_scalar(
             before = (x, gx)
         x, gx = xn, gn
 
-    if abs(gx) <= cfg.tol:
+    if abs(gx) <= tol:
         return x
     if sign.ready:
-        return itp(g, sign.neg, sign.pos, cfg.tol)
-    raise NoConvergence(f"no root after {cfg.max_iter} iterations",
-                        last_iterate=x, residual=gx, iterations=cfg.max_iter)
+        return itp(g, sign.neg, sign.pos, tol)
+    raise NoConvergence(f"no root after {max_iter} iterations",
+                        last_iterate=x, residual=gx, iterations=max_iter)
 
 
 class LUFactorization:
@@ -354,12 +343,12 @@ def fd_jacobian(F, x, fx=None):
 def solve_vector(
     F: Callable[[np.ndarray], Sequence[float]],
     x0,
-    cfg: Optional[VectorSolveConfig] = None,
+    tol: float = 1e-11,
+    max_iter: int = 25,
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    callback: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
     held: Optional[LUHolder] = None,
-) -> np.ndarray:
-    """Chord-accelerated damped Newton for a d-dimensional residual F(x) = 0.
+) -> Tuple[np.ndarray, int]:
+    """Chord-accelerated damped Newton for F(x) = 0; returns (x, factorizations).
 
     Before each Newton iteration, chord steps x <- x - LU^-1 F(x) reuse the
     factorization in `held` for as long as each one stays finite and cuts
@@ -367,25 +356,24 @@ def solve_vector(
     by pivoted LU, keeps that factorization in `held`, and halves the step
     until the max-norm residual decreases. If the damping floor, 1/64 of
     the step, is reached first, the longest step with a finite residual is
-    taken, and NoConvergence is raised when there is none. Only factorizing iterations
-    count toward `cfg.max_iter` and the callback's iteration number, so the
-    last number the callback sees is the number of factorizations. `jac`
-    defaults to a forward finite-difference Jacobian; `held` defaults to a
-    fresh, empty holder.
+    taken, and NoConvergence is raised when there is none. Only factorizing
+    iterations count toward `max_iter`; their number is returned with x,
+    whose max-norm residual is at most `tol`, or is NoConvergence's
+    `iterations`. `jac` defaults to a forward finite-difference Jacobian;
+    `held` defaults to a fresh, empty holder.
+    Raises ValueError unless tol is positive and finite and max_iter >= 1.
     """
-    cfg = cfg or VectorSolveConfig()
+    _check_settings(tol, max_iter)
     held = held if held is not None else LUHolder()
     x = np.array(x0, dtype=float)
     fx = np.asarray(F(x), dtype=float)
     if not np.isfinite(fx).all():
         raise NoConvergence("residual not finite at start", last_iterate=x, residual=fx)
 
-    for k in range(cfg.max_iter):
+    for k in range(max_iter):
         norm = np.abs(fx).max()
-        if callback is not None:
-            callback(k, x, fx)
-        if norm <= cfg.tol:
-            return x
+        if norm <= tol:
+            return x, k
         while held.lu is not None:  # a held LU of the wrong size fails its solve
             try:
                 candidate = x - held.lu.solve(fx)
@@ -396,8 +384,8 @@ def solve_vector(
             if not norm_c <= _CHORD_CONTRACTION * norm:  # NaN fails the test
                 break
             x, fx, norm = candidate, fc, norm_c
-            if norm <= cfg.tol:
-                return x
+            if norm <= tol:
+                return x, k
         J = jac(x) if jac is not None else fd_jacobian(F, x, fx)
         try:
             held.lu = LUFactorization(J)
@@ -417,7 +405,7 @@ def solve_vector(
                 if lam / 2.0 < _DAMPING_MIN:
                     if first is None:
                         raise NoConvergence(f"line search left the residual domain: {exc}",
-                                            last_iterate=x, residual=fx, iterations=k) from exc
+                                            last_iterate=x, residual=fx, iterations=k + 1) from exc
             if fc is not None and np.isfinite(fc).all():
                 if first is None:
                     first = (candidate, fc)
@@ -434,10 +422,10 @@ def solve_vector(
             accepted = first
         if accepted is None:
             raise NoConvergence("line search produced no finite residual",
-                                last_iterate=x, residual=fx, iterations=k)
+                                last_iterate=x, residual=fx, iterations=k + 1)
         x, fx = accepted
 
-    if np.abs(fx).max() <= cfg.tol:
-        return x
-    raise NoConvergence(f"no convergence after {cfg.max_iter} iterations",
-                        last_iterate=x, residual=fx, iterations=cfg.max_iter)
+    if np.abs(fx).max() <= tol:
+        return x, max_iter
+    raise NoConvergence(f"no convergence after {max_iter} iterations",
+                        last_iterate=x, residual=fx, iterations=max_iter)

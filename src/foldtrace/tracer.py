@@ -26,7 +26,7 @@ from .errors import (
     ZeroVector,
 )
 from .geometry import Axis, Box, Point2, StepDirection, TurningPointKind, coordinate, with_coordinate
-from .rootfind import ScalarSolveConfig, solve_scalar
+from .rootfind import solve_scalar
 from .turnpoint import (
     ResidualField,
     ScanConfig,
@@ -96,8 +96,8 @@ class TraceConfig:
     `step` is the x-axis increment; `step_y` defaults to the same value.
     Steps and the slice bracket are positive and finite. Derived from the
     max step: scan radius = max step and slice bracket = 10x it unless
-    given, closure tolerance = 1e-4x it; the slice solver's settings, from
-    the scan's residual tolerance. Lattice marching makes a closing pass
+    given, closure tolerance = 1e-4x it. Slice solves converge to the
+    scan's residual tolerance. Lattice marching makes a closing pass
     land back on the opening points to solver precision, so the closure
     tolerance can be far below one step; a looser one would swallow a
     final turning-point event that happens right at the seed.
@@ -123,7 +123,6 @@ class TraceConfig:
         self.closure_tol = 1e-4 * max_step
         if self.slice_bracket is None:
             self.slice_bracket = 10.0 * max_step
-        self._slice_solve = ScalarSolveConfig(tol=self.scan.residual_tol)
 
     def step_for(self, axis: Axis) -> float:
         if axis is Axis.Y:
@@ -192,7 +191,7 @@ def step(
         if not math.isfinite(guess):
             guess = t0
     try:
-        root = solve_scalar(_slice(residual, axis, target), guess, cfg._slice_solve,
+        root = solve_scalar(_slice(residual, axis, target), guess, cfg.scan.residual_tol,
                             bracket=(t0 - cfg.slice_bracket, t0 + cfg.slice_bracket))
     except NoConvergence as exc:
         return Stalled(f"slice solve failed at {axis.value}={target:.6g}: {exc}")
@@ -350,5 +349,5 @@ def polish_transverse(
     """
     transverse = direction.axis.other
     g = _slice(residual, direction.axis, coordinate(point, direction.axis))
-    root = solve_scalar(g, coordinate(point, transverse), ScalarSolveConfig(tol=tol, max_iter=80))
+    root = solve_scalar(g, coordinate(point, transverse), tol, max_iter=80)
     return with_coordinate(point, transverse, root)

@@ -137,6 +137,8 @@ class TestTraceCommand:
 _NAMED_IN_THE_MESSAGE = {
     ("lubrication", "--seed-mass", "nan"): "seed mass must be positive and finite",
     ("lubrication", "--seed-mass", "0"): "seed mass must be positive and finite",
+    ("verify", "--k-values", "4.6"): "4.6 is not an integer",
+    ("verify", "--n-values", "7.5"): "7.5 is not an integer",
 }
 
 
@@ -147,6 +149,8 @@ _NAMED_IN_THE_MESSAGE = {
     ["trace", "--problem", "circle", "--max-points", "1"],
     ["verify", "--k-values", "abc"],
     ["verify", "--n-values", "nan"],
+    ["verify", "--k-values", "4.6"],
+    ["verify", "--n-values", "7.5"],
     ["verify", "--delta", "-1"],
     ["verify", "--delta", "nan"],
     ["verify", "--r-factors", "-1"],

@@ -23,7 +23,7 @@ from foldtrace.lubrication import (
     solve_at_M,
     solve_at_Q,
 )
-from foldtrace.rootfind import VectorSolveConfig, fd_jacobian
+from foldtrace.rootfind import fd_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +178,7 @@ class TestSolves:
         # to the fold the fixed-flux Jacobian degenerates and Newton slows
         grid = field64.grid
         st = solve_at_M(4.0, 1e-3, grid, *_warm(field64, 4.0))
-        st2 = solve_at_Q(st.Q - 1e-4, 1e-3, grid, st.h,
-                         VectorSolveConfig(tol=1e-11, max_iter=40))
+        st2 = solve_at_Q(st.Q - 1e-4, 1e-3, grid, st.h, tol=1e-11, max_iter=40)
         assert st2.iterations <= 5
         assert np.max(np.abs(residual_fixed_Q(st2.h, st2.Q, 1e-3, grid))) < 1e-10
         assert abs(st2.M - TWO_PI * np.mean(st2.h)) < 1e-12
@@ -195,13 +194,12 @@ class TestSolves:
 
     def test_fold_located_by_bisection_then_beyond_fails(self, field64):
         grid = field64.grid
-        cfg = VectorSolveConfig(tol=1e-11, max_iter=12)
         st = field64.seed(TWO_PI)
         h, Q = st.h, st.Q
         dq = 2e-4
         for _ in range(100):
             try:
-                st2 = solve_at_Q(Q + dq, 1e-3, grid, h, cfg)
+                st2 = solve_at_Q(Q + dq, 1e-3, grid, h, tol=1e-11, max_iter=12)
                 h, Q = st2.h, st2.Q
             except NoConvergence:
                 break
@@ -211,12 +209,12 @@ class TestSolves:
         for _ in range(25):
             mid = 0.5 * (lo + hi)
             try:
-                st2 = solve_at_Q(mid, 1e-3, grid, h, cfg)
+                st2 = solve_at_Q(mid, 1e-3, grid, h, tol=1e-11, max_iter=12)
                 h, lo = st2.h, mid
             except NoConvergence:
                 hi = mid
         with pytest.raises(NoConvergence):
-            solve_at_Q(hi + 5e-5, 1e-3, grid, h, cfg)
+            solve_at_Q(hi + 5e-5, 1e-3, grid, h, tol=1e-11, max_iter=12)
 
     def test_periodic_integral_identity(self, field64):
         grid = field64.grid
@@ -229,8 +227,7 @@ class TestSolves:
         # small surface tension, so a fixed-flux solve at Q = 1 has nothing
         # to converge to (flat start or otherwise)
         with pytest.raises(NoConvergence):
-            solve_at_Q(1.0, 1e-3, grid32, np.ones(32),
-                       VectorSolveConfig(tol=1e-11, max_iter=40))
+            solve_at_Q(1.0, 1e-3, grid32, np.ones(32), tol=1e-11, max_iter=40)
 
 
 def _warm(field, M):

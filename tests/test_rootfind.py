@@ -17,8 +17,6 @@ from foldtrace.geometry import cbrt
 from foldtrace.rootfind import (
     LUFactorization,
     LUHolder,
-    ScalarSolveConfig,
-    VectorSolveConfig,
     fd_jacobian,
     solve_scalar,
     solve_vector,
@@ -47,9 +45,8 @@ class TestSolveScalar:
         # relative finite-difference step is what makes this converge, and
         # the multiplicity step what makes it fast (about 80 evaluations
         # with plain Newton, which keeps 0.63 of |g| per step).
-        cfg = ScalarSolveConfig(tol=1e-10, max_iter=60)
         g, calls = _counted(lambda y: cbrt(y) ** 2)
-        root = solve_scalar(g, 5.46e-4, cfg)
+        root = solve_scalar(g, 5.46e-4, tol=1e-10, max_iter=60)
         assert abs(root) < 1e-14
         assert len(calls) <= 25
 
@@ -67,14 +64,18 @@ class TestSolveScalar:
         def g(x):
             return math.copysign(abs(x - 0.3) ** 0.2, x - 0.3)
 
-        root = solve_scalar(g, 0.0, ScalarSolveConfig(tol=1e-6, max_iter=50), bracket=(-1.0, 1.0))
+        root = solve_scalar(g, 0.0, tol=1e-6, bracket=(-1.0, 1.0), max_iter=50)
         assert abs(root - 0.3) < 1e-6
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ScalarSolveConfig(tol=-1.0)
-        with pytest.raises(ValueError):
-            ScalarSolveConfig(max_iter=0)
+        # both solvers check their settings before the first evaluation
+        calls = []
+        for solve, x0 in ((solve_scalar, 1.0), (solve_vector, [1.0])):
+            for settings in ({"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+                             {"max_iter": 0}):
+                with pytest.raises(ValueError):
+                    solve(lambda x: calls.append(x) or x, x0, **settings)
+        assert not calls
 
 
 def _counted(g):
@@ -136,9 +137,19 @@ class TestSolveScalarBudget:
         # The finite-difference step reaches |t - c| of about 1e-15 only
         # at c = 0 for p < 1, hence the tolerances.
         g, calls = _counted(lambda t: abs(t - c) ** p)
-        x = solve_scalar(g, x0, ScalarSolveConfig(tol=tol), bracket=bracket)
+        x = solve_scalar(g, x0, tol, bracket=bracket)
         assert abs(x - c) ** p <= tol
         assert len(calls) <= budget
+
+    @pytest.mark.xfail(raises=NoConvergence, strict=True,
+                       reason="open defect: the relative finite-difference step straddles "
+                              "a kink away from the origin")
+    def test_power_law_zero_off_the_origin(self):
+        # the zero a cusp tip off the coordinate axes gives a slice; the
+        # step of about 1.5e-8*|t| straddles t = 0.3 once |t - 0.3| falls
+        # under about 5e-9, while tol 1e-10 needs |t - 0.3| <= 1e-15
+        x = solve_scalar(lambda t: abs(t - 0.3) ** (2.0 / 3.0), 0.8)
+        assert abs(x - 0.3) ** (2.0 / 3.0) <= 1e-10
 
     @pytest.mark.parametrize("x0, evals_before", [(1.0, 52), (0.3, 42), (-0.7, 50)])
     def test_rootless_minimum_costs_no_more(self, x0, evals_before):
@@ -200,7 +211,7 @@ class TestSolveScalarBudget:
             assert not lo <= root <= hi  # a bracketed root is always found
             return
         assert lo <= x <= hi
-        assert abs(g(x)) <= ScalarSolveConfig().tol
+        assert abs(g(x)) <= 1e-10
 
 
 def test_tracing_never_imports_scipy_optimize():
@@ -351,43 +362,57 @@ class TestSolveVector:
             x, y = v
             return np.array([x * x + y * y - 1.0, x - y])
 
-        x = solve_vector(F, np.array([1.0, 0.0]))
+        x, _ = solve_vector(F, np.array([1.0, 0.0]))
         assert np.allclose(x, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-10)
 
     def test_linear_system_one_iteration(self):
         rng = np.random.default_rng(3)
         A = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
         b = rng.standard_normal(4)
-        iterations = []
-        x = solve_vector(lambda v: A @ v - b, np.zeros(4), jac=lambda _v: A,
-                         callback=lambda k, _x, _f: iterations.append(k))
+        x, factorizations = solve_vector(lambda v: A @ v - b, np.zeros(4), jac=lambda _v: A)
         assert np.max(np.abs(A @ x - b)) < 1e-11
-        assert iterations[-1] == 1  # Newton is exact on affine residuals
+        assert factorizations == 1  # Newton is exact on affine residuals
+
+    def test_convergence_on_the_last_allowed_factorization_is_counted(self):
+        # the one factorization max_iter=1 allows solves an affine residual
+        # exactly, and the count must include it
+        A, b = _system(3, "C", seed=3)
+        x, factorizations = solve_vector(lambda v: A @ v - b, np.zeros(3), max_iter=1,
+                                         jac=lambda _v: A)
+        assert np.max(np.abs(A @ x - b)) < 1e-11
+        assert factorizations == 1
+
+    def test_failed_line_search_counts_its_factorization(self):
+        def F(v):
+            if v[0] != 1.0:
+                raise ValueError("outside the residual's domain")
+            return np.array([v[0] - 2.0])
+
+        with pytest.raises(NoConvergence, match="left the residual domain") as info:
+            solve_vector(F, [1.0], jac=lambda _v: np.eye(1))
+        assert info.value.iterations == 1
 
     def test_linear_system_from_its_own_factorization(self):
         # an exact held factorization solves an affine residual without factoring
         A, b = _system(6, "C", seed=6)
         held = LUHolder(LUFactorization(A))
         lu = held.lu
-        iterations = []
-        x = solve_vector(lambda v: A @ v - b, np.zeros(6), jac=lambda _v: A,
-                         callback=lambda k, _x, _f: iterations.append(k), held=held)
+        x, factorizations = solve_vector(lambda v: A @ v - b, np.zeros(6), jac=lambda _v: A,
+                                         held=held)
         assert np.max(np.abs(A @ x - b)) < 1e-11
-        assert iterations == [0] and held.lu is lu
+        assert factorizations == 0 and held.lu is lu
 
     def test_returned_iterate_satisfies_tolerance(self):
-        cfg = VectorSolveConfig(tol=1e-12)
-
         def F(v):
             return np.array([math.exp(v[0]) - 2.0, v[1] ** 3 - 8.0])
 
-        x = solve_vector(F, np.array([0.0, 1.5]), cfg)
-        assert np.max(np.abs(F(x))) <= cfg.tol
+        x, _ = solve_vector(F, np.array([0.0, 1.5]), tol=1e-12)
+        assert np.max(np.abs(F(x))) <= 1e-12
 
     def test_no_convergence_carries_diagnostics(self):
-        cfg = VectorSolveConfig(tol=1e-14, max_iter=3)
         with pytest.raises(NoConvergence) as info:
-            solve_vector(lambda v: np.array([math.cos(v[0]) + 2.0]), np.array([0.5]), cfg)
+            solve_vector(lambda v: np.array([math.cos(v[0]) + 2.0]), np.array([0.5]),
+                         tol=1e-14, max_iter=3)
         assert info.value.last_iterate is not None
 
     def test_singular_jacobian(self):
@@ -431,33 +456,27 @@ class TestChordSteps:
     def test_stale_factorization_of_a_nearby_matrix(self):
         A, F, jac = self._problem()
         held = LUHolder(LUFactorization(1.02 * A))
-        cfg = VectorSolveConfig(tol=1e-12)
-        iterations = []
-        x = solve_vector(F, np.zeros(8), cfg, jac=jac, held=held,
-                         callback=lambda k, _x, _f: iterations.append(k))
-        assert np.max(np.abs(F(x))) <= cfg.tol
+        x, factorizations = solve_vector(F, np.zeros(8), tol=1e-12, jac=jac, held=held)
+        assert np.max(np.abs(F(x))) <= 1e-12
         # without a held factorization the same solve factors more often
-        fresh = []
-        solve_vector(F, np.zeros(8), cfg, jac=jac, callback=lambda k, _x, _f: fresh.append(k))
-        assert iterations[-1] < fresh[-1]
+        _, fresh = solve_vector(F, np.zeros(8), tol=1e-12, jac=jac)
+        assert factorizations < fresh
 
     def test_useless_factorization_is_replaced(self):
         A, F, jac = self._problem()
         stale = LUFactorization(-A)  # its steps point the wrong way
         held = LUHolder(stale)
-        iterations = []
-        x = solve_vector(F, np.zeros(8), jac=jac, held=held,
-                         callback=lambda k, _x, _f: iterations.append(k))
-        assert np.max(np.abs(F(x))) <= VectorSolveConfig().tol
-        assert iterations[-1] >= 1 and held.lu is not stale
-        x_near = solve_vector(F, x + 1e-3, jac=jac, held=held)  # the new one is kept for reuse
-        assert np.max(np.abs(F(x_near))) <= VectorSolveConfig().tol
+        x, factorizations = solve_vector(F, np.zeros(8), jac=jac, held=held)
+        assert np.max(np.abs(F(x))) <= 1e-11
+        assert factorizations >= 1 and held.lu is not stale
+        x_near, _ = solve_vector(F, x + 1e-3, jac=jac, held=held)  # the new one is kept for reuse
+        assert np.max(np.abs(F(x_near))) <= 1e-11
 
     def test_wrong_size_factorization_is_ignored(self):
         A, F, jac = self._problem()
         held = LUHolder(LUFactorization(np.eye(3)))
-        x = solve_vector(F, np.zeros(8), jac=jac, held=held)
-        assert np.max(np.abs(F(x))) <= VectorSolveConfig().tol
+        x, _ = solve_vector(F, np.zeros(8), jac=jac, held=held)
+        assert np.max(np.abs(F(x))) <= 1e-11
         assert held.lu.n == 8
 
     def test_chord_steps_do_not_spend_the_iteration_budget(self):
@@ -472,8 +491,6 @@ class TestChordSteps:
 
         held = LUHolder(LUFactorization(1.001 * A))
         lu = held.lu
-        iterations = []
-        x = solve_vector(F, np.zeros(8), VectorSolveConfig(max_iter=1), jac=lambda _v: A,
-                         held=held, callback=lambda k, _x, _f: iterations.append(k))
-        assert np.max(np.abs(A @ x - b)) <= VectorSolveConfig().tol
-        assert len(calls) >= 3 and iterations == [0] and held.lu is lu
+        x, factorizations = solve_vector(F, np.zeros(8), max_iter=1, jac=lambda _v: A, held=held)
+        assert np.max(np.abs(A @ x - b)) <= 1e-11
+        assert len(calls) >= 3 and factorizations == 0 and held.lu is lu
