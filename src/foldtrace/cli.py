@@ -158,7 +158,6 @@ def cmd_trace(args) -> int:
             scan=scan,
             max_points=args.max_points,
             domain=_parse_box(args.box) if args.box else None,
-            slice_bracket=args.bracket,
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
@@ -273,7 +272,6 @@ def build_parser() -> _Parser:
     p_trace.add_argument("--tol", type=float, default=1e-10, help="on-curve residual tolerance")
     p_trace.add_argument("--max-points", type=int, default=20000)
     p_trace.add_argument("--box", help="tracing domain XMIN,XMAX,YMIN,YMAX")
-    p_trace.add_argument("--bracket", type=float, help="transverse search half-width")
     p_trace.add_argument("--csv", default="trace.csv", help="points CSV path")
     p_trace.add_argument("--svg", default="trace.svg", help="SVG plot path")
     p_trace.set_defaults(func=cmd_trace)

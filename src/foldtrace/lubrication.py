@@ -359,7 +359,6 @@ def trace_bifurcation(
         step_y=step_m,
         scan=ScanConfig(radius=scan_radius, mesh_count=scan_n, reference_lag=scan_k,
                         residual_tol=residual_tol),
-        slice_bracket=50.0 * step_m,
         max_points=max_points,
         domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
     )

@@ -82,14 +82,14 @@ class TestTraceCommand:
         # its opening segments: reported, written, and not a success
         csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
         code = run(["trace", "--problem", "expression", "--expr", "x^2/4+y^2-1",
-                    "--start", "2,0", "--dir", "-y", "--step", "0.05",
+                    "--start", "2,0", "--dir", "-y", "--step", "0.07",
                     "--csv", str(csv), "--svg", str(svg)])
         out = capsys.readouterr().out
         assert code == 2
         assert "termination: retraced" in out
         with csv.open() as fh:
             points, _flags = read_points_csv(fh)
-        assert len(points) == 48
+        assert len(points) == 38
         ET.parse(svg)
 
     def test_expression_leaves_domain(self, tmp_path, capsys):
