@@ -58,7 +58,6 @@ from .tracer import (
 from .turnpoint import (
     Candidate,
     CandidateSet,
-    ScanConfig,
     choose_reference_point,
     mesh_half_circle,
     new_direction,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import TraceError
 from .geometry import PLUS_X, Point2, cbrt
 from .tracer import SolutionPath, Termination, TraceConfig, trace
-from .turnpoint import ResidualField, ScanConfig
+from .turnpoint import ResidualField
 
 log = logging.getLogger(__name__)
 
@@ -131,6 +131,11 @@ class SweepResult:
     navigated_all_cusps: bool
 
 
+def _astroid_config(delta: float, r_factor: float, k: int, n: int) -> TraceConfig:
+    cfg = TraceConfig(step=delta, radius=r_factor * delta, mesh_count=n, reference_lag=k)
+    return replace(cfg, max_points=int(6.0 / delta) + 500)  # once delta has passed its check
+
+
 def trace_astroid(
     delta: float,
     r_factor: float = 1.0,
@@ -138,12 +143,7 @@ def trace_astroid(
     n: int = 8,
 ) -> SolutionPath:
     """Trace the full astroid from (0, 1) marching +x."""
-    cfg = TraceConfig(
-        step=delta,
-        scan=ScanConfig(radius=r_factor * delta, mesh_count=n, reference_lag=k),
-        max_points=int(6.0 / delta) + 500,
-    )
-    return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, cfg)
+    return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, _astroid_config(delta, r_factor, k, n))
 
 
 def run_sweep(
@@ -154,12 +154,15 @@ def run_sweep(
 ) -> List[SweepResult]:
     """Trace the astroid for every (r, k, n) combination.
 
-    Individual trace failures are recorded in the result (partial-path
-    error, cusps not navigated), never raised.
+    Every combination's settings are checked, raising ValueError, before
+    the first trace. Individual trace failures are recorded in the result
+    (partial-path error, cusps not navigated), never raised.
     """
     if not r_factors or not k_values or not n_values:
         raise ValueError("sweep grids must be nonempty")
     combos = [(rf, k, n) for rf in r_factors for k in k_values for n in n_values]
+    for rf, k, n in combos:
+        _astroid_config(delta, rf, k, n)
     traced = []
     for rf, k, n in combos:
         try:

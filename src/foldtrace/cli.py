@@ -5,15 +5,18 @@ Exit codes: 0 success, 1 configuration error, 2 trace failure (a partial
 points CSV is still written) or a path that retraced itself (written in
 full). FOLDTRACE_LOG in {error, info, debug} controls stderr diagnostics.
 
-`lubrication` passes `trace_bifurcation` only the setting flags given, so
-each omitted one takes that function's keyword default, and its checks,
-all run before the seed solve, are the only ones: a bad setting exits 1.
+Each command has one front door that owns its defaults and checks, and
+the CLI passes it only the setting flags given, so an omitted one takes
+the library default and a bad one exits 1: `trace` builds `TraceConfig`
+(only the per-problem default step is the CLI's own), `verify` calls
+`run_sweep`, which checks every (r, k, n) combination before its first
+trace, and `lubrication` calls `trace_bifurcation`, whose checks all run
+before the seed solve.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import math
 import os
@@ -28,15 +31,16 @@ from .geometry import Box, Point2, StepDirection
 from .lubrication import trace_bifurcation
 from .output import write_points_csv, write_states_csv, write_sweep_csv, write_trace_svg
 from .tracer import SolutionPath, Termination, TraceConfig, polish_transverse, trace
-from .turnpoint import ScanConfig
 
 log = logging.getLogger("foldtrace")
 
-_PROBLEMS = ("circle", "astroid", "expression")
-_DEFAULT_SEED = {
-    "circle": (Point2(1.0, 0.0), "-y", 0.05),
-    "astroid": (Point2(0.0, 1.0), "+x", 0.01),
+_DEFAULT_SEED = {  # start, direction and step of each problem
+    "circle": ("1,0", "-y", 0.05),
+    "astroid": ("0,1", "+x", 0.01),
+    "expression": (None, None, 0.01),
 }
+# `trace` flags that are not TraceConfig settings
+_TRACE_INPUTS = ("command", "func", "problem", "expr", "start", "dir", "csv", "svg")
 
 
 class _CliError(Exception):
@@ -71,11 +75,11 @@ def _parse_point(text: str) -> Point2:
 def _parse_box(text: str) -> Box:
     parts = text.split(",")
     if len(parts) != 4:
-        raise _CliError(f"expected XMIN,XMAX,YMIN,YMAX but got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected XMIN,XMAX,YMIN,YMAX but got {text!r}")
     try:
         return Box(*(float(v) for v in parts))
     except ValueError as exc:
-        raise _CliError(f"bad box {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad box {text!r}: {exc}") from exc
 
 
 def _parse_numbers(text: str, convert: Callable[[float], Any] = float) -> List[Any]:
@@ -92,13 +96,6 @@ def _integral(value: float) -> int:
     if not value.is_integer():  # nan and inf are not integers either
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
-
-
-def _parse_direction(text: str) -> StepDirection:
-    try:
-        return StepDirection.parse(text)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
 
 
 def _print_summary(path: SolutionPath) -> None:
@@ -121,49 +118,32 @@ def _write_outputs(path: SolutionPath, csv_path: Optional[str], svg_path: Option
 
 
 def cmd_trace(args) -> int:
+    start, direction, step = _DEFAULT_SEED[args.problem]
+    start, direction = args.start or start, args.dir or direction
     if args.problem == "expression":
-        if not args.expr:
-            raise _CliError("--expr is required for --problem expression")
-        if args.start is None or args.dir is None:
-            raise _CliError("--start and --dir are required for --problem expression")
+        if not args.expr or start is None or direction is None:
+            raise _CliError("--expr, --start and --dir are required for --problem expression")
         try:
             field = expression_field(args.expr)
         except ExpressionError as exc:
             raise _CliError(f"bad --expr: {exc}") from exc
-        start, direction = _parse_point(args.start), args.dir
-        step = args.step if args.step is not None else 0.01
+    elif args.expr:
+        raise _CliError("--expr only applies to --problem expression")
     else:
-        if args.expr:
-            raise _CliError("--expr only applies to --problem expression")
         field = circle_field() if args.problem == "circle" else astroid_mod.astroid_field()
-        default_start, default_dir, default_step = _DEFAULT_SEED[args.problem]
-        start = _parse_point(args.start) if args.start else default_start
-        direction = args.dir or default_dir
-        step = args.step if args.step is not None else default_step
+    start = _parse_point(start)
 
-    direction = _parse_direction(direction)
-    if not 0.0 < step < math.inf:
-        raise _CliError("--step must be positive and finite")
-
+    # the subparser suppresses defaults, so only the settings given reach TraceConfig
+    settings = {k: v for k, v in vars(args).items() if k not in _TRACE_INPUTS}
+    settings.setdefault("step", step)
     try:
-        scan = ScanConfig(
-            radius=args.scan_r if args.scan_r is not None else step,
-            mesh_count=args.scan_n,
-            reference_lag=args.scan_k,
-            residual_tol=args.tol,
-        )
-        cfg = TraceConfig(
-            step=step,
-            step_y=args.step_y,
-            scan=scan,
-            max_points=args.max_points,
-            domain=_parse_box(args.box) if args.box else None,
-        )
+        direction = StepDirection.parse(direction)
+        cfg = TraceConfig(**settings)
     except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+        raise _CliError(f"bad trace setting: {exc}") from exc
 
     try:
-        start = polish_transverse(field, start, direction, tol=args.tol)
+        start = polish_transverse(field, start, direction, tol=cfg.residual_tol)
     except FoldtraceError as exc:
         raise _CliError(f"cannot place the start point on the curve: {exc}") from exc
 
@@ -188,17 +168,13 @@ _VALID_N = (4, 10)
 
 
 def cmd_verify(args) -> int:
-    if not 0.0 < args.delta < math.inf:
-        raise _CliError("--delta must be positive and finite")
     r_factors = _parse_numbers(args.r_factors)
     k_values = _parse_numbers(args.k_values, _integral)
     n_values = _parse_numbers(args.n_values, _integral)
     try:
-        for r, k, n in itertools.product(r_factors, k_values, n_values):
-            ScanConfig(radius=r * args.delta, mesh_count=n, reference_lag=k)
+        results = astroid_mod.run_sweep(r_factors, k_values, n_values, args.delta)
     except ValueError as exc:
         raise _CliError(f"bad verify setting: {exc}") from exc
-    results = astroid_mod.run_sweep(r_factors, k_values, n_values, args.delta)
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -259,19 +235,26 @@ def build_parser() -> _Parser:
                      description="Trace implicit curves through turning points and cusps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_trace = sub.add_parser("trace", help="trace a single curve to CSV and SVG")
-    p_trace.add_argument("--problem", choices=_PROBLEMS, required=True)
-    p_trace.add_argument("--expr", help="formula in x and y (with --problem expression)")
-    p_trace.add_argument("--start", help="seed point X,Y")
-    p_trace.add_argument("--dir", help="initial direction: +x, -x, +y or -y")
+    p_trace = sub.add_parser("trace", help="trace a single curve to CSV and SVG",
+                             argument_default=argparse.SUPPRESS)
+    p_trace.add_argument("--problem", choices=_DEFAULT_SEED, required=True)
+    p_trace.add_argument("--expr", default=None,
+                         help="formula in x and y (with --problem expression)")
+    p_trace.add_argument("--start", default=None, help="seed point X,Y")
+    p_trace.add_argument("--dir", default=None, help="initial direction: +x, -x, +y or -y")
     p_trace.add_argument("--step", type=float, help="x step size (default per problem)")
     p_trace.add_argument("--step-y", type=float, help="y step size (defaults to --step)")
-    p_trace.add_argument("--scan-r", type=float, help="boundary-scan radius (default: step)")
-    p_trace.add_argument("--scan-n", type=int, default=8, help="boundary-scan mesh points")
-    p_trace.add_argument("--scan-k", type=int, default=5, help="reference-point lag")
-    p_trace.add_argument("--tol", type=float, default=1e-10, help="on-curve residual tolerance")
-    p_trace.add_argument("--max-points", type=int, default=20000)
-    p_trace.add_argument("--box", help="tracing domain XMIN,XMAX,YMIN,YMAX")
+    p_trace.add_argument("--scan-r", dest="radius", metavar="SCAN_R", type=float,
+                         help="boundary-scan radius (default: the larger step)")
+    p_trace.add_argument("--scan-n", dest="mesh_count", metavar="SCAN_N", type=int,
+                         help="boundary-scan mesh points")
+    p_trace.add_argument("--scan-k", dest="reference_lag", metavar="SCAN_K", type=int,
+                         help="reference-point lag")
+    p_trace.add_argument("--tol", dest="residual_tol", metavar="TOL", type=float,
+                         help="on-curve residual tolerance")
+    p_trace.add_argument("--max-points", type=int)
+    p_trace.add_argument("--box", dest="domain", metavar="BOX", type=_parse_box,
+                         help="tracing domain XMIN,XMAX,YMIN,YMAX")
     p_trace.add_argument("--csv", default="trace.csv", help="points CSV path")
     p_trace.add_argument("--svg", default="trace.svg", help="SVG plot path")
     p_trace.set_defaults(func=cmd_trace)

@@ -28,7 +28,6 @@ from .errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness, 
 from .geometry import Box, Point2, StepDirection
 from .rootfind import LUHolder, solve_vector
 from .tracer import TraceConfig
-from .turnpoint import ScanConfig
 
 log = logging.getLogger(__name__)
 
@@ -357,8 +356,7 @@ def trace_bifurcation(
     cfg = TraceConfig(
         step=step_q,
         step_y=step_m,
-        scan=ScanConfig(radius=scan_radius, mesh_count=scan_n, reference_lag=scan_k,
-                        residual_tol=residual_tol),
+        radius=scan_radius, mesh_count=scan_n, reference_lag=scan_k, residual_tol=residual_tol,
         max_points=max_points,
         domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
     )

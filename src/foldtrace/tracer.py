@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Union
@@ -29,7 +30,6 @@ from .geometry import Axis, Box, Point2, StepDirection, TurningPointKind, coordi
 from .rootfind import solve_scalar
 from .turnpoint import (
     ResidualField,
-    ScanConfig,
     choose_reference_point,
     new_direction,
     scan_boundary,
@@ -96,33 +96,44 @@ class SolutionPath:
 
 @dataclass
 class TraceConfig:
-    """Step sizes, scan parameters, and stopping rules for one trace.
+    """Step sizes, boundary-scan settings and stopping rules for one trace.
 
-    `step` is the x-axis increment; `step_y` defaults to the same value.
-    Steps are positive and finite. The scan radius defaults to the larger
-    step and the closure tolerance is 1e-4x it. Slice solves converge to the
-    scan's residual tolerance. Lattice marching makes a closing pass
-    land back on the opening points to solver precision, so the closure
-    tolerance can be far below one step; a looser one would swallow a
-    final turning-point event that happens right at the seed.
+    `step` is the x-axis increment; `step_y` defaults to it. The scan at a
+    turning point samples `mesh_count` points on a half-circle of `radius`
+    (default: the larger step) and measures from the point `reference_lag`
+    steps back; the start and every slice solve converge to `residual_tol`.
+    Each setting is checked here. The closure tolerance is 1e-4x the larger
+    step: lattice marching lands a closing pass on the opening points to
+    solver precision, and a looser one would swallow a final turning-point
+    event right at the seed.
     """
 
     step: float
     step_y: Optional[float] = None
-    scan: Optional[ScanConfig] = None
+    radius: Optional[float] = None
+    mesh_count: int = 8
+    reference_lag: int = 5
+    residual_tol: float = 1e-10
     max_points: int = 20000
     domain: Optional[Box] = None
 
     def __post_init__(self):
-        for name in ("step", "step_y"):
+        for name in ("step", "step_y", "radius", "residual_tol"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:  # NaN fails too
+            if value is None and name in ("step_y", "radius"):
+                continue  # defaulted below
+            if not 0.0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")
-        if self.max_points < 2:
-            raise ValueError("max_points must be >= 2")
+        for name, least in (("mesh_count", 1), ("reference_lag", 1), ("max_points", 2)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         self.max_step = max(self.step_for(Axis.X), self.step_for(Axis.Y))
-        if self.scan is None:
-            self.scan = ScanConfig(radius=self.max_step)
+        if self.radius is None:
+            self.radius = self.max_step
         self.closure_tol = 1e-4 * self.max_step
 
     def step_for(self, axis: Axis) -> float:
@@ -193,7 +204,7 @@ def step(
             guess = t0
     width = max(10.0 * cfg.max_step, BRACKET_PER_PREDICTED_CHANGE * abs(guess - t0))
     try:
-        root = solve_scalar(_slice(residual, axis, target), guess, cfg.scan.residual_tol,
+        root = solve_scalar(_slice(residual, axis, target), guess, cfg.residual_tol,
                             bracket=(t0 - width, t0 + width))
     except NoConvergence as exc:
         return Stalled(f"slice solve failed at {axis.value}={target:.6g}: {exc}")
@@ -274,9 +285,9 @@ def trace(
         f0 = residual(start.x, start.y)
     except FieldEvaluationError as exc:
         raise TraceError(f"cannot evaluate field at start: {exc}", path=path) from exc
-    if not math.isfinite(f0) or abs(f0) > cfg.scan.residual_tol:
+    if not math.isfinite(f0) or abs(f0) > cfg.residual_tol:
         raise ValueError(
-            f"start point residual {f0:.3e} exceeds tolerance {cfg.scan.residual_tol:.3e}; "
+            f"start point residual {f0:.3e} exceeds tolerance {cfg.residual_tol:.3e}; "
             "polish the seed before tracing"
         )
     path.append(start, FLAG_ORDINARY)
@@ -298,9 +309,9 @@ def trace(
             log.info("stall (%s) at point %d %s -> %s scan", outcome.reason, j, current, kind.name)
             path.flags[j] = FLAG_TURNING
 
-            candidates = scan_boundary(residual, current, kind, cfg.scan)
+            candidates = scan_boundary(residual, current, kind, cfg)
             try:
-                reference = choose_reference_point(path.points, j, cfg.scan)
+                reference = choose_reference_point(path.points, j, cfg)
                 exit_point = select_exit_point(candidates, reference)
             except CurveTerminated:
                 path.termination = Termination.TERMINATED

@@ -13,35 +13,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .errors import CurveTerminated, FieldEvaluationError, InsufficientHistory, NoConvergence, ZeroVector
 from .geometry import Axis, Point2, StepDirection, TurningPointKind
 from .rootfind import itp
 
+if TYPE_CHECKING:
+    from .tracer import TraceConfig
+
 log = logging.getLogger(__name__)
 
 ResidualField = Callable[[float, float], float]
-
-
-@dataclass
-class ScanConfig:
-    """Geometry and tolerances of the boundary scan."""
-
-    radius: float
-    mesh_count: int = 8
-    reference_lag: int = 5
-    residual_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:  # NaN fails too
-            raise ValueError("radius must be positive and finite")
-        if self.mesh_count < 1:
-            raise ValueError("mesh_count must be >= 1")
-        if self.reference_lag < 1:
-            raise ValueError("reference_lag must be >= 1")
-        if not 0.0 < self.residual_tol < math.inf:
-            raise ValueError("residual_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -103,7 +86,7 @@ def scan_boundary(
     residual: ResidualField,
     center: Point2,
     kind: TurningPointKind,
-    cfg: ScanConfig,
+    cfg: TraceConfig,
 ) -> CandidateSet:
     """Collect residual roots on the half-circle opposite the blocked direction.
 
@@ -159,7 +142,7 @@ def scan_boundary(
     return result
 
 
-def choose_reference_point(points, turning_index: int, cfg: ScanConfig) -> Point2:
+def choose_reference_point(points, turning_index: int, cfg: TraceConfig) -> Point2:
     """Pick the path point the cost function measures distances from.
 
     Preferred is the point reference_lag steps back; if that lies outside

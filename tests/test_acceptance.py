@@ -32,7 +32,7 @@ from foldtrace.lubrication import (
     trace_bifurcation,
 )
 from foldtrace.tracer import Termination, TraceConfig, trace
-from foldtrace.turnpoint import Candidate, CandidateSet, ScanConfig, mesh_half_circle, select_exit_point
+from foldtrace.turnpoint import Candidate, CandidateSet, mesh_half_circle, select_exit_point
 
 DELTA_ASTROID = 0.01
 K_ASTROID = 5
@@ -54,9 +54,8 @@ def astroid_run():
 
 @pytest.fixture(scope="module")
 def circle_run():
-    cfg = TraceConfig(step=DELTA_CIRCLE,
-                      scan=ScanConfig(radius=DELTA_CIRCLE, mesh_count=8,
-                                      reference_lag=K_CIRCLE, residual_tol=1e-10))
+    cfg = TraceConfig(step=DELTA_CIRCLE, radius=DELTA_CIRCLE, mesh_count=8,
+                      reference_lag=K_CIRCLE, residual_tol=1e-10)
     return trace(circle_field(), Point2(1.0, 0.0), MINUS_Y, cfg)
 
 

@@ -202,6 +202,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep([], [5], [8], 0.01)
 
+    @pytest.mark.parametrize("r_factors, k_values, n_values, delta", [
+        ([1.0, -1.0], [5], [8], 0.01),  # the second radius is bad
+        ([1.0], [5], [8, 0], 0.01),
+        ([1.0], [5, 2.5], [8], 0.01),
+        ([1.0], [5], [8], float("nan")),
+        ([1.0], [5], [8], 0.0),
+    ])
+    def test_bad_combination_rejected_before_any_trace(self, monkeypatch, r_factors,
+                                                       k_values, n_values, delta):
+        calls = []
+        monkeypatch.setattr(astroid, "trace_astroid", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError):
+            run_sweep(r_factors, k_values, n_values, delta)
+        assert calls == []
+
     @staticmethod
     def _capture_paths(monkeypatch, fail=()):
         """Record the path of each traced combination; fail the listed ones."""
@@ -247,6 +262,11 @@ class TestSweep:
 
 
 class TestTraceAstroidHelper:
+    @pytest.mark.parametrize("settings", [{"n": 8.0}, {"k": 2.5}, {"n": 0}, {"r_factor": math.nan}])
+    def test_bad_setting_rejected_before_tracing(self, settings):
+        with pytest.raises(ValueError):
+            trace_astroid(0.01, **settings)
+
     def test_closed_trace(self):
         path = trace_astroid(0.02, r_factor=1.0, k=5, n=8)
         assert path.termination is Termination.CLOSED

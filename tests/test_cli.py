@@ -63,6 +63,42 @@ class TestTraceCommand:
         assert code == 0
         assert "termination: closed" in out
 
+    def test_matches_the_library_with_its_default_scan_radius(self, tmp_path, capsys):
+        # without --scan-r the CLI scans at the library default, the larger step
+        from foldtrace.fields import circle_field
+        from foldtrace.geometry import MINUS_Y, Point2
+        from foldtrace.output import write_points_csv
+        from foldtrace.tracer import TraceConfig, trace
+
+        csv = tmp_path / "cli.csv"
+        code = run(["trace", "--problem", "circle", "--step", "0.01", "--step-y", "0.05",
+                    "--csv", str(csv), "--svg", str(tmp_path / "c.svg")])
+        capsys.readouterr()
+        assert code == 0
+        path = trace(circle_field(), Point2(1.0, 0.0), MINUS_Y, TraceConfig(step=0.01, step_y=0.05))
+        library = tmp_path / "library.csv"
+        with library.open("w", newline="") as fh:
+            write_points_csv(path, fh)
+        assert len(path) == 237
+        assert csv.read_bytes() == library.read_bytes()
+
+    def test_omitted_flags_take_the_library_defaults(self, tmp_path, capsys, monkeypatch):
+        import foldtrace.cli as cli
+        from foldtrace.tracer import TraceConfig
+
+        received = {}
+
+        def stub(**kwargs):
+            received.update(kwargs)
+            return TraceConfig(**kwargs)
+
+        monkeypatch.setattr(cli, "TraceConfig", stub)
+        code = run(["trace", "--problem", "circle", "--scan-n", "4",
+                    "--csv", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")])
+        capsys.readouterr()
+        assert code == 0
+        assert received == {"step": 0.05, "mesh_count": 4}
+
     def test_first_point_stall_exits_2_with_partial_csv(self, tmp_path, capsys):
         # at delta=0.002 the slice solve loses the curve at the start cusp,
         # before any history exists to choose an exit from

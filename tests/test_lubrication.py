@@ -342,6 +342,9 @@ class TestTraceStates:
         ({"initial": "z"}, "cannot parse direction"),
         ({"m": 7}, "m must be even"),
         ({"epsilon": float("nan")}, "epsilon must be positive"),
+        ({"scan_n": 8.5}, "mesh_count must be an integer"),
+        ({"scan_k": 2.5}, "reference_lag must be an integer"),
+        ({"max_points": 100.5}, "max_points must be an integer"),
     ])
     def test_bad_settings_fail_before_the_seed_solve(self, monkeypatch, setting, message):
         def no_seed(self, M, Q0=None):

@@ -32,7 +32,26 @@ from foldtrace.tracer import (
     step,
     trace,
 )
-from foldtrace.turnpoint import ScanConfig
+
+
+class TestTraceConfig:
+    def test_invalid_values_rejected(self):
+        for kwargs in ({"mesh_count": 0}, {"radius": 0.0}, {"radius": -1.0}, {"reference_lag": 0},
+                       {"residual_tol": 0.0}, {"residual_tol": -1e-10}):
+            with pytest.raises(ValueError):
+                TraceConfig(**{"step": 0.1, **kwargs})
+
+    @pytest.mark.parametrize("name", ["mesh_count", "reference_lag", "max_points"])
+    @pytest.mark.parametrize("value", [8.5, 8.0, "8", None])
+    def test_counts_must_be_integers(self, name, value):
+        # a float count would pass a range check and fail only at the first scan
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TraceConfig(step=0.1, **{name: value})
+
+    def test_radius_defaults_to_the_larger_step(self):
+        assert TraceConfig(step=0.01, step_y=0.05).radius == 0.05
+        assert TraceConfig(step=0.05, step_y=0.01).radius == 0.05
+        assert TraceConfig(step=0.01, step_y=0.05, radius=0.02).radius == 0.02
 
 
 class TestStep:
@@ -201,9 +220,8 @@ def circle_path():
 
 @pytest.fixture(scope="module")
 def astroid_path():
-    cfg = TraceConfig(step=0.01, scan=ScanConfig(radius=0.01, mesh_count=8,
-                                                 reference_lag=5, residual_tol=1e-10),
-                      max_points=1200)
+    cfg = TraceConfig(step=0.01, radius=0.01, mesh_count=8, reference_lag=5,
+                      residual_tol=1e-10, max_points=1200)
     return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, cfg)
 
 
@@ -330,8 +348,7 @@ class TestTraceMisc:
         # a 3-point mesh straddles the thin strip between the astroid's
         # branches at the cusp without sampling inside it, so the scan comes
         # back empty and the trace stops instead of guessing
-        cfg = TraceConfig(step=0.01, scan=ScanConfig(radius=0.01, mesh_count=3),
-                          max_points=400)
+        cfg = TraceConfig(step=0.01, radius=0.01, mesh_count=3, max_points=400)
         path = trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, cfg)
         assert path.termination is Termination.TERMINATED
         assert len(path.events) == 0

@@ -7,10 +7,10 @@ from foldtrace.errors import CurveTerminated, FieldEvaluationError, Insufficient
 from foldtrace.fields import circle_field
 from foldtrace.astroid import astroid_field
 from foldtrace.geometry import MINUS_X, PLUS_X, PLUS_Y, Axis, Point2, TurningPointKind
+from foldtrace.tracer import TraceConfig
 from foldtrace.turnpoint import (
     Candidate,
     CandidateSet,
-    ScanConfig,
     arc_point,
     choose_reference_point,
     mesh_half_circle,
@@ -89,7 +89,7 @@ class TestScanBoundary:
         # unit circle meets the r=0.2 disk at x=0.98: y = +-sqrt(1-0.98^2)
         field = circle_field()
         center = Point2(1.0, 0.0)
-        cfg = ScanConfig(radius=0.2, mesh_count=n, residual_tol=1e-10)
+        cfg = TraceConfig(step=0.2, mesh_count=n, residual_tol=1e-10)
         found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         assert len(found) == 2
         expected_y = math.sqrt(1.0 - 0.98 ** 2)
@@ -107,7 +107,7 @@ class TestScanBoundary:
     ])
     def test_line_crossing_found_on_every_arc(self, kind, field):
         center = Point2(0.0, 0.0)
-        cfg = ScanConfig(radius=0.5, mesh_count=8, residual_tol=1e-10)
+        cfg = TraceConfig(step=0.5, mesh_count=8, residual_tol=1e-10)
         found = scan_boundary(field, center, kind, cfg)
         assert len(found) == 1
         assert abs(field(found.candidates[0].point.x, found.candidates[0].point.y)) <= 1e-10
@@ -116,14 +116,14 @@ class TestScanBoundary:
     def test_disjoint_disk_empty(self):
         field = circle_field()
         center = Point2(3.0, 0.0)
-        cfg = ScanConfig(radius=0.2, mesh_count=8)
+        cfg = TraceConfig(step=0.2, mesh_count=8)
         assert len(scan_boundary(field, center, TurningPointKind.TYPE1, cfg)) == 0
 
     def test_astroid_cusp_symmetric_pair(self):
         field = astroid_field()
         center = Point2(1.0, 0.0)
         r = 1e-3
-        cfg = ScanConfig(radius=r, mesh_count=8, residual_tol=1e-10)
+        cfg = TraceConfig(step=r, mesh_count=8, residual_tol=1e-10)
         found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         assert len(found) == 2
         a, b = found.candidates
@@ -149,7 +149,7 @@ class TestScanBoundary:
     def test_mesh_indices_strictly_increasing(self):
         field = circle_field()
         center = Point2(1.0, 0.0)
-        cfg = ScanConfig(radius=0.2, mesh_count=16)
+        cfg = TraceConfig(step=0.2, mesh_count=16)
         found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         indices = [c.mesh_index for c in found]
         assert indices == sorted(set(indices))
@@ -161,7 +161,7 @@ class TestScanBoundary:
             return x * x + y * y - 1.0
 
         center = Point2(1.0, 0.0)
-        cfg = ScanConfig(radius=0.2, mesh_count=8)
+        cfg = TraceConfig(step=0.2, mesh_count=8)
         found = scan_boundary(field, center, TurningPointKind.TYPE1, cfg)
         assert found.skipped_mesh_indices
         assert len(found) == 1  # only the lower intersection is reachable
@@ -180,7 +180,7 @@ class TestScanBoundary:
                     calls.append((x, y))
                     return 1.0
 
-                found = scan_boundary(field, center, kind, ScanConfig(radius=r, mesh_count=n))
+                found = scan_boundary(field, center, kind, TraceConfig(step=r, mesh_count=n))
                 assert len(found) == 0
                 mesh = mesh_half_circle(center, r, n, kind)
                 assert calls[:n] == [(p.x, p.y) for p in mesh]
@@ -201,7 +201,7 @@ class TestScanBoundary:
             calls.append((x, y))
             return field(x, y)
 
-        found = scan_boundary(counted, center, TurningPointKind.TYPE1, ScanConfig(radius=r, mesh_count=8))
+        found = scan_boundary(counted, center, TurningPointKind.TYPE1, TraceConfig(step=r, mesh_count=8))
         assert len(found) == 2
         assert len(calls) <= budget
 
@@ -216,7 +216,7 @@ class TestScanBoundary:
             return x * x + y * y - 1.0
 
         center = Point2(1.0, 0.0)
-        found = scan_boundary(field, center, TurningPointKind.TYPE1, ScanConfig(radius=0.2, mesh_count=8))
+        found = scan_boundary(field, center, TurningPointKind.TYPE1, TraceConfig(step=0.2, mesh_count=8))
         assert found.skipped_mesh_indices == [0]
         assert len(found) == 1
         assert found.candidates[0].mesh_index == 7
@@ -227,47 +227,39 @@ class TestScanBoundary:
         # point (-1, 0) and at the far end (0, -1); both are roots.
         center = Point2(0.0, 0.0)
         kind = TurningPointKind.TYPE1
-        found = scan_boundary(lambda x, y: x + y + 1.0, center, kind, ScanConfig(radius=1.0, mesh_count=2))
+        found = scan_boundary(lambda x, y: x + y + 1.0, center, kind, TraceConfig(step=1.0, mesh_count=2))
         assert [c.mesh_index for c in found] == [1, 2]
         assert found.candidates[0].point == mesh_half_circle(center, 1.0, 2, kind)[1]
         assert found.candidates[1].point == arc_point(center, 1.0, kind, math.pi)
 
 
-class TestScanConfig:
-    def test_invalid_values_rejected(self):
-        for kwargs in ({"mesh_count": 0}, {"radius": 0.0}, {"radius": -1.0}, {"reference_lag": 0},
-                       {"residual_tol": 0.0}, {"residual_tol": -1e-10}):
-            with pytest.raises(ValueError):
-                ScanConfig(**{"radius": 0.1, **kwargs})
-
-
 class TestChooseReferencePoint:
     def test_lag_index(self):
         path = [Point2(0.0, 0.0), Point2(0.1, 0.0), Point2(0.2, 0.0)]
-        cfg = ScanConfig(radius=100.0, reference_lag=1)
+        cfg = TraceConfig(step=100.0, reference_lag=1)
         assert choose_reference_point(path, 2, cfg) == Point2(0.1, 0.0)
 
     def test_outside_disk_falls_forward(self):
         xs = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
         path = [Point2(x, 0.0) for x in xs]
-        cfg = ScanConfig(radius=0.2, reference_lag=5)
+        cfg = TraceConfig(step=0.2, reference_lag=5)
         # index 4 is 0.5 away; index 7 sits on the disk boundary (excluded);
         # index 8 is the first strictly-inside point
         assert choose_reference_point(path, 9, cfg) == Point2(0.8, 0.0)
 
     def test_lag_clamped_to_first(self):
         path = [Point2(0.0, 0.0), Point2(1.0, 1.0)]
-        cfg = ScanConfig(radius=100.0, reference_lag=10)
+        cfg = TraceConfig(step=100.0, reference_lag=10)
         assert choose_reference_point(path, 1, cfg) == Point2(0.0, 0.0)
 
     def test_predecessor_fallback(self):
         path = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.0)]
-        cfg = ScanConfig(radius=1e-6, reference_lag=2)
+        cfg = TraceConfig(step=1e-6, reference_lag=2)
         assert choose_reference_point(path, 2, cfg) == Point2(1.0, 0.0)
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
-            choose_reference_point([Point2(0, 0)], 0, ScanConfig(radius=1.0))
+            choose_reference_point([Point2(0, 0)], 0, TraceConfig(step=1.0))
 
 
 def _cs(*points):
