@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import sys
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from . import astroid as astroid_mod
 from .errors import ExpressionError, FoldtraceError, TraceError
@@ -41,6 +41,13 @@ _DEFAULT_SEED = {  # start, direction and step of each problem
 }
 # `trace` flags that are not TraceConfig settings
 _TRACE_INPUTS = ("command", "func", "problem", "expr", "start", "dir", "csv", "svg")
+# the flag that sets each setting a library error message names, per command
+_TRACE_FLAGS = dict(step="--step", step_y="--step-y", radius="--scan-r", mesh_count="--scan-n",
+                    reference_lag="--scan-k", residual_tol="--tol", max_points="--max-points")
+_VERIFY_FLAGS = dict(step="--delta", radius="--r-factors", reference_lag="--k-values",
+                     mesh_count="--n-values")
+_LUBRICATION_FLAGS = dict(_TRACE_FLAGS, step="--step-q", step_y="--step-m", epsilon="--epsilon",
+                          m="--m")
 
 
 class _CliError(Exception):
@@ -98,6 +105,12 @@ def _integral(value: float) -> int:
     return int(value)
 
 
+def _flag_named(exc: ValueError, flags: Dict[str, str]) -> str:
+    """A library error's message, naming the flag instead of the setting it starts with."""
+    name, _, rest = str(exc).partition(" ")
+    return f"{flags[name]} {rest}" if name in flags else str(exc)
+
+
 def _print_summary(path: SolutionPath) -> None:
     reason = path.termination.value if path.termination else "unknown"
     print(f"points: {len(path)}")
@@ -140,7 +153,7 @@ def cmd_trace(args) -> int:
         direction = StepDirection.parse(direction)
         cfg = TraceConfig(**settings)
     except ValueError as exc:
-        raise _CliError(f"bad trace setting: {exc}") from exc
+        raise _CliError(f"bad trace setting: {_flag_named(exc, _TRACE_FLAGS)}") from exc
 
     try:
         start = polish_transverse(field, start, direction, tol=cfg.residual_tol)
@@ -174,7 +187,7 @@ def cmd_verify(args) -> int:
     try:
         results = astroid_mod.run_sweep(r_factors, k_values, n_values, args.delta)
     except ValueError as exc:
-        raise _CliError(f"bad verify setting: {exc}") from exc
+        raise _CliError(f"bad verify setting: {_flag_named(exc, _VERIFY_FLAGS)}") from exc
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -210,18 +223,19 @@ def cmd_lubrication(args) -> int:
     settings = {k: v for k, v in vars(args).items()
                 if k not in ("command", "func", "csv", "states_csv", "svg")}
     try:
-        path, states, _field = trace_bifurcation(**settings)
+        path, states, field = trace_bifurcation(**settings)
     except TraceError as exc:
         log.error("bifurcation trace failed: %s", exc)
         if exc.path is not None and len(exc.path):
             _write_outputs(exc.path, args.csv, args.svg, "lubrication (partial)")
         return 2
     except ValueError as exc:
-        raise _CliError(f"bad lubrication setting: {exc}") from exc
+        raise _CliError(f"bad lubrication setting: {_flag_named(exc, _LUBRICATION_FLAGS)}") from exc
     except FoldtraceError as exc:
         raise _CliError(f"lubrication setup failed: {exc}") from exc
 
     _print_summary(path)
+    print("film solves: " + ", ".join(f"{k} {v}" for k, v in field.counts.items()))
     _write_outputs(path, args.csv, args.svg, f"(Q, M) diagram, eps={states[0].epsilon:g}")
     if args.states_csv:
         with open(args.states_csv, "w", newline="") as fh:

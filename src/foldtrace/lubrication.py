@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -236,9 +236,12 @@ class BifurcationField:
     the lower branch, so mixing them scrambles sign changes along scan
     arcs.
 
-    Every converged state is kept, oldest first, and the one nearest the
-    probe in (Q, M) seeds the next solve (the oldest on a tie), so
-    evaluations track whichever branch the tracer is on.
+    Every converged state is kept, oldest first, with the mass of its
+    bordered solve. The nearest in (Q, M), oldest on a tie, answers if it
+    was solved at exactly M* (keeping its first solve's `iterations`);
+    else Newton starts from the secant through the two nearest (solved at
+    distinct masses), or from the nearest if there is none or it fails.
+    `counts` tallies the solves.
     Every converged evaluation is also recorded in `solved`, keyed by its
     exact probe point (Q, M). The tracer only accepts points at which it
     evaluated the field, so after a trace the state at each path point is
@@ -252,45 +255,93 @@ class BifurcationField:
             raise ValueError("epsilon must be positive and finite")
         self.epsilon = epsilon
         self.grid = grid
-        # row i of `_QM` is (Q, M) of `_states[i]`; later rows are spare, doubled when full
+        # row i of `_QM`: Q, M, bordered-solve mass (NaN: none) of `_states[i]`; then spare rows
         self._states: List[LubricationState] = []
-        self._QM = np.empty((256, 2))
+        self._QM = np.empty((256, 3))
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
+        self.counts = dict.fromkeys(
+            ("bordered", "reused", "secant", "retried", "fallbacks", "factorizations"), 0)
 
-    def _remember(self, state: LubricationState) -> None:
+    def _remember(self, state: LubricationState, solved_at: float = math.nan) -> None:
         n = len(self._states)
         if n == len(self._QM):
             self._QM = np.concatenate([self._QM, np.empty_like(self._QM)])
-        self._QM[n, 0] = state.Q
-        self._QM[n, 1] = state.M
+        self._QM[n] = state.Q, state.M, solved_at
         self._states.append(state)
 
-    def _warm(self, Q: float, M: float) -> Tuple[np.ndarray, float]:
+    def _nearest(self, Q: float, M: float) -> Tuple[int, int]:
+        """Rows of the two nearest kept states (oldest first on a tie), -1 for a missing one."""
         n = len(self._states)
         if not n:
+            return -1, -1
+        d = (self._QM[:n, 0] - Q) ** 2 + (self._QM[:n, 1] - M) ** 2
+        near = int(d.argmin())  # the first minimum
+        d[near] = math.inf
+        return near, int(d.argmin()) if n > 1 else -1
+
+    def _warm(self, row: int, Q: float, M: float) -> Tuple[np.ndarray, float]:
+        if row < 0:
             mean = max(M, 0.5) / TWO_PI
             return np.full(self.grid.m, max(mean, 0.05)), max(Q, 0.05)
-        d = (self._QM[:n, 0] - Q) ** 2 + (self._QM[:n, 1] - M) ** 2
-        nearest = self._states[int(np.argmin(d))]  # the first minimum: the oldest
-        return nearest.h.copy(), nearest.Q
+        return self._states[row].h.copy(), self._states[row].Q
+
+    def _solve(self, kind: str, solve: Callable[..., LubricationState], *args) -> LubricationState:
+        """solve(*args), counted as `kind` and by its factorizations."""
+        self.counts[kind] += 1
+        try:
+            state = solve(*args)
+        except NoConvergence as exc:
+            self.counts["factorizations"] += exc.iterations
+            raise
+        self.counts["factorizations"] += state.iterations
+        return state
+
+    def _bordered(self, M: float, h0, Q0: float) -> LubricationState:
+        return self._solve("bordered", solve_at_M, M, self.epsilon, self.grid, h0, Q0,
+                           _FIELD_TOL, _FIELD_MAX_ITER, self._lu)
+
+    def _secant(self, near: int, other: int, M: float) -> Optional[LubricationState]:
+        """The bordered solve at M from z1 + (M - M1)/(M1 - M2)·(z1 - z2), z = (h, Q), through
+        rows `near` and `other` if solved at distinct masses; None if none or it fails."""
+        if other < 0:
+            return None
+        M1, M2 = self._QM[near, 2], self._QM[other, 2]
+        if not abs(M1 - M2) > 0.0:  # equal masses, or NaN: a fixed-flux state
+            return None
+        s1, s2 = self._states[near], self._states[other]
+        t = (M - M1) / (M1 - M2)
+        h = s1.h + t * (s1.h - s2.h)
+        if not h.min() > 0.0:
+            return None
+        self.counts["secant"] += 1
+        try:
+            return self._bordered(M, h, s1.Q + t * (s1.Q - s2.Q))
+        except _SOLVE_FAILURES:
+            self.counts["retried"] += 1
+            return None
 
     def __call__(self, Q: float, M: float) -> float:
-        h0, Q0 = self._warm(Q, M)
+        near, other = self._nearest(Q, M)
+        if near >= 0 and self._QM[near, 2] == M:
+            self.counts["reused"] += 1
+            state = self.solved[(Q, M)] = self._states[near]
+            return state.Q - Q
+        h0, Q0 = self._warm(near, Q, M)
         try:
-            state = solve_at_M(M, self.epsilon, self.grid, h0, Q0, _FIELD_TOL, _FIELD_MAX_ITER,
-                               self._lu)
-            residual = state.Q - Q
+            state = self._secant(near, other, M) or self._bordered(M, h0, Q0)
+            residual, solved_at = state.Q - Q, M
         except _SOLVE_FAILURES as first:
             try:
-                state = solve_at_Q(Q, self.epsilon, self.grid, h0, _FIELD_TOL, _FIELD_MAX_ITER)
+                state = self._solve("fallbacks", solve_at_Q, Q, self.epsilon, self.grid, h0,
+                                    _FIELD_TOL, _FIELD_MAX_ITER)
             except _SOLVE_FAILURES as second:
                 raise FieldEvaluationError(
                     f"both solves failed at (Q={Q:.6g}, M={M:.6g}): "
                     f"fixed-M: {first}; fixed-Q: {second}"
                 ) from second
-            residual = state.M - M
-        self._remember(state)
+            residual, solved_at = state.M - M, math.nan
+        self._remember(state, solved_at)
         self.solved[(Q, M)] = state
         return residual
 
@@ -316,10 +367,10 @@ class BifurcationField:
 
         state = None
         for eps in stages:
-            state = solve_at_M(M, eps, self.grid, h, Q,
-                               _FIELD_TOL if eps == self.epsilon else 1e-9, max_iter=60)
+            state = self._solve("bordered", solve_at_M, M, eps, self.grid, h, Q,
+                                _FIELD_TOL if eps == self.epsilon else 1e-9, 60)
             h, Q = state.h, state.Q
-        self._remember(state)
+        self._remember(state, M)
         return state
 
 

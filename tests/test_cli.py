@@ -175,6 +175,26 @@ _NAMED_IN_THE_MESSAGE = {
     ("lubrication", "--seed-mass", "0"): "seed mass must be positive and finite",
     ("verify", "--k-values", "4.6"): "4.6 is not an integer",
     ("verify", "--n-values", "7.5"): "7.5 is not an integer",
+    # a library check names the flag that was typed, not the setting it sets
+    ("verify", "--delta", "-1"): "--delta must be positive and finite",
+    ("verify", "--delta", "nan"): "--delta must be positive and finite",
+    ("verify", "--r-factors", "-1"): "--r-factors must be positive and finite",
+    ("verify", "--k-values", "0"): "--k-values must be >= 1",
+    ("verify", "--n-values", "0"): "--n-values must be >= 1",
+    ("trace", "--problem", "circle", "--scan-n", "0"): "--scan-n must be >= 1",
+    ("trace", "--problem", "circle", "--tol", "-1"): "--tol must be positive and finite",
+    ("trace", "--problem", "circle", "--max-points", "1"): "--max-points must be >= 2",
+    ("trace", "--problem", "circle", "--scan-r", "nan"): "--scan-r must be positive and finite",
+    ("lubrication", "--step-q", "nan"): "--step-q must be positive and finite",
+    ("lubrication", "--scan-n", "0"): "--scan-n must be >= 1",
+    ("lubrication", "--tol", "-1"): "--tol must be positive and finite",
+    ("lubrication", "--max-points", "1"): "--max-points must be >= 2",
+    ("lubrication", "--step-m", "-1"): "--step-m must be positive and finite",
+    ("lubrication", "--scan-r", "0"): "--scan-r must be positive and finite",
+    ("lubrication", "--scan-k", "0"): "--scan-k must be >= 1",
+    ("lubrication", "--m", "7"): "--m must be even",
+    ("lubrication", "--epsilon", "nan"): "--epsilon must be positive and finite",
+    ("lubrication", "--epsilon", "0"): "--epsilon must be positive and finite",
 }
 
 
@@ -253,6 +273,11 @@ class TestVerifyCommand:
         assert "cannot write" in capsys.readouterr().err
 
 
+def _field():
+    from foldtrace.lubrication import BifurcationField, SpectralGrid
+    return BifurcationField(1e-3, SpectralGrid.build(8))
+
+
 class TestLubricationCommand:
     def test_odd_grid_rejected(self, capsys):
         code = run(["lubrication", "--m", "127"])
@@ -271,6 +296,7 @@ class TestLubricationCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "points:" in out
+        assert "film solves: bordered " in out and ", factorizations " in out
         assert csv.exists() and states.exists() and svg.exists()
         with open(states) as fh:
             header = fh.readline().strip().split(",")
@@ -289,7 +315,7 @@ class TestLubricationCommand:
             received.update(kwargs)
             path = SolutionPath()
             path.append(Point2(0.5, 6.0))
-            return path, [LubricationState(h=[1.0] * 8, Q=0.5, M=6.0, epsilon=1e-3)], None
+            return path, [LubricationState(h=[1.0] * 8, Q=0.5, M=6.0, epsilon=1e-3)], _field()
 
         monkeypatch.setattr(cli, "trace_bifurcation", stub)
         code = run(["lubrication", "--step-q", "1e-4", "--dir", "-y", "--scan-r", "0.2",
@@ -310,7 +336,7 @@ class TestLubricationCommand:
             path.append(Point2(x, 6.0))
         path.termination = Termination.RETRACED
         states = [LubricationState(h=[1.0] * 8, Q=p.x, M=p.y, epsilon=1e-3) for p in path]
-        monkeypatch.setattr(cli, "trace_bifurcation", lambda **_kw: (path, states, None))
+        monkeypatch.setattr(cli, "trace_bifurcation", lambda **_kw: (path, states, _field()))
         outputs = [tmp_path / name for name in ("b.csv", "st.csv", "b.svg")]
         code = run(["lubrication", "--csv", str(outputs[0]), "--states-csv", str(outputs[1]),
                     "--svg", str(outputs[2])])

@@ -231,8 +231,11 @@ class TestSolves:
 
 
 def _warm(field, M):
-    h0, Q0 = field._warm(0.66, M)
-    return h0, Q0
+    return _nearest_film(field, 0.66, M)
+
+
+def _nearest_film(field, Q, M):
+    return field._warm(field._nearest(Q, M)[0], Q, M)
 
 
 class TestBifurcationField:
@@ -371,11 +374,19 @@ class TestWarmStartLookup:
 
     def _assert_same_pick(self, field, states, probes):
         for Q, M in probes:
-            h0, Q0 = field._warm(Q, M)
+            first, second = field._nearest(Q, M)
+            h0, Q0 = field._warm(first, Q, M)
             expected = self._min_lookup(states, Q, M)
+            assert field._states[first] is expected
             assert Q0 == expected.Q
             assert np.array_equal(h0, expected.h)
             assert h0 is not expected.h  # the caller gets a copy
+            # the second pick is the first minimum over every other state
+            others = [s for s in states if s is not expected]
+            if others:
+                assert field._states[second] is self._min_lookup(others, Q, M)
+            else:
+                assert second == -1
 
     def test_exact_ties_pick_the_oldest(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
@@ -385,7 +396,7 @@ class TestWarmStartLookup:
                                             (1.0, 0.0)]]
         for state in states:
             field._remember(state)
-        h0, Q0 = field._warm(0.0, 0.0)
+        h0, Q0 = _nearest_film(field, 0.0, 0.0)
         assert Q0 == 1.0 and np.array_equal(h0, states[0].h)
         self._assert_same_pick(field, states, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
 
@@ -406,7 +417,7 @@ class TestWarmStartLookup:
             states.append(state)
             assert field._states == states
             self._assert_same_pick(field, states, probes)
-            h0, Q0 = field._warm(states[0].Q, states[0].M)
+            h0, Q0 = _nearest_film(field, states[0].Q, states[0].M)
             assert Q0 == states[0].Q and np.array_equal(h0, states[0].h)
 
     def test_ring_matches_a_plain_list_fifo(self):
@@ -428,8 +439,87 @@ class TestWarmStartLookup:
 
     def test_empty_cache_uses_flat_film(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
-        h0, Q0 = field._warm(0.6, TWO_PI)
+        assert field._nearest(0.6, TWO_PI) == (-1, -1)
+        h0, Q0 = field._warm(-1, 0.6, TWO_PI)
         assert Q0 == 0.6 and np.allclose(h0, 1.0)
+
+
+def _seeded_field():
+    field = BifurcationField(0.1, SpectralGrid.build(32))
+    return field, field.seed(TWO_PI)
+
+
+def _logging_solves(monkeypatch, fail_at_M=0):
+    """Log every solve_at_M start (h0, Q0) and solve_at_Q call, in order; the
+    first `fail_at_M` bordered solves raise NoConvergence instead of running."""
+    log = []
+    real_at_M, real_at_Q = lubrication.solve_at_M, lubrication.solve_at_Q
+
+    def at_M(M, epsilon, grid, h0, Q0, *args):
+        log.append(("M", np.array(h0), Q0))
+        if len(log) <= fail_at_M:
+            raise NoConvergence("forced", iterations=0)
+        return real_at_M(M, epsilon, grid, h0, Q0, *args)
+
+    def at_Q(*args):
+        log.append(("Q",))
+        return real_at_Q(*args)
+
+    monkeypatch.setattr(lubrication, "solve_at_M", at_M)
+    monkeypatch.setattr(lubrication, "solve_at_Q", at_Q)
+    return log
+
+
+class TestPredictedStarts:
+    def test_same_mass_probe_reuses_the_state_without_a_solve(self, monkeypatch):
+        field, seed = _seeded_field()
+        field(seed.Q, TWO_PI + 0.05)  # a second state, solved at a new mass
+        kept = list(field._states)
+        log = _logging_solves(monkeypatch)
+        for Q, M, state in [(seed.Q + 0.01, TWO_PI, seed), (0.5, TWO_PI + 0.05, kept[1])]:
+            # what a bordered solve from the state would return: the state itself
+            expected = solve_at_M(M, 0.1, field.grid, state.h, state.Q, 1e-11, 12).Q - Q
+            assert field(Q, M) == expected == state.Q - Q
+            assert field.solved[(Q, M)] is state
+        assert log == []
+        assert field._states == kept
+        assert field.counts["reused"] == 2
+
+    def test_secant_start_through_the_two_nearest_states(self, monkeypatch):
+        field, seed = _seeded_field()
+        field(seed.Q, TWO_PI + 0.05)  # one state kept so far: no secant, start from the seed
+        assert field.counts["secant"] == 0
+        s1 = field._states[1]
+        log = _logging_solves(monkeypatch)
+        field(s1.Q, TWO_PI + 0.1)
+        (_, h0, Q0), = log
+        assert np.allclose(h0, 2.0 * s1.h - seed.h, rtol=0, atol=1e-14)
+        assert Q0 == pytest.approx(2.0 * s1.Q - seed.Q, abs=1e-14)
+        assert field.counts["secant"] == 1
+
+    def test_failed_secant_start_is_retried_from_the_nearest_state(self, monkeypatch):
+        field, seed = _seeded_field()
+        field(seed.Q, TWO_PI + 0.05)
+        s1 = field._states[1]
+        direct = solve_at_M(TWO_PI + 0.1, 0.1, field.grid, s1.h, s1.Q, 1e-11, 12).Q - s1.Q
+        log = _logging_solves(monkeypatch, fail_at_M=1)
+        value = field(s1.Q, TWO_PI + 0.1)
+        assert [entry[0] for entry in log] == ["M", "M"]  # no fixed-Q solve ran
+        assert not np.array_equal(log[0][1], s1.h)
+        assert np.array_equal(log[1][1], s1.h) and log[1][2] == s1.Q
+        assert value == pytest.approx(direct, abs=1e-10)
+        counts = field.counts
+        assert (counts["secant"], counts["retried"], counts["fallbacks"]) == (1, 1, 0)
+
+    def test_fixed_flux_fallback_starts_from_the_nearest_state(self, monkeypatch):
+        field, seed = _seeded_field()
+        field(seed.Q, TWO_PI + 0.05)
+        s1 = field._states[1]
+        log = _logging_solves(monkeypatch, fail_at_M=2)
+        field(s1.Q, TWO_PI + 0.1)
+        assert [entry[0] for entry in log] == ["M", "M", "Q"]
+        assert (field.counts["retried"], field.counts["fallbacks"]) == (1, 1)
+        assert np.isnan(field._QM[2, 2])  # a fixed-flux state records no bordered mass
 
 
 class TestDerivativeOperator:
@@ -483,13 +573,24 @@ def default_diagram_counts():
     factorizations, fixed-Q fallbacks and residual evaluations."""
     residuals = []
     at_Q = []
+    at_M = []  # per bordered solve: whether a field evaluation made it
     evaluations = []
+    inside = []  # the evaluation running now, if any
     real_residual, real_at_Q = lubrication.residual_fixed_Q, lubrication.solve_at_Q
+    real_at_M = lubrication.solve_at_M
     real_call = BifurcationField.__call__
 
     def counting_call(self, Q, M):
         evaluations.append((Q, M))
-        return real_call(self, Q, M)
+        inside.append((Q, M))
+        try:
+            return real_call(self, Q, M)
+        finally:
+            inside.pop()
+
+    def counting_at_M(*args, **kwargs):
+        at_M.append(bool(inside))
+        return real_at_M(*args, **kwargs)
 
     def counting_residual(*args, **kwargs):
         residuals.append(1)
@@ -503,10 +604,12 @@ def default_diagram_counts():
         shapes = _spy_factorizations(mp)
         mp.setattr(lubrication, "residual_fixed_Q", counting_residual)
         mp.setattr(lubrication, "solve_at_Q", counting_at_Q)
+        mp.setattr(lubrication, "solve_at_M", counting_at_M)
         mp.setattr(BifurcationField, "__call__", counting_call)
-        path, _states, _field = trace_bifurcation()
-    return dict(path=path, factorizations=len(shapes), fallbacks=len(at_Q),
-                residuals=len(residuals), evaluations=len(evaluations))
+        path, _states, field = trace_bifurcation()
+    return dict(path=path, field=field, factorizations=len(shapes), fallbacks=len(at_Q),
+                residuals=len(residuals), evaluations=len(evaluations), bordered=len(at_M),
+                bordered_in_evaluations=sum(at_M))
 
 
 class TestFactorizationReuse:
@@ -523,20 +626,42 @@ class TestFactorizationReuse:
 
     def test_default_diagram_reuses_the_bordered_factorization(self, default_diagram_counts):
         # the whole default diagram made 1,468 factorizations when every
-        # Newton iteration factored; the shared one brought it to 373, and
-        # the tracer's secant predictor to 336
+        # Newton iteration factored; the shared one brought it to 373, the
+        # tracer's secant predictor to 336, and the field's own predicted
+        # starts (same-mass reuse, secant in (h, Q)) to 243
         path = default_diagram_counts["path"]
         assert len(path.points) == 280 and len(path.events) == 1
         assert path.termination.name == "LEFT_DOMAIN"
         assert default_diagram_counts["fallbacks"] == 1
-        assert 0 < default_diagram_counts["factorizations"] <= 400
+        assert 0 < default_diagram_counts["factorizations"] <= 260
 
     def test_default_diagram_residual_budget(self, default_diagram_counts):
-        # 3,668 residual evaluations (bordered and fixed-Q) per diagram;
-        # 4,208 before the secant predictor
-        assert 0 < default_diagram_counts["residuals"] <= 4000
+        # 2,640 residual evaluations (bordered and fixed-Q) per diagram;
+        # 3,648 before the predicted starts, 4,208 before the tracer's
+        # secant predictor
+        assert 0 < default_diagram_counts["residuals"] <= 2800
 
     def test_default_diagram_field_evaluation_budget(self, default_diagram_counts):
-        # 884 field evaluations, each a warm-started bordered solve; 1,031
-        # before the secant predictor
+        # 880 field evaluations, 470 of them answered by a state already
+        # solved at the probed mass; 1,031 before the tracer's secant
+        # predictor
         assert 0 < default_diagram_counts["evaluations"] <= 950
+
+    def test_field_counts_agree_with_the_spies(self, default_diagram_counts):
+        counts = default_diagram_counts["field"].counts
+        assert counts["bordered"] == default_diagram_counts["bordered"]
+        assert counts["factorizations"] == default_diagram_counts["factorizations"]
+        assert counts["fallbacks"] == default_diagram_counts["fallbacks"]
+        # an evaluation is reused or makes one bordered solve, two when retried
+        assert counts["reused"] == (default_diagram_counts["evaluations"] + counts["retried"]
+                                 - default_diagram_counts["bordered_in_evaluations"])
+        assert counts["reused"] > 0 and 0 < counts["secant"] <= counts["bordered"]
+
+
+@pytest.mark.parametrize("m, points, event_index", [(64, 282, 46), (128, 280, 44),
+                                                     (256, 280, 44)])
+def test_diagram_keeps_its_shape_across_grid_sizes(m, points, event_index):
+    path, _states, _field = trace_bifurcation(m=m)
+    assert len(path.points) == points
+    assert [event.index for event in path.events] == [event_index]
+    assert path.termination.name == "LEFT_DOMAIN"
