@@ -9,8 +9,9 @@ Derivatives are Fourier spectral differentiation matrices, so the rectangle
 rule is the natural (spectrally accurate) quadrature. Fixing Q leaves m
 unknowns (h, solved with the m x m Jacobian); fixing M leaves m+1 (h and
 Q, solved with a bordered (m+1) x (m+1) Jacobian). The BifurcationField
-adapter exposes the (Q, M) solution curve to the tracer, so folds in the
-bifurcation diagram are navigated like any other turning point.
+adapter exposes the (Q, M) solution curve to the tracer through bordered
+solves alone, so folds in the bifurcation diagram are navigated like any
+other turning point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -225,16 +226,16 @@ class BifurcationField:
     """Residual field over the (Q, M) plane backed by warm-started solves.
 
     Evaluating at (Q*, M*) solves the bordered fixed-mass system at M* and
-    reports the flux mismatch Q(M*) - Q*; if that Newton fails (a fold in
-    M, or mass outside the solvable range) the m x m fixed-flux solve is
-    tried and the mass mismatch reported. The bordered system stays
+    reports the flux mismatch Q(M*) - Q*. The bordered system stays
     regular across folds in Q, where the fixed-flux Jacobian is singular,
     which makes the residual single-valued and sign-coherent exactly where
-    the boundary scan needs to bracket roots. A fixed-flux-first variant
-    was tried and rejected: warm starts let it converge to whichever
-    branch seeded it, and the two residuals carry opposite orientations on
-    the lower branch, so mixing them scrambles sign changes along scan
-    arcs.
+    the boundary scan needs to bracket roots. That one orientation is why
+    there is no fixed-flux fallback: a mass mismatch carries the opposite
+    sign on the lower branch, so mixing the two scrambles sign changes
+    along scan arcs. Where the bordered Newton fails (a fold in M, or mass
+    outside the solvable range) the evaluation raises
+    FieldEvaluationError, which a slice solve counts as a stall and a
+    scan as a skipped sample.
 
     Every converged state is kept, oldest first, with the mass of its
     bordered solve. The nearest in (Q, M), oldest on a tie, answers if it
@@ -255,15 +256,15 @@ class BifurcationField:
             raise ValueError("epsilon must be positive and finite")
         self.epsilon = epsilon
         self.grid = grid
-        # row i of `_QM`: Q, M, bordered-solve mass (NaN: none) of `_states[i]`; then spare rows
+        # row i of `_QM`: Q, M, bordered-solve mass of `_states[i]`; then spare rows
         self._states: List[LubricationState] = []
         self._QM = np.empty((256, 3))
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
         self.counts = dict.fromkeys(
-            ("bordered", "reused", "secant", "retried", "fallbacks", "factorizations"), 0)
+            ("bordered", "reused", "secant", "retried", "factorizations"), 0)
 
-    def _remember(self, state: LubricationState, solved_at: float = math.nan) -> None:
+    def _remember(self, state: LubricationState, solved_at: float) -> None:
         n = len(self._states)
         if n == len(self._QM):
             self._QM = np.concatenate([self._QM, np.empty_like(self._QM)])
@@ -286,11 +287,11 @@ class BifurcationField:
             return np.full(self.grid.m, max(mean, 0.05)), max(Q, 0.05)
         return self._states[row].h.copy(), self._states[row].Q
 
-    def _solve(self, kind: str, solve: Callable[..., LubricationState], *args) -> LubricationState:
-        """solve(*args), counted as `kind` and by its factorizations."""
-        self.counts[kind] += 1
+    def _solve(self, *args) -> LubricationState:
+        """solve_at_M(*args), counted as a bordered solve and by its factorizations."""
+        self.counts["bordered"] += 1
         try:
-            state = solve(*args)
+            state = solve_at_M(*args)
         except NoConvergence as exc:
             self.counts["factorizations"] += exc.iterations
             raise
@@ -298,17 +299,15 @@ class BifurcationField:
         return state
 
     def _bordered(self, M: float, h0, Q0: float) -> LubricationState:
-        return self._solve("bordered", solve_at_M, M, self.epsilon, self.grid, h0, Q0,
-                           _FIELD_TOL, _FIELD_MAX_ITER, self._lu)
+        return self._solve(M, self.epsilon, self.grid, h0, Q0, _FIELD_TOL, _FIELD_MAX_ITER,
+                           self._lu)
 
     def _secant(self, near: int, other: int, M: float) -> Optional[LubricationState]:
         """The bordered solve at M from z1 + (M - M1)/(M1 - M2)·(z1 - z2), z = (h, Q), through
         rows `near` and `other` if solved at distinct masses; None if none or it fails."""
-        if other < 0:
+        if other < 0 or self._QM[near, 2] == self._QM[other, 2]:
             return None
         M1, M2 = self._QM[near, 2], self._QM[other, 2]
-        if not abs(M1 - M2) > 0.0:  # equal masses, or NaN: a fixed-flux state
-            return None
         s1, s2 = self._states[near], self._states[other]
         t = (M - M1) / (M1 - M2)
         h = s1.h + t * (s1.h - s2.h)
@@ -327,23 +326,14 @@ class BifurcationField:
             self.counts["reused"] += 1
             state = self.solved[(Q, M)] = self._states[near]
             return state.Q - Q
-        h0, Q0 = self._warm(near, Q, M)
         try:
-            state = self._secant(near, other, M) or self._bordered(M, h0, Q0)
-            residual, solved_at = state.Q - Q, M
-        except _SOLVE_FAILURES as first:
-            try:
-                state = self._solve("fallbacks", solve_at_Q, Q, self.epsilon, self.grid, h0,
-                                    _FIELD_TOL, _FIELD_MAX_ITER)
-            except _SOLVE_FAILURES as second:
-                raise FieldEvaluationError(
-                    f"both solves failed at (Q={Q:.6g}, M={M:.6g}): "
-                    f"fixed-M: {first}; fixed-Q: {second}"
-                ) from second
-            residual, solved_at = state.M - M, math.nan
-        self._remember(state, solved_at)
+            state = self._secant(near, other, M) or self._bordered(M, *self._warm(near, Q, M))
+        except _SOLVE_FAILURES as exc:
+            raise FieldEvaluationError(
+                f"bordered solve failed at (Q={Q:.6g}, M={M:.6g}): {exc}") from exc
+        self._remember(state, M)
         self.solved[(Q, M)] = state
-        return residual
+        return state.Q - Q
 
     def seed(self, M: float) -> LubricationState:
         """Converge an initial on-curve state at the given mass.
@@ -367,8 +357,8 @@ class BifurcationField:
 
         state = None
         for eps in stages:
-            state = self._solve("bordered", solve_at_M, M, eps, self.grid, h, Q,
-                                _FIELD_TOL if eps == self.epsilon else 1e-9, 60)
+            tol = _FIELD_TOL if eps == self.epsilon else 1e-9
+            state = self._solve(M, eps, self.grid, h, Q, tol, 60)
             h, Q = state.h, state.Q
         self._remember(state, M)
         return state
@@ -411,9 +401,12 @@ def trace_bifurcation(
         max_points=max_points,
         domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
     )
+    if seed_mass < min_mass:  # the trace would start outside its domain
+        raise ValueError(f"seed_mass {seed_mass:g} lies below min_mass {min_mass:g}")
     field = BifurcationField(epsilon, SpectralGrid.build(m))
     seed = field.seed(seed_mass)
-    path = trace(field, Point2(seed.Q, seed.M), direction, cfg)
+    # a seed solved at min_mass may land an ulp below it, outside the domain
+    path = trace(field, Point2(seed.Q, max(seed.M, min_mass)), direction, cfg)
     states = [field.solved.get((p.x, p.y)) for p in path.points]
     field.solved.clear()
     for p, state in zip(path.points, states):

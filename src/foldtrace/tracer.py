@@ -278,9 +278,12 @@ def trace(
     path bounds no area, see `_retraced`), when a boundary scan comes back
     empty, when the path leaves the configured domain, or at the point
     budget. Turning points on the way are navigated via the half-disk scan
-    and recorded as events.
+    and recorded as events. A start off the curve or outside the domain
+    raises ValueError.
     """
     path = SolutionPath()
+    if cfg.domain is not None and not cfg.domain.contains(start):
+        raise ValueError(f"start point {start} lies outside the domain {cfg.domain}")
     try:
         f0 = residual(start.x, start.y)
     except FieldEvaluationError as exc:
@@ -309,16 +312,17 @@ def trace(
             log.info("stall (%s) at point %d %s -> %s scan", outcome.reason, j, current, kind.name)
             path.flags[j] = FLAG_TURNING
 
+            try:  # before the scan: with no history there is no exit to choose
+                reference = choose_reference_point(path.points, j, cfg)
+            except InsufficientHistory as exc:
+                raise TraceError(f"stalled at the first path point ({outcome.reason}); "
+                                 f"no history to choose an exit: {exc}", path=path) from exc
             candidates = scan_boundary(residual, current, kind, cfg)
             try:
-                reference = choose_reference_point(path.points, j, cfg)
                 exit_point = select_exit_point(candidates, reference)
             except CurveTerminated:
                 path.termination = Termination.TERMINATED
                 break
-            except InsufficientHistory as exc:
-                raise TraceError(f"stalled at the first path point ({outcome.reason}); "
-                                 f"no history to choose an exit: {exc}", path=path) from exc
             try:
                 direction, restart = new_direction(current, exit_point, incoming=direction)
             except ZeroVector as exc:  # radius > 0 makes this unreachable in practice

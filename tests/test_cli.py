@@ -173,6 +173,9 @@ class TestTraceCommand:
 _NAMED_IN_THE_MESSAGE = {
     ("lubrication", "--seed-mass", "nan"): "seed mass must be positive and finite",
     ("lubrication", "--seed-mass", "0"): "seed mass must be positive and finite",
+    # a start outside the domain would trace nothing and report `left domain`
+    ("lubrication", "--seed-mass", "0.2"): "--seed-mass 0.2 lies below min_mass 0.3",
+    ("trace", "--problem", "circle", "--box", "2,3,2,3"): "outside the domain",
     ("verify", "--k-values", "4.6"): "4.6 is not an integer",
     ("verify", "--n-values", "7.5"): "7.5 is not an integer",
     # a library check names the flag that was typed, not the setting it sets
@@ -229,6 +232,8 @@ _NAMED_IN_THE_MESSAGE = {
     ["lubrication", "--epsilon", "0"],
     ["lubrication", "--seed-mass", "nan"],
     ["lubrication", "--seed-mass", "0"],
+    ["lubrication", "--seed-mass", "0.2"],
+    ["trace", "--problem", "circle", "--box", "2,3,2,3"],
 ])
 def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
     outputs = {"trace": ["--svg", str(tmp_path / "t.svg")],

@@ -7,6 +7,7 @@ import foldtrace.lubrication as lubrication
 import foldtrace.rootfind as rootfind
 import foldtrace.tracer
 from foldtrace.errors import FieldEvaluationError, NoConvergence, NonpositiveThickness, TraceError
+from foldtrace.geometry import TurningPointKind
 from foldtrace.lubrication import (
     TWO_PI,
     BifurcationField,
@@ -337,6 +338,13 @@ class TestTraceStates:
         with pytest.raises(TraceError, match="no converged state"):
             trace_bifurcation(**SMALL_DIAGRAM)
 
+    def test_seed_at_the_mass_floor_is_traced(self):
+        # the seed solved at M = 1 lands an ulp below it; the trace starts on
+        # the floor instead of being rejected as outside its domain
+        path, states, _field = trace_bifurcation(seed_mass=1.0, min_mass=1.0, max_points=5)
+        assert path.points[0].y == 1.0 and states[0].M < 1.0
+        assert len(path.points) == 5
+
     @pytest.mark.parametrize("setting, message", [
         ({"scan_n": 0}, "mesh_count"),
         ({"step_q": -1.0}, "step must be positive"),
@@ -348,6 +356,8 @@ class TestTraceStates:
         ({"scan_n": 8.5}, "mesh_count must be an integer"),
         ({"scan_k": 2.5}, "reference_lag must be an integer"),
         ({"max_points": 100.5}, "max_points must be an integer"),
+        ({"seed_mass": 0.2}, "seed_mass 0.2 lies below min_mass 0.3"),
+        ({"seed_mass": 2.0, "min_mass": 2.5}, "seed_mass 2 lies below min_mass 2.5"),
     ])
     def test_bad_settings_fail_before_the_seed_solve(self, monkeypatch, setting, message):
         def no_seed(self, M, Q0=None):
@@ -395,7 +405,7 @@ class TestWarmStartLookup:
         states = [_state(Q, M) for Q, M in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
                                             (1.0, 0.0)]]
         for state in states:
-            field._remember(state)
+            field._remember(state, state.M)
         h0, Q0 = _nearest_film(field, 0.0, 0.0)
         assert Q0 == 1.0 and np.array_equal(h0, states[0].h)
         self._assert_same_pick(field, states, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
@@ -413,7 +423,7 @@ class TestWarmStartLookup:
         states = []
         for i, (Q, M) in enumerate(grid_points):
             state = _state(Q + 1e-3 * (i % 2), M)
-            field._remember(state)
+            field._remember(state, state.M)
             states.append(state)
             assert field._states == states
             self._assert_same_pick(field, states, probes)
@@ -432,7 +442,7 @@ class TestWarmStartLookup:
         probes += [(float(q), float(m)) for q, m in rng.uniform(-1, 4, size=(2, 2))]
         for Q, M in rng.integers(0, 3, size=(600, 2)):
             state = _state(float(Q), float(M))
-            field._remember(state)
+            field._remember(state, state.M)
             states.append(state)
             self._assert_same_pick(field, states, probes)
         assert field._states == states
@@ -508,18 +518,20 @@ class TestPredictedStarts:
         assert not np.array_equal(log[0][1], s1.h)
         assert np.array_equal(log[1][1], s1.h) and log[1][2] == s1.Q
         assert value == pytest.approx(direct, abs=1e-10)
-        counts = field.counts
-        assert (counts["secant"], counts["retried"], counts["fallbacks"]) == (1, 1, 0)
+        assert (field.counts["secant"], field.counts["retried"]) == (1, 1)
 
-    def test_fixed_flux_fallback_starts_from_the_nearest_state(self, monkeypatch):
+    def test_failed_retry_raises_without_a_fixed_flux_solve(self, monkeypatch):
         field, seed = _seeded_field()
         field(seed.Q, TWO_PI + 0.05)
-        s1 = field._states[1]
+        kept, solved = list(field._states), dict(field.solved)
         log = _logging_solves(monkeypatch, fail_at_M=2)
-        field(s1.Q, TWO_PI + 0.1)
-        assert [entry[0] for entry in log] == ["M", "M", "Q"]
-        assert (field.counts["retried"], field.counts["fallbacks"]) == (1, 1)
-        assert np.isnan(field._QM[2, 2])  # a fixed-flux state records no bordered mass
+        with pytest.raises(FieldEvaluationError, match="bordered solve failed.*forced"):
+            field(kept[1].Q, TWO_PI + 0.1)
+        assert [entry[0] for entry in log] == ["M", "M"]  # secant start, retry; no fixed-Q solve
+        assert field._states == kept
+        assert field.solved == solved
+        assert (field.counts["secant"], field.counts["retried"]) == (1, 1)
+        assert "fallbacks" not in field.counts
 
 
 class TestDerivativeOperator:
@@ -570,7 +582,7 @@ def _spy_factorizations(monkeypatch):
 @pytest.fixture(scope="module")
 def default_diagram_counts():
     """Trace the default diagram once, counting field evaluations,
-    factorizations, fixed-Q fallbacks and residual evaluations."""
+    factorizations, fixed-Q solves and residual evaluations."""
     residuals = []
     at_Q = []
     at_M = []  # per bordered solve: whether a field evaluation made it
@@ -607,7 +619,7 @@ def default_diagram_counts():
         mp.setattr(lubrication, "solve_at_M", counting_at_M)
         mp.setattr(BifurcationField, "__call__", counting_call)
         path, _states, field = trace_bifurcation()
-    return dict(path=path, field=field, factorizations=len(shapes), fallbacks=len(at_Q),
+    return dict(path=path, field=field, factorizations=len(shapes), fixed_flux=len(at_Q),
                 residuals=len(residuals), evaluations=len(evaluations), bordered=len(at_M),
                 bordered_in_evaluations=sum(at_M))
 
@@ -628,18 +640,19 @@ class TestFactorizationReuse:
         # the whole default diagram made 1,468 factorizations when every
         # Newton iteration factored; the shared one brought it to 373, the
         # tracer's secant predictor to 336, and the field's own predicted
-        # starts (same-mass reuse, secant in (h, Q)) to 243
+        # starts (same-mass reuse, secant in (h, Q)) to 243, and dropping
+        # the fixed-flux fallback, whose one attempt failed, to 231
         path = default_diagram_counts["path"]
         assert len(path.points) == 280 and len(path.events) == 1
         assert path.termination.name == "LEFT_DOMAIN"
-        assert default_diagram_counts["fallbacks"] == 1
-        assert 0 < default_diagram_counts["factorizations"] <= 260
+        assert default_diagram_counts["fixed_flux"] == 0
+        assert 0 < default_diagram_counts["factorizations"] <= 240
 
     def test_default_diagram_residual_budget(self, default_diagram_counts):
-        # 2,640 residual evaluations (bordered and fixed-Q) per diagram;
-        # 3,648 before the predicted starts, 4,208 before the tracer's
-        # secant predictor
-        assert 0 < default_diagram_counts["residuals"] <= 2800
+        # 2,564 residual evaluations, all in bordered solves, per diagram;
+        # 2,640 with the fixed-flux fallback, 3,648 before the predicted
+        # starts, 4,208 before the tracer's secant predictor
+        assert 0 < default_diagram_counts["residuals"] <= 2700
 
     def test_default_diagram_field_evaluation_budget(self, default_diagram_counts):
         # 880 field evaluations, 470 of them answered by a state already
@@ -651,7 +664,6 @@ class TestFactorizationReuse:
         counts = default_diagram_counts["field"].counts
         assert counts["bordered"] == default_diagram_counts["bordered"]
         assert counts["factorizations"] == default_diagram_counts["factorizations"]
-        assert counts["fallbacks"] == default_diagram_counts["fallbacks"]
         # an evaluation is reused or makes one bordered solve, two when retried
         assert counts["reused"] == (default_diagram_counts["evaluations"] + counts["retried"]
                                  - default_diagram_counts["bordered_in_evaluations"])
@@ -665,3 +677,19 @@ def test_diagram_keeps_its_shape_across_grid_sizes(m, points, event_index):
     assert len(path.points) == points
     assert [event.index for event in path.events] == [event_index]
     assert path.termination.name == "LEFT_DOMAIN"
+
+
+def test_plus_y_diagram_runs_no_fixed_flux_solve(monkeypatch):
+    # marching +M reaches a fold near M = 11.5, where a fixed-flux fallback
+    # used to answer 5 of its 6 attempts and the slice solves stalled anyway;
+    # bordered solves alone give the same 300 points at 157 factorizations
+    # (241 with the fallback)
+    shapes = _spy_factorizations(monkeypatch)
+    at_Q = []
+    monkeypatch.setattr(lubrication, "solve_at_Q", lambda *args: at_Q.append(args))
+    path, _states, _field = trace_bifurcation(initial="+y")
+    assert len(path.points) == 300
+    assert [(event.index, event.kind) for event in path.events] == [(261, TurningPointKind.TYPE2)]
+    assert path.termination.name == "MAX_POINTS"
+    assert at_Q == []
+    assert 0 < len(shapes) <= 170

@@ -331,6 +331,21 @@ class TestTraceMisc:
         with pytest.raises(ValueError):
             trace(circle_field(), Point2(2.0, 0.0), PLUS_X, TraceConfig(step=0.1))
 
+    def test_start_outside_the_domain_is_rejected(self):
+        # tracing would stop at once and report `left domain`, a success
+        # for a path it never traced; the straight line above starts on the
+        # box's edge, which counts as inside
+        calls = []
+
+        def field(x, y):
+            calls.append((x, y))
+            return circle_field()(x, y)
+
+        with pytest.raises(ValueError, match="outside the domain"):
+            trace(field, Point2(1.0, 0.0), PLUS_Y,
+                  TraceConfig(step=0.1, domain=Box(2.0, 3.0, 2.0, 3.0)))
+        assert calls == []
+
     def test_field_failure_at_start(self):
         def field(x, y):
             raise FieldEvaluationError("nope")
@@ -368,6 +383,28 @@ class TestTraceAstroid:
         with pytest.raises(TraceError, match="first path point") as info:
             trace_astroid(0.002)
         assert len(info.value.path) == 1
+        assert info.value.path.flags == [FLAG_TURNING]
+
+    def test_first_point_stall_scans_nothing(self, monkeypatch):
+        # a one-point path has no exit to choose, so no boundary scan runs
+        calls = []
+        stalls = []  # evaluations made when each slice solve stalled
+        real_step = tracer_mod.step
+
+        def field(x, y):
+            calls.append((x, y))
+            return astroid_field()(x, y)
+
+        def spying(*args, **kwargs):
+            outcome = real_step(*args, **kwargs)
+            if isinstance(outcome, Stalled):
+                stalls.append(len(calls))
+            return outcome
+
+        monkeypatch.setattr(tracer_mod, "step", spying)
+        with pytest.raises(TraceError, match="first path point") as info:
+            trace(field, Point2(0.0, 1.0), PLUS_X, TraceConfig(step=0.002))
+        assert stalls == [len(calls)]
         assert info.value.path.flags == [FLAG_TURNING]
 
     def test_closes_through_cusps(self, astroid_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -169,26 +170,26 @@ class TestScanBoundary:
 
     def test_samples_are_the_mesh_then_the_far_end(self):
         # A field without roots is only sampled, so the spy sees exactly the
-        # n mesh points the paper's formula gives, then phi = pi.
+        # n mesh points the paper's formula gives, then phi = pi. The scan
+        # computes its arc points itself, so they are compared bit for bit.
         center = Point2(0.3, -1.7)
-        r = 0.25
-        for kind in ALL_KINDS:
-            for n in (1, 2, 5, 8, 16):
-                calls = []
+        for r, kind, n in itertools.product((0.25, 1e-6, 0.01, 0.35), ALL_KINDS,
+                                            (1, 2, 4, 5, 8, 10, 16)):
+            calls = []
 
-                def field(x, y):
-                    calls.append((x, y))
-                    return 1.0
+            def field(x, y):
+                calls.append((x, y))
+                return 1.0
 
-                found = scan_boundary(field, center, kind, TraceConfig(step=r, mesh_count=n))
-                assert len(found) == 0
-                mesh = mesh_half_circle(center, r, n, kind)
-                assert calls[:n] == [(p.x, p.y) for p in mesh]
-                far = arc_point(center, r, kind, math.pi)
-                assert calls[n:] == [(far.x, far.y)]
-                # phi = pi is the arc end diametrically opposite phi = 0
-                assert abs(far.x + mesh[0].x - 2.0 * center.x) < 1e-12
-                assert abs(far.y + mesh[0].y - 2.0 * center.y) < 1e-12
+            found = scan_boundary(field, center, kind, TraceConfig(step=r, mesh_count=n))
+            assert len(found) == 0
+            mesh = mesh_half_circle(center, r, n, kind)
+            assert calls[:n] == [(p.x, p.y) for p in mesh]
+            far = arc_point(center, r, kind, math.pi)
+            assert calls[n:] == [(far.x, far.y)]
+            # phi = pi is the arc end diametrically opposite phi = 0
+            assert abs(far.x + mesh[0].x - 2.0 * center.x) < 1e-12
+            assert abs(far.y + mesh[0].y - 2.0 * center.y) < 1e-12
 
     @pytest.mark.parametrize("field,center,r,budget", [
         (circle_field(), Point2(1.0, 0.0), 0.2, 33),
