@@ -9,9 +9,8 @@ Derivatives are Fourier spectral differentiation matrices, so the rectangle
 rule is the natural (spectrally accurate) quadrature. Fixing Q leaves m
 unknowns (h, solved with the m x m Jacobian); fixing M leaves m+1 (h and
 Q, solved with a bordered (m+1) x (m+1) Jacobian). The BifurcationField
-adapter exposes the (Q, M) solution curve to the tracer through bordered
-solves alone, so folds in the bifurcation diagram are navigated like any
-other turning point.
+adapter exposes the (Q, M) curve to the tracer through bordered solves
+alone, so its folds are navigated like any other turning point.
 """
 
 from __future__ import annotations
@@ -305,9 +304,11 @@ class BifurcationField:
     def _secant(self, near: int, other: int, M: float) -> Optional[LubricationState]:
         """The bordered solve at M from z1 + (M - M1)/(M1 - M2)·(z1 - z2), z = (h, Q), through
         rows `near` and `other` if solved at distinct masses; None if none or it fails."""
-        if other < 0 or self._QM[near, 2] == self._QM[other, 2]:
+        if other < 0:
             return None
         M1, M2 = self._QM[near, 2], self._QM[other, 2]
+        if M1 == M2:
+            return None
         s1, s2 = self._states[near], self._states[other]
         t = (M - M1) / (M1 - M2)
         h = s1.h + t * (s1.h - s2.h)

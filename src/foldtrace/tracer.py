@@ -274,12 +274,12 @@ def trace(
 ) -> SolutionPath:
     """March along the zero set of `residual` from an on-curve start point.
 
+    The start must lie on the curve and in the domain (else ValueError).
     Stops when the curve closes onto its opening points (RETRACED if the
     path bounds no area, see `_retraced`), when a boundary scan comes back
     empty, when the path leaves the configured domain, or at the point
     budget. Turning points on the way are navigated via the half-disk scan
-    and recorded as events. A start off the curve or outside the domain
-    raises ValueError.
+    and recorded as events.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
