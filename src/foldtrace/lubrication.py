@@ -118,11 +118,20 @@ def _check_thickness(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def residual_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid) -> np.ndarray:
-    """Per-node residual of the steady equation at fixed flux."""
+def residual_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-node residual of the steady equation at fixed flux, written into
+    `out` if given: (D h - cos/3) + r^2 (1 - Q r) with r = 1/h, in that order."""
     h = _check_thickness(h)
     r = 1.0 / h
-    return grid.derivative_operator(epsilon) @ h - grid.cos_third + r * r * (1.0 - Q * r)
+    flux = Q * r
+    np.subtract(1.0, flux, out=flux)
+    r *= r
+    r *= flux
+    out = np.matmul(grid.derivative_operator(epsilon), h, out=out)
+    out -= grid.cos_third
+    out += r
+    return out
 
 
 def _write_fixed_Q_block(J: np.ndarray, h: np.ndarray, Q: float, epsilon: float,
@@ -173,7 +182,7 @@ def augmented_residual(z: np.ndarray, M: float, epsilon: float, grid: SpectralGr
     """Fixed-mass residual over the augmented unknowns z = (h, Q)."""
     h, Q = z[:-1], z[-1]
     out = np.empty(grid.m + 1)
-    out[:-1] = residual_fixed_Q(h, Q, epsilon, grid)
+    residual_fixed_Q(h, Q, epsilon, grid, out[:-1])
     out[-1] = mass_of(h, grid) - M
     return out
 
@@ -238,10 +247,13 @@ class BifurcationField:
 
     Every converged state is kept, oldest first, with the mass of its
     bordered solve. The nearest in (Q, M), oldest on a tie, answers if it
-    was solved at exactly M* (keeping its first solve's `iterations`);
-    else Newton starts from the secant through the two nearest (solved at
-    distinct masses), or from the nearest if there is none or it fails.
-    `counts` tallies the solves.
+    was solved at exactly M* (keeping its first solve's `iterations`).
+    Else Newton starts from a prediction in the bordered mass: the
+    Lagrange quadratic in (h, Q) through the three nearest if they were
+    solved at distinct masses, else the secant through the two nearest if
+    those were. It starts from the nearest if there is no prediction, the
+    predicted film is not positive, or the predicted solve fails.
+    `counts` tallies the solves, their factorizations and chord steps.
     Every converged evaluation is also recorded in `solved`, keyed by its
     exact probe point (Q, M). The tracer only accepts points at which it
     evaluated the field, so after a trace the state at each path point is
@@ -261,7 +273,7 @@ class BifurcationField:
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
         self.counts = dict.fromkeys(
-            ("bordered", "reused", "secant", "retried", "factorizations"), 0)
+            ("bordered", "reused", "quadratic", "secant", "retried", "factorizations", "chord"), 0)
 
     def _remember(self, state: LubricationState, solved_at: float) -> None:
         n = len(self._states)
@@ -270,15 +282,16 @@ class BifurcationField:
         self._QM[n] = state.Q, state.M, solved_at
         self._states.append(state)
 
-    def _nearest(self, Q: float, M: float) -> Tuple[int, int]:
-        """Rows of the two nearest kept states (oldest first on a tie), -1 for a missing one."""
+    def _nearest(self, Q: float, M: float) -> Tuple[int, int, int]:
+        """Rows of the three nearest kept states, nearest first; each is the first
+        minimum of the rest, so the oldest on a tie. -1 for a missing one."""
         n = len(self._states)
-        if not n:
-            return -1, -1
         d = (self._QM[:n, 0] - Q) ** 2 + (self._QM[:n, 1] - M) ** 2
-        near = int(d.argmin())  # the first minimum
-        d[near] = math.inf
-        return near, int(d.argmin()) if n > 1 else -1
+        rows = [-1, -1, -1]
+        for i in range(min(n, 3)):
+            rows[i] = int(d.argmin())
+            d[rows[i]] = math.inf
+        return tuple(rows)
 
     def _warm(self, row: int, Q: float, M: float) -> Tuple[np.ndarray, float]:
         if row < 0:
@@ -287,48 +300,62 @@ class BifurcationField:
         return self._states[row].h.copy(), self._states[row].Q
 
     def _solve(self, *args) -> LubricationState:
-        """solve_at_M(*args), counted as a bordered solve and by its factorizations."""
+        """solve_at_M(*args) from the held LU, counted as a bordered solve, by its
+        factorizations and by its chord steps."""
         self.counts["bordered"] += 1
         try:
-            state = solve_at_M(*args)
+            state = solve_at_M(*args, self._lu)
         except NoConvergence as exc:
             self.counts["factorizations"] += exc.iterations
             raise
+        finally:
+            self.counts["chord"] = self._lu.chord
         self.counts["factorizations"] += state.iterations
         return state
 
     def _bordered(self, M: float, h0, Q0: float) -> LubricationState:
-        return self._solve(M, self.epsilon, self.grid, h0, Q0, _FIELD_TOL, _FIELD_MAX_ITER,
-                           self._lu)
+        return self._solve(M, self.epsilon, self.grid, h0, Q0, _FIELD_TOL, _FIELD_MAX_ITER)
 
-    def _secant(self, near: int, other: int, M: float) -> Optional[LubricationState]:
-        """The bordered solve at M from z1 + (M - M1)/(M1 - M2)·(z1 - z2), z = (h, Q), through
-        rows `near` and `other` if solved at distinct masses; None if none or it fails."""
-        if other < 0:
+    def _predicted(self, rows: Tuple[int, int, int], M: float) -> Optional[LubricationState]:
+        """The bordered solve at M from z = (h, Q) extrapolated in the bordered mass:
+        the Lagrange quadratic through the three rows if solved at distinct masses,
+        else z1 + (M - M1)/(M1 - M2)·(z1 - z2) through the first two if they were.
+        None if neither applies, the predicted film is not positive, or the solve fails."""
+        near, second, third = rows
+        if second < 0:
             return None
-        M1, M2 = self._QM[near, 2], self._QM[other, 2]
-        if M1 == M2:
+        M1, M2, M3 = self._QM[list(rows), 2].tolist()  # M3 is used only if `third` is a row
+        s1, s2 = self._states[near], self._states[second]
+        if third >= 0 and M1 != M2 and M3 != M1 and M3 != M2:
+            s3 = self._states[third]
+            w1 = (M - M2) * (M - M3) / ((M1 - M2) * (M1 - M3))
+            w2 = (M - M1) * (M - M3) / ((M2 - M1) * (M2 - M3))
+            w3 = (M - M1) * (M - M2) / ((M3 - M1) * (M3 - M2))
+            kind = "quadratic"
+            h, Q = w1 * s1.h + w2 * s2.h + w3 * s3.h, w1 * s1.Q + w2 * s2.Q + w3 * s3.Q
+        elif M1 != M2:
+            t = (M - M1) / (M1 - M2)
+            kind, h, Q = "secant", s1.h + t * (s1.h - s2.h), s1.Q + t * (s1.Q - s2.Q)
+        else:
             return None
-        s1, s2 = self._states[near], self._states[other]
-        t = (M - M1) / (M1 - M2)
-        h = s1.h + t * (s1.h - s2.h)
         if not h.min() > 0.0:
             return None
-        self.counts["secant"] += 1
+        self.counts[kind] += 1
         try:
-            return self._bordered(M, h, s1.Q + t * (s1.Q - s2.Q))
+            return self._bordered(M, h, Q)
         except _SOLVE_FAILURES:
             self.counts["retried"] += 1
             return None
 
     def __call__(self, Q: float, M: float) -> float:
-        near, other = self._nearest(Q, M)
+        rows = self._nearest(Q, M)
+        near = rows[0]
         if near >= 0 and self._QM[near, 2] == M:
             self.counts["reused"] += 1
             state = self.solved[(Q, M)] = self._states[near]
             return state.Q - Q
         try:
-            state = self._secant(near, other, M) or self._bordered(M, *self._warm(near, Q, M))
+            state = self._predicted(rows, M) or self._bordered(M, *self._warm(near, Q, M))
         except _SOLVE_FAILURES as exc:
             raise FieldEvaluationError(
                 f"bordered solve failed at (Q={Q:.6g}, M={M:.6g}): {exc}") from exc
@@ -359,8 +386,10 @@ class BifurcationField:
         state = None
         for eps in stages:
             tol = _FIELD_TOL if eps == self.epsilon else 1e-9
+            self._lu.lu = None  # the tally counts the seed's chord steps; no LU crosses stages
             state = self._solve(M, eps, self.grid, h, Q, tol, 60)
             h, Q = state.h, state.Q
+        self._lu.lu = None
         self._remember(state, M)
         return state
 

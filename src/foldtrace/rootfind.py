@@ -13,9 +13,11 @@ iterates where they can instead of taking fresh finite differences.
 
 The vector solver is a chord (modified) Newton method: it keeps the last
 LU factorization of the Jacobian and reuses it while the steps it gives
-cut the residual tenfold, and factors a fresh Jacobian only when they
-stop doing so. A caller that runs many nearby solves can carry that
-factorization from one solve to the next in an `LUHolder`.
+stay finite and cut the residual tenfold, and factors a fresh Jacobian
+only when they stop doing so. A chord step costs one LU solve (LAPACK
+getrs) and one residual. A caller that runs many nearby solves can carry
+the factorization from one solve to the next in an `LUHolder`, which
+also tallies the chord steps taken from it.
 """
 
 from __future__ import annotations
@@ -320,9 +322,11 @@ class LUFactorization:
 
 @dataclass
 class LUHolder:
-    """The factorization `solve_vector` starts from and leaves its last one in."""
+    """The factorization `solve_vector` starts from and leaves its last one in,
+    with a tally of the chord steps taken from it, accepted or not."""
 
     lu: Optional[LUFactorization] = None
+    chord: int = 0
 
 
 def fd_jacobian(F, x, fx=None):
@@ -351,8 +355,9 @@ def solve_vector(
     """Chord-accelerated damped Newton for F(x) = 0; returns (x, factorizations).
 
     Before each Newton iteration, chord steps x <- x - LU^-1 F(x) reuse the
-    factorization in `held` for as long as each one stays finite and cuts
-    the max-norm residual at least tenfold. The iteration then factors J(x)
+    factorization in `held`, if it has the size of F, for as long as each
+    one stays finite and cuts the max-norm residual at least tenfold; each
+    step tried adds one to `held.chord`. The iteration then factors J(x)
     by pivoted LU, keeps that factorization in `held`, and halves the step
     until the max-norm residual decreases. If the damping floor, 1/64 of
     the step, is reached first, the longest step with a finite residual is
@@ -374,9 +379,15 @@ def solve_vector(
         norm = np.abs(fx).max()
         if norm <= tol:
             return x, k
-        while held.lu is not None:  # a held LU of the wrong size fails its solve
+        lu = held.lu
+        while lu is not None and lu.n == fx.size:
+            # one getrs; fx is finite: it passed the start check or the contraction test
+            step, info = _getrs(lu.lu, lu.piv, fx)
+            held.chord += 1
+            if info or not np.isfinite(step).all():
+                break
+            candidate = x - step
             try:
-                candidate = x - held.lu.solve(fx)
                 fc = np.asarray(F(candidate), dtype=float)
             except (ArithmeticError, ValueError, FoldtraceError):
                 break

@@ -279,7 +279,8 @@ def trace(
     path bounds no area, see `_retraced`), when a boundary scan comes back
     empty, when the path leaves the configured domain, or at the point
     budget. Turning points on the way are navigated via the half-disk scan
-    and recorded as events.
+    and recorded as events. A first step that leaves the domain traced
+    nothing, so it raises TraceError with the one-point path.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
@@ -336,6 +337,9 @@ def trace(
 
         new_point = outcome
         if cfg.domain is not None and not cfg.domain.contains(new_point):
+            if len(path) == 1:
+                raise TraceError(f"the first step, to {new_point}, leaves the domain {cfg.domain}",
+                                 path=path)
             path.termination = Termination.LEFT_DOMAIN
             break
         path.append(new_point, FLAG_ORDINARY)

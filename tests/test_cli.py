@@ -136,6 +136,18 @@ class TestTraceCommand:
         assert code == 0
         assert "termination: left domain" in out
 
+    def test_first_step_out_of_the_domain_exits_2(self, tmp_path, capsys, caplog):
+        csv = tmp_path / "l.csv"
+        code = run(["trace", "--problem", "expression", "--expr", "y - x",
+                    "--start", "1,1", "--dir", "+x", "--box", "0,1,0,1",
+                    "--csv", str(csv), "--svg", str(tmp_path / "l.svg")])
+        assert code == 2
+        assert "termination" not in capsys.readouterr().out
+        assert "first step" in caplog.text and "leaves the domain" in caplog.text
+        with csv.open() as fh:
+            points, _flags = read_points_csv(fh)
+        assert len(points) == 1
+
     def test_non_real_formula_has_no_traceback(self, tmp_path, capsys):
         # x^0.5 is complex for x < 0; the field reports that as undefined,
         # so the trace stalls there instead of crashing in the slice solver
@@ -307,6 +319,18 @@ class TestLubricationCommand:
             header = fh.readline().strip().split(",")
         assert header[:4] == ["Q", "M", "epsilon", "m"]
         assert len(header) == 4 + 32
+
+    def test_seed_on_the_mass_floor_leaving_it_exits_2(self, tmp_path, capsys, caplog):
+        # the first step from the seed at the default mass lands below it
+        csv = tmp_path / "b.csv"
+        code = run(["lubrication", "--min-mass", repr(6.283185307179586), "--csv", str(csv),
+                    "--svg", str(tmp_path / "b.svg")])
+        assert code == 2
+        assert "film solves" not in capsys.readouterr().out
+        assert "first step" in caplog.text and "leaves the domain" in caplog.text
+        with csv.open() as fh:
+            points, _flags = read_points_csv(fh)
+        assert len(points) == 1
 
     def test_omitted_flags_take_the_library_defaults(self, tmp_path, capsys, monkeypatch):
         import foldtrace.cli as cli

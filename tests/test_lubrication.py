@@ -115,6 +115,11 @@ class TestResidual:
         r = 1.0 / h
         inline = (eps / 3.0) * (grid.d1 + grid.d3) @ h - np.cos(grid.nodes) / 3.0 + r * r * (1.0 - Q * r)
         assert (residual_fixed_Q(h, Q, eps, grid) == inline).all()
+        # written in place into a slice, and inside the bordered residual, too
+        buffer = np.empty(129)
+        assert residual_fixed_Q(h, Q, eps, grid, buffer[:-1]).base is buffer
+        assert (buffer[:-1] == inline).all()
+        assert (augmented_residual(np.append(h, Q), TWO_PI, eps, grid)[:-1] == inline).all()
         assert not grid.cos_third.flags.writeable
 
     @pytest.mark.parametrize("m", [32, 128])
@@ -384,19 +389,22 @@ class TestWarmStartLookup:
 
     def _assert_same_pick(self, field, states, probes):
         for Q, M in probes:
-            first, second = field._nearest(Q, M)
+            first, second, third = field._nearest(Q, M)
             h0, Q0 = field._warm(first, Q, M)
             expected = self._min_lookup(states, Q, M)
             assert field._states[first] is expected
             assert Q0 == expected.Q
             assert np.array_equal(h0, expected.h)
             assert h0 is not expected.h  # the caller gets a copy
-            # the second pick is the first minimum over every other state
-            others = [s for s in states if s is not expected]
-            if others:
-                assert field._states[second] is self._min_lookup(others, Q, M)
-            else:
-                assert second == -1
+            # each later pick is the first minimum over the states not yet picked
+            others = list(states)
+            for pick in (first, second, third):
+                if others:
+                    expected = self._min_lookup(others, Q, M)
+                    assert field._states[pick] is expected
+                    others = [s for s in others if s is not expected]
+                else:
+                    assert pick == -1
 
     def test_exact_ties_pick_the_oldest(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
@@ -447,9 +455,21 @@ class TestWarmStartLookup:
             self._assert_same_pick(field, states, probes)
         assert field._states == states
 
+    def test_third_pick_is_the_oldest_of_the_next_nearest(self):
+        field = BifurcationField(1e-3, SpectralGrid.build(8))
+        # distances from the origin: 3, 1, 2, 1, 2, 2
+        states = [_state(Q, M) for Q, M in [(3.0, 0.0), (1.0, 0.0), (0.0, 2.0), (0.0, 1.0),
+                                            (-2.0, 0.0), (2.0, 0.0)]]
+        for state in states[:2]:
+            field._remember(state, state.M)
+        assert field._nearest(0.0, 0.0) == (1, 0, -1)
+        for state in states[2:]:
+            field._remember(state, state.M)
+        assert field._nearest(0.0, 0.0) == (1, 3, 2)
+
     def test_empty_cache_uses_flat_film(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
-        assert field._nearest(0.6, TWO_PI) == (-1, -1)
+        assert field._nearest(0.6, TWO_PI) == (-1, -1, -1)
         h0, Q0 = field._warm(-1, 0.6, TWO_PI)
         assert Q0 == 0.6 and np.allclose(h0, 1.0)
 
@@ -506,6 +526,51 @@ class TestPredictedStarts:
         assert np.allclose(h0, 2.0 * s1.h - seed.h, rtol=0, atol=1e-14)
         assert Q0 == pytest.approx(2.0 * s1.Q - seed.Q, abs=1e-14)
         assert field.counts["secant"] == 1
+
+    def test_quadratic_start_through_the_three_nearest_states(self, monkeypatch):
+        field, seed = _seeded_field()
+        for dM in (0.05, 0.12):  # the second solve starts from the secant
+            field(seed.Q, TWO_PI + dM)
+        assert (field.counts["secant"], field.counts["quadratic"]) == (1, 0)
+        s1, s2 = field._states[1:]
+        log = _logging_solves(monkeypatch)
+        M = TWO_PI + 0.2
+        field(s2.Q, M)
+        (_, h0, Q0), = log
+        # Lagrange weights: the quadratic through (M_i - M, z_i) evaluated at 0
+        offsets = np.array([0.12, 0.05, 0.0]) + TWO_PI - M
+        weights = np.linalg.solve(np.vander(offsets, 3, increasing=True).T, [1.0, 0.0, 0.0])
+        expected = [s2, s1, seed]
+        assert np.allclose(h0, sum(w * s.h for w, s in zip(weights, expected)), rtol=0, atol=1e-12)
+        assert Q0 == pytest.approx(sum(w * s.Q for w, s in zip(weights, expected)), abs=1e-12)
+        assert (field.counts["secant"], field.counts["quadratic"]) == (1, 1)
+
+    def test_secant_start_when_only_two_masses_are_distinct(self, monkeypatch):
+        field, seed = _seeded_field()
+        field(seed.Q, TWO_PI + 0.05)
+        s1 = field._states[1]
+        field._remember(seed, TWO_PI)  # a third state, at the seed's mass
+        log = _logging_solves(monkeypatch)
+        field(s1.Q, TWO_PI + 0.1)
+        (_, h0, Q0), = log
+        assert np.allclose(h0, 2.0 * s1.h - seed.h, rtol=0, atol=1e-14)
+        assert Q0 == pytest.approx(2.0 * s1.Q - seed.Q, abs=1e-14)
+        assert (field.counts["secant"], field.counts["quadratic"]) == (1, 0)
+
+    def test_nearest_state_when_the_quadratic_film_is_not_positive(self, monkeypatch):
+        field, seed = _seeded_field()
+        field(seed.Q, TWO_PI + 0.05)
+        # a thin third state: the quadratic back to 2*pi - 0.1 is 6 h0 - 8 h1 + 3 h2 < 0,
+        # while the secant through the two nearest, 3 h0 - 2 h1, stays positive
+        thin = LubricationState(h=0.5 * seed.h, Q=seed.Q, M=TWO_PI + 0.1, epsilon=0.1)
+        field._remember(thin, thin.M)
+        direct = solve_at_M(TWO_PI - 0.1, 0.1, field.grid, seed.h, seed.Q, 1e-11, 12).Q - seed.Q
+        log = _logging_solves(monkeypatch)
+        value = field(seed.Q, TWO_PI - 0.1)
+        (_, h0, Q0), = log
+        assert np.array_equal(h0, seed.h) and Q0 == seed.Q
+        assert value == direct
+        assert (field.counts["secant"], field.counts["quadratic"], field.counts["retried"]) == (0, 0, 0)
 
     def test_failed_secant_start_is_retried_from_the_nearest_state(self, monkeypatch):
         field, seed = _seeded_field()
@@ -582,8 +647,9 @@ def _spy_factorizations(monkeypatch):
 @pytest.fixture(scope="module")
 def default_diagram_counts():
     """Trace the default diagram once, counting field evaluations,
-    factorizations, fixed-Q solves and residual evaluations."""
+    factorizations, LU solves, fixed-Q solves and residual evaluations."""
     residuals = []
+    lu_solves = []
     at_Q = []
     at_M = []  # per bordered solve: whether a field evaluation made it
     evaluations = []
@@ -591,6 +657,7 @@ def default_diagram_counts():
     real_residual, real_at_Q = lubrication.residual_fixed_Q, lubrication.solve_at_Q
     real_at_M = lubrication.solve_at_M
     real_call = BifurcationField.__call__
+    real_getrs = rootfind._getrs
 
     def counting_call(self, Q, M):
         evaluations.append((Q, M))
@@ -612,16 +679,21 @@ def default_diagram_counts():
         at_Q.append(args[0])
         return real_at_Q(*args, **kwargs)
 
+    def counting_getrs(*args, **kwargs):
+        lu_solves.append(1)
+        return real_getrs(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         shapes = _spy_factorizations(mp)
         mp.setattr(lubrication, "residual_fixed_Q", counting_residual)
         mp.setattr(lubrication, "solve_at_Q", counting_at_Q)
         mp.setattr(lubrication, "solve_at_M", counting_at_M)
         mp.setattr(BifurcationField, "__call__", counting_call)
+        mp.setattr(rootfind, "_getrs", counting_getrs)
         path, _states, field = trace_bifurcation()
     return dict(path=path, field=field, factorizations=len(shapes), fixed_flux=len(at_Q),
                 residuals=len(residuals), evaluations=len(evaluations), bordered=len(at_M),
-                bordered_in_evaluations=sum(at_M))
+                bordered_in_evaluations=sum(at_M), lu_solves=len(lu_solves))
 
 
 class TestFactorizationReuse:
@@ -640,19 +712,26 @@ class TestFactorizationReuse:
         # the whole default diagram made 1,468 factorizations when every
         # Newton iteration factored; the shared one brought it to 373, the
         # tracer's secant predictor to 336, and the field's own predicted
-        # starts (same-mass reuse, secant in (h, Q)) to 243, and dropping
-        # the fixed-flux fallback, whose one attempt failed, to 231
+        # starts (same-mass reuse, secant in (h, Q)) to 243, dropping the
+        # fixed-flux fallback, whose one attempt failed, to 231, and the
+        # quadratic start to 224
         path = default_diagram_counts["path"]
         assert len(path.points) == 280 and len(path.events) == 1
         assert path.termination.name == "LEFT_DOMAIN"
         assert default_diagram_counts["fixed_flux"] == 0
-        assert 0 < default_diagram_counts["factorizations"] <= 240
+        assert 0 < default_diagram_counts["factorizations"] <= 232
 
     def test_default_diagram_residual_budget(self, default_diagram_counts):
-        # 2,564 residual evaluations, all in bordered solves, per diagram;
-        # 2,640 with the fixed-flux fallback, 3,648 before the predicted
-        # starts, 4,208 before the tracer's secant predictor
-        assert 0 < default_diagram_counts["residuals"] <= 2700
+        # 2,033 residual evaluations, all in bordered solves, per diagram;
+        # 2,564 with the secant start, 2,640 with the fixed-flux fallback,
+        # 3,648 before the predicted starts, 4,208 before the tracer's
+        # secant predictor
+        assert 0 < default_diagram_counts["residuals"] <= 2150
+
+    def test_default_diagram_lu_solve_budget(self, default_diagram_counts):
+        # 1,582 LU solves: one per chord step and one per factorization;
+        # 2,113 with the secant start
+        assert 0 < default_diagram_counts["lu_solves"] <= 1700
 
     def test_default_diagram_field_evaluation_budget(self, default_diagram_counts):
         # 880 field evaluations, 470 of them answered by a state already
@@ -667,7 +746,10 @@ class TestFactorizationReuse:
         # an evaluation is reused or makes one bordered solve, two when retried
         assert counts["reused"] == (default_diagram_counts["evaluations"] + counts["retried"]
                                  - default_diagram_counts["bordered_in_evaluations"])
-        assert counts["reused"] > 0 and 0 < counts["secant"] <= counts["bordered"]
+        assert counts["reused"] > 0 and 0 < counts["secant"] < counts["quadratic"]
+        assert counts["quadratic"] + counts["secant"] <= counts["bordered"]
+        # every LU solve is a chord step or the step of a factorization
+        assert counts["chord"] + counts["factorizations"] == default_diagram_counts["lu_solves"]
 
 
 @pytest.mark.parametrize("m, points, event_index", [(64, 282, 46), (128, 280, 44),
@@ -682,8 +764,8 @@ def test_diagram_keeps_its_shape_across_grid_sizes(m, points, event_index):
 def test_plus_y_diagram_runs_no_fixed_flux_solve(monkeypatch):
     # marching +M reaches a fold near M = 11.5, where a fixed-flux fallback
     # used to answer 5 of its 6 attempts and the slice solves stalled anyway;
-    # bordered solves alone give the same 300 points at 157 factorizations
-    # (241 with the fallback)
+    # bordered solves alone give the same 300 points at 158 factorizations
+    # (157 with the secant start, 241 with the fallback)
     shapes = _spy_factorizations(monkeypatch)
     at_Q = []
     monkeypatch.setattr(lubrication, "solve_at_Q", lambda *args: at_Q.append(args))

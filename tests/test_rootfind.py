@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import foldtrace
+import foldtrace.rootfind as rootfind
 
 from foldtrace.errors import NoConvergence, SingularJacobian, SingularMatrix
 from foldtrace.geometry import cbrt
@@ -494,3 +495,36 @@ class TestChordSteps:
         x, factorizations = solve_vector(F, np.zeros(8), max_iter=1, jac=lambda _v: A, held=held)
         assert np.max(np.abs(A @ x - b)) <= 1e-11
         assert len(calls) >= 3 and factorizations == 0 and held.lu is lu
+
+    def test_non_finite_chord_step_ends_the_chord_loop(self):
+        # the held LU of a subnormal matrix sends the first chord step to
+        # infinity: the chord loop stops without a residual there, and the
+        # Jacobian is factored afresh
+        calls = []
+
+        def F(v):
+            calls.append(v.copy())
+            return v - 1.0
+
+        held = LUHolder(LUFactorization(1e-310 * np.eye(2)))
+        x, factorizations = solve_vector(F, np.full(2, 3.0), jac=lambda _v: np.eye(2), held=held)
+        assert np.array_equal(x, np.ones(2))
+        assert factorizations == 1 and held.chord == 1
+        assert np.array_equal(held.lu.lu, np.eye(2))
+        assert len(calls) == 2 and all(np.isfinite(v).all() for v in calls)
+
+    def test_every_chord_step_tried_is_tallied(self, monkeypatch):
+        # one LU solve per chord step, accepted or rejected, and one per factorization
+        solves = []
+        real = rootfind._getrs
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rootfind, "_getrs", counting)
+        A, F, jac = self._problem()
+        held = LUHolder(LUFactorization(-A))  # its one chord step is rejected
+        _, factorizations = solve_vector(F, np.zeros(8), jac=jac, held=held)
+        assert held.chord >= 2 and factorizations >= 1
+        assert held.chord + factorizations == len(solves)

@@ -327,6 +327,15 @@ class TestTraceMisc:
         assert len(path.events) == 0
         assert all(abs(p.x - p.y) < 1e-10 for p in path.points)
 
+    def test_first_step_out_of_the_domain_raises(self):
+        # the start sits on the box's corner and the first step leaves the
+        # box: `left domain` would report success for a path never traced
+        start = Point2(1.0, 1.0)
+        with pytest.raises(TraceError, match="first step.*leaves the domain") as info:
+            trace(lambda x, y: y - x, start, PLUS_X,
+                  TraceConfig(step=0.01, domain=Box(0.0, 1.0, 0.0, 1.0)))
+        assert info.value.path.points == [start]
+
     def test_off_curve_start_rejected(self):
         with pytest.raises(ValueError):
             trace(circle_field(), Point2(2.0, 0.0), PLUS_X, TraceConfig(step=0.1))
