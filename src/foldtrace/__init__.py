@@ -41,7 +41,6 @@ from .lubrication import (
     jacobian_fixed_Q,
     residual_fixed_Q,
     solve_at_M,
-    solve_at_Q,
     trace_bifurcation,
 )
 from .rootfind import fd_jacobian, solve_scalar, solve_vector

@@ -164,20 +164,6 @@ def flux_balance_defect(state: LubricationState, grid: SpectralGrid) -> float:
     return grid.weight * float(integrand.sum())
 
 
-def solve_at_Q(
-    Q: float,
-    epsilon: float,
-    grid: SpectralGrid,
-    h0,
-    tol: float = 1e-11,
-    max_iter: int = 25,
-) -> LubricationState:
-    """Newton-solve the m-dimensional fixed-flux system; mass comes out."""
-    h, k = solve_vector(lambda h_: residual_fixed_Q(h_, Q, epsilon, grid), h0, tol, max_iter,
-                        jac=lambda h_: jacobian_fixed_Q(h_, Q, epsilon, grid))
-    return LubricationState(h=h, Q=Q, M=mass_of(h, grid), epsilon=epsilon, iterations=k)
-
-
 def augmented_residual(z: np.ndarray, M: float, epsilon: float, grid: SpectralGrid) -> np.ndarray:
     """Fixed-mass residual over the augmented unknowns z = (h, Q)."""
     h, Q = z[:-1], z[-1]
@@ -248,12 +234,12 @@ class BifurcationField:
     Every converged state is kept, oldest first, with the mass of its
     bordered solve. The nearest in (Q, M), oldest on a tie, answers if it
     was solved at exactly M* (keeping its first solve's `iterations`).
-    Else Newton starts from a prediction in the bordered mass: the
-    Lagrange quadratic in (h, Q) through the three nearest if they were
-    solved at distinct masses, else the secant through the two nearest if
-    those were. It starts from the nearest if there is no prediction, the
-    predicted film is not positive, or the predicted solve fails.
-    `counts` tallies the solves, their factorizations and chord steps.
+    Else Newton starts from the Lagrange quadratic in (h, Q) through the
+    three nearest, in the bordered mass, if they were solved at distinct
+    masses. It starts from the nearest if there is no such prediction,
+    the predicted film is not positive, or the predicted solve fails.
+    `counts` tallies the solves, with the factorizations and chord steps
+    that the shared LU holder tallies.
     Every converged evaluation is also recorded in `solved`, keyed by its
     exact probe point (Q, M). The tracer only accepts points at which it
     evaluated the field, so after a trace the state at each path point is
@@ -272,8 +258,11 @@ class BifurcationField:
         self._QM = np.empty((256, 3))
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
         self.solved: Dict[Tuple[float, float], LubricationState] = {}
-        self.counts = dict.fromkeys(
-            ("bordered", "reused", "quadratic", "secant", "retried", "factorizations", "chord"), 0)
+        self._counts = dict.fromkeys(("bordered", "reused", "quadratic", "retried"), 0)
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        return dict(self._counts, factorizations=self._lu.factorizations, chord=self._lu.chord)
 
     def _remember(self, state: LubricationState, solved_at: float) -> None:
         n = len(self._states)
@@ -299,63 +288,46 @@ class BifurcationField:
             return np.full(self.grid.m, max(mean, 0.05)), max(Q, 0.05)
         return self._states[row].h.copy(), self._states[row].Q
 
-    def _solve(self, *args) -> LubricationState:
-        """solve_at_M(*args) from the held LU, counted as a bordered solve, by its
-        factorizations and by its chord steps."""
-        self.counts["bordered"] += 1
-        try:
-            state = solve_at_M(*args, self._lu)
-        except NoConvergence as exc:
-            self.counts["factorizations"] += exc.iterations
-            raise
-        finally:
-            self.counts["chord"] = self._lu.chord
-        self.counts["factorizations"] += state.iterations
-        return state
-
-    def _bordered(self, M: float, h0, Q0: float) -> LubricationState:
-        return self._solve(M, self.epsilon, self.grid, h0, Q0, _FIELD_TOL, _FIELD_MAX_ITER)
+    def _solve(self, M: float, h0, Q0: float, epsilon: Optional[float] = None,
+               tol: float = _FIELD_TOL, max_iter: int = _FIELD_MAX_ITER) -> LubricationState:
+        """A bordered solve_at_M from the held LU (at the field's epsilon by default),
+        counted; the holder tallies its factorizations and chord steps."""
+        self._counts["bordered"] += 1
+        epsilon = self.epsilon if epsilon is None else epsilon
+        return solve_at_M(M, epsilon, self.grid, h0, Q0, tol, max_iter, self._lu)
 
     def _predicted(self, rows: Tuple[int, int, int], M: float) -> Optional[LubricationState]:
-        """The bordered solve at M from z = (h, Q) extrapolated in the bordered mass:
-        the Lagrange quadratic through the three rows if solved at distinct masses,
-        else z1 + (M - M1)/(M1 - M2)·(z1 - z2) through the first two if they were.
-        None if neither applies, the predicted film is not positive, or the solve fails."""
-        near, second, third = rows
-        if second < 0:
+        """The bordered solve at M from z = (h, Q) on the Lagrange quadratic in the
+        bordered mass through the three rows. None if there are not three rows solved
+        at distinct masses, the predicted film is not positive, or the solve fails."""
+        if rows[2] < 0:
             return None
-        M1, M2, M3 = self._QM[list(rows), 2].tolist()  # M3 is used only if `third` is a row
-        s1, s2 = self._states[near], self._states[second]
-        if third >= 0 and M1 != M2 and M3 != M1 and M3 != M2:
-            s3 = self._states[third]
-            w1 = (M - M2) * (M - M3) / ((M1 - M2) * (M1 - M3))
-            w2 = (M - M1) * (M - M3) / ((M2 - M1) * (M2 - M3))
-            w3 = (M - M1) * (M - M2) / ((M3 - M1) * (M3 - M2))
-            kind = "quadratic"
-            h, Q = w1 * s1.h + w2 * s2.h + w3 * s3.h, w1 * s1.Q + w2 * s2.Q + w3 * s3.Q
-        elif M1 != M2:
-            t = (M - M1) / (M1 - M2)
-            kind, h, Q = "secant", s1.h + t * (s1.h - s2.h), s1.Q + t * (s1.Q - s2.Q)
-        else:
+        M1, M2, M3 = self._QM[list(rows), 2].tolist()
+        if M1 == M2 or M3 == M1 or M3 == M2:
             return None
+        s1, s2, s3 = (self._states[row] for row in rows)
+        w1 = (M - M2) * (M - M3) / ((M1 - M2) * (M1 - M3))
+        w2 = (M - M1) * (M - M3) / ((M2 - M1) * (M2 - M3))
+        w3 = (M - M1) * (M - M2) / ((M3 - M1) * (M3 - M2))
+        h, Q = w1 * s1.h + w2 * s2.h + w3 * s3.h, w1 * s1.Q + w2 * s2.Q + w3 * s3.Q
         if not h.min() > 0.0:
             return None
-        self.counts[kind] += 1
+        self._counts["quadratic"] += 1
         try:
-            return self._bordered(M, h, Q)
+            return self._solve(M, h, Q)
         except _SOLVE_FAILURES:
-            self.counts["retried"] += 1
+            self._counts["retried"] += 1
             return None
 
     def __call__(self, Q: float, M: float) -> float:
         rows = self._nearest(Q, M)
         near = rows[0]
         if near >= 0 and self._QM[near, 2] == M:
-            self.counts["reused"] += 1
+            self._counts["reused"] += 1
             state = self.solved[(Q, M)] = self._states[near]
             return state.Q - Q
         try:
-            state = self._predicted(rows, M) or self._bordered(M, *self._warm(near, Q, M))
+            state = self._predicted(rows, M) or self._solve(M, *self._warm(near, Q, M))
         except _SOLVE_FAILURES as exc:
             raise FieldEvaluationError(
                 f"bordered solve failed at (Q={Q:.6g}, M={M:.6g}): {exc}") from exc
@@ -387,7 +359,7 @@ class BifurcationField:
         for eps in stages:
             tol = _FIELD_TOL if eps == self.epsilon else 1e-9
             self._lu.lu = None  # the tally counts the seed's chord steps; no LU crosses stages
-            state = self._solve(M, eps, self.grid, h, Q, tol, 60)
+            state = self._solve(M, h, Q, eps, tol, 60)
             h, Q = state.h, state.Q
         self._lu.lu = None
         self._remember(state, M)

@@ -17,7 +17,7 @@ stay finite and cut the residual tenfold, and factors a fresh Jacobian
 only when they stop doing so. A chord step costs one LU solve (LAPACK
 getrs) and one residual. A caller that runs many nearby solves can carry
 the factorization from one solve to the next in an `LUHolder`, which
-also tallies the chord steps taken from it.
+also tallies the factorizations and the chord steps.
 """
 
 from __future__ import annotations
@@ -323,9 +323,11 @@ class LUFactorization:
 @dataclass
 class LUHolder:
     """The factorization `solve_vector` starts from and leaves its last one in,
-    with a tally of the chord steps taken from it, accepted or not."""
+    with tallies of the factorizations made into it and of the chord steps
+    taken from it, accepted or not."""
 
     lu: Optional[LUFactorization] = None
+    factorizations: int = 0
     chord: int = 0
 
 
@@ -358,11 +360,12 @@ def solve_vector(
     factorization in `held`, if it has the size of F, for as long as each
     one stays finite and cuts the max-norm residual at least tenfold; each
     step tried adds one to `held.chord`. The iteration then factors J(x)
-    by pivoted LU, keeps that factorization in `held`, and halves the step
-    until the max-norm residual decreases. If the damping floor, 1/64 of
-    the step, is reached first, the longest step with a finite residual is
-    taken, and NoConvergence is raised when there is none. Only factorizing
-    iterations count toward `max_iter`; their number is returned with x,
+    by pivoted LU, keeps that factorization in `held` and adds one to
+    `held.factorizations`, and halves the step until the max-norm residual
+    decreases. If the damping floor, 1/64 of the step, is reached first,
+    the longest step with a finite residual is taken, and NoConvergence is
+    raised when there is none. Only factorizing iterations count toward
+    `max_iter`; their number is returned with x,
     whose max-norm residual is at most `tol`, or is NoConvergence's
     `iterations`. `jac` defaults to a forward finite-difference Jacobian;
     `held` defaults to a fresh, empty holder.
@@ -400,6 +403,7 @@ def solve_vector(
         J = jac(x) if jac is not None else fd_jacobian(F, x, fx)
         try:
             held.lu = LUFactorization(J)
+            held.factorizations += 1
             delta = held.lu.solve(-fx)
         except SingularMatrix as exc:
             raise SingularJacobian(str(exc)) from exc

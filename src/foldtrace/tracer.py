@@ -224,16 +224,11 @@ def _segment_distance(p: Point2, a: Point2, b: Point2) -> float:
 
 
 def _closed(path: SolutionPath, p: Point2, tol: float) -> bool:
-    pts = path.points
-    if p.distance_to(pts[0]) <= tol:
-        return True
     # Restarts shift the marching lattice, so the returning pass rarely
-    # reproduces the start point itself; passing close to the opening
-    # segments counts as closure too.
-    for i in range(min(2, len(pts) - 1)):
-        if _segment_distance(p, pts[i], pts[i + 1]) <= tol:
-            return True
-    return False
+    # reproduces the start point itself; passing within `tol` of either
+    # opening segment counts as closure (the first one ends at the start).
+    pts = path.points
+    return any(_segment_distance(p, pts[i], pts[i + 1]) <= tol for i in range(min(2, len(pts) - 1)))
 
 
 def _retraced(points: List[Point2], width: float) -> bool:
@@ -258,9 +253,10 @@ def _retraced(points: List[Point2], width: float) -> bool:
 def _closure_reach(path: SolutionPath, tol: float) -> float:
     """Distance from the second path point beyond which `_closed` is False.
 
-    A point within `tol` of the start or of either opening segment lies
-    within `tol` plus the longer opening segment of the second point, by
-    the triangle inequality; the second `tol` is slack for rounding.
+    A point within `tol` of either opening segment lies within `tol` plus
+    the longer opening segment of the second point, by the triangle
+    inequality; the second `tol` is slack for rounding. So the pre-test
+    never changes a verdict.
     """
     p0, p1, p2 = path.points[:3]
     return 2.0 * tol + max(p1.distance_to(p0), p1.distance_to(p2))
@@ -279,8 +275,10 @@ def trace(
     path bounds no area, see `_retraced`), when a boundary scan comes back
     empty, when the path leaves the configured domain, or at the point
     budget. Turning points on the way are navigated via the half-disk scan
-    and recorded as events. A first step that leaves the domain traced
-    nothing, so it raises TraceError with the one-point path.
+    and recorded as events. A restart point is checked against the domain
+    like any other: one outside it ends the path at the turning point, with
+    no event. A first step that leaves the domain traced nothing, so it
+    raises TraceError with the one-point path.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
@@ -307,6 +305,7 @@ def trace(
         previous = path.points[-2] if len(path) > 1 and path.flags[-1] == FLAG_ORDINARY else None
         outcome = step(residual, current, direction, cfg, anchor=path.points[0], previous=previous)
 
+        flag = FLAG_ORDINARY
         if isinstance(outcome, Stalled):
             j = len(path) - 1
             kind = TurningPointKind.from_blocked(direction)
@@ -325,30 +324,28 @@ def trace(
                 path.termination = Termination.TERMINATED
                 break
             try:
-                direction, restart = new_direction(current, exit_point, incoming=direction)
+                direction, outcome = new_direction(current, exit_point, incoming=direction)
             except ZeroVector as exc:  # radius > 0 makes this unreachable in practice
                 raise TraceError(f"degenerate exit point: {exc}", path=path) from exc
-            path.append(restart, FLAG_RESTART)
-            path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(path) - 1))
-            log.info("restart at %s marching %s", restart, direction)
-            if len(path) > MIN_CLOSURE_POINTS and _closed(path, restart, cfg.closure_tol):
-                break
-            continue
+            flag = FLAG_RESTART
 
-        new_point = outcome
-        if cfg.domain is not None and not cfg.domain.contains(new_point):
+        # every new point, ordinary or restart: domain check, append, closure test
+        if cfg.domain is not None and not cfg.domain.contains(outcome):
             if len(path) == 1:
-                raise TraceError(f"the first step, to {new_point}, leaves the domain {cfg.domain}",
+                raise TraceError(f"the first step, to {outcome}, leaves the domain {cfg.domain}",
                                  path=path)
             path.termination = Termination.LEFT_DOMAIN
             break
-        path.append(new_point, FLAG_ORDINARY)
+        path.append(outcome, flag)
+        if flag == FLAG_RESTART:
+            path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(path) - 1))
+            log.info("restart at %s marching %s", outcome, direction)
         if len(path) > MIN_CLOSURE_POINTS:
             if reach2 is None:
                 reach2 = _closure_reach(path, cfg.closure_tol) ** 2
             p1 = path.points[1]
-            dx, dy = new_point.x - p1.x, new_point.y - p1.y
-            if dx * dx + dy * dy <= reach2 and _closed(path, new_point, cfg.closure_tol):
+            dx, dy = outcome.x - p1.x, outcome.y - p1.y
+            if dx * dx + dy * dy <= reach2 and _closed(path, outcome, cfg.closure_tol):
                 break
 
     if path.termination is None:  # the closure test ended the loop

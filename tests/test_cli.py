@@ -7,6 +7,7 @@ import pytest
 
 import foldtrace
 from foldtrace.cli import main
+from foldtrace.geometry import Box
 from foldtrace.output import read_points_csv
 
 
@@ -135,6 +136,24 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "termination: left domain" in out
+
+    def test_restart_outside_the_domain_is_not_kept(self, tmp_path, capsys):
+        # the scan at the circle's east fold exits above the box's top edge;
+        # the turning point is the last point written, the exit is not
+        box = Box(-2.0, 2.0, -2.0, -0.01)
+        csv = tmp_path / "r.csv"
+        code = run(["trace", "--problem", "circle", "--start", "0,-1", "--dir", "+x",
+                    "--step", "0.03", "--scan-r", "0.3", "--box=-2,2,-2,-0.01",
+                    "--csv", str(csv), "--svg", str(tmp_path / "r.svg")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "termination: left domain" in out
+        assert "turning-point events: 0" in out
+        with csv.open() as fh:
+            points, flags = read_points_csv(fh)
+        assert len(points) == 34
+        assert all(box.contains(p) for p in points)
+        assert flags[-1] == "turning_point" and "restart" not in flags
 
     def test_first_step_out_of_the_domain_exits_2(self, tmp_path, capsys, caplog):
         csv = tmp_path / "l.csv"

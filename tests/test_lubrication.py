@@ -22,9 +22,8 @@ from foldtrace.lubrication import (
     mass_of,
     residual_fixed_Q,
     solve_at_M,
-    solve_at_Q,
 )
-from foldtrace.rootfind import fd_jacobian
+from foldtrace.rootfind import fd_jacobian, solve_vector
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +168,12 @@ class TestJacobians:
         assert np.max(np.abs(J - J_fd)) <= 1e-5 * np.max(np.abs(J))
 
 
+def _fixed_flux(Q, epsilon, grid, h0, **settings):
+    """Newton on the m-dimensional fixed-flux system: (h, factorizations)."""
+    return solve_vector(lambda h: residual_fixed_Q(h, Q, epsilon, grid), h0,
+                        jac=lambda h: jacobian_fixed_Q(h, Q, epsilon, grid), **settings)
+
+
 class TestSolves:
     def test_solve_at_M_closes_mass_constraint(self, field64):
         state = field64.seed(TWO_PI)
@@ -179,23 +184,23 @@ class TestSolves:
         # the pooled branch pins the flux near the classical 2/3 cap
         assert 0.60 < state.Q < 0.70
 
-    def test_solve_at_Q_warm_start_fast(self, field64):
+    def test_fixed_flux_warm_start_fast(self, field64):
         # warm-start on the well-conditioned stretch of the branch; close
         # to the fold the fixed-flux Jacobian degenerates and Newton slows
         grid = field64.grid
         st = solve_at_M(4.0, 1e-3, grid, *_warm(field64, 4.0))
-        st2 = solve_at_Q(st.Q - 1e-4, 1e-3, grid, st.h, tol=1e-11, max_iter=40)
-        assert st2.iterations <= 5
-        assert np.max(np.abs(residual_fixed_Q(st2.h, st2.Q, 1e-3, grid))) < 1e-10
-        assert abs(st2.M - TWO_PI * np.mean(st2.h)) < 1e-12
+        h, factorizations = _fixed_flux(st.Q - 1e-4, 1e-3, grid, st.h, tol=1e-11, max_iter=40)
+        assert factorizations <= 5
+        assert np.max(np.abs(residual_fixed_Q(h, st.Q - 1e-4, 1e-3, grid))) < 1e-10
+        assert abs(mass_of(h, grid) - TWO_PI * np.mean(h)) < 1e-12
 
     def test_cross_consistency(self, field64):
         # a state converged at fixed mass satisfies the fixed-flux residual
         # at the matching (Q, M) and vice versa
         grid = field64.grid
         st = solve_at_M(6.0, 1e-3, grid, *_warm(field64, 6.0))
-        st2 = solve_at_Q(st.Q, 1e-3, grid, st.h)
-        assert abs(st2.M - st.M) < 1e-8
+        h, _ = _fixed_flux(st.Q, 1e-3, grid, st.h)
+        assert abs(mass_of(h, grid) - st.M) < 1e-8
         assert np.max(np.abs(residual_fixed_Q(st.h, st.Q, 1e-3, grid))) < 1e-8
 
     def test_fold_located_by_bisection_then_beyond_fails(self, field64):
@@ -205,8 +210,8 @@ class TestSolves:
         dq = 2e-4
         for _ in range(100):
             try:
-                st2 = solve_at_Q(Q + dq, 1e-3, grid, h, tol=1e-11, max_iter=12)
-                h, Q = st2.h, st2.Q
+                h, _ = _fixed_flux(Q + dq, 1e-3, grid, h, tol=1e-11, max_iter=12)
+                Q += dq
             except NoConvergence:
                 break
         else:
@@ -215,12 +220,12 @@ class TestSolves:
         for _ in range(25):
             mid = 0.5 * (lo + hi)
             try:
-                st2 = solve_at_Q(mid, 1e-3, grid, h, tol=1e-11, max_iter=12)
-                h, lo = st2.h, mid
+                h, _ = _fixed_flux(mid, 1e-3, grid, h, tol=1e-11, max_iter=12)
+                lo = mid
             except NoConvergence:
                 hi = mid
         with pytest.raises(NoConvergence):
-            solve_at_Q(hi + 5e-5, 1e-3, grid, h, tol=1e-11, max_iter=12)
+            _fixed_flux(hi + 5e-5, 1e-3, grid, h, tol=1e-11, max_iter=12)
 
     def test_periodic_integral_identity(self, field64):
         grid = field64.grid
@@ -233,7 +238,7 @@ class TestSolves:
         # small surface tension, so a fixed-flux solve at Q = 1 has nothing
         # to converge to (flat start or otherwise)
         with pytest.raises(NoConvergence):
-            solve_at_Q(1.0, 1e-3, grid32, np.ones(32), tol=1e-11, max_iter=40)
+            _fixed_flux(1.0, 1e-3, grid32, np.ones(32), tol=1e-11, max_iter=40)
 
 
 def _warm(field, M):
@@ -308,7 +313,7 @@ class TestTraceStates:
         calls = {"during": 0, "after": 0}
         phase = {"now": "before"}
         real_trace = foldtrace.tracer.trace  # trace_bifurcation imports it per call
-        real_at_M, real_at_Q = lubrication.solve_at_M, lubrication.solve_at_Q
+        real_at_M, real_vector = lubrication.solve_at_M, lubrication.solve_vector
 
         def traced(*args, **kwargs):
             phase["now"] = "during"
@@ -325,7 +330,7 @@ class TestTraceStates:
 
         monkeypatch.setattr(foldtrace.tracer, "trace", traced)
         monkeypatch.setattr(lubrication, "solve_at_M", counting(real_at_M))
-        monkeypatch.setattr(lubrication, "solve_at_Q", counting(real_at_Q))
+        monkeypatch.setattr(lubrication, "solve_vector", counting(real_vector))  # any Newton solve
         trace_bifurcation(**SMALL_DIAGRAM)
         assert phase["now"] == "after"
         assert calls["during"] > 0
@@ -418,11 +423,10 @@ class TestWarmStartLookup:
         assert Q0 == 1.0 and np.array_equal(h0, states[0].h)
         self._assert_same_pick(field, states, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
 
-    def test_same_pick_after_eviction(self):
-        # 23 insertions, well past the five states a bounded cache would
-        # hold: nothing is evicted, every state stays in the record in
-        # insertion order, and each pick equals a first-minimum scan of all
-        # of them, ties on the integer lattice included
+    def test_same_pick_as_a_scan_of_every_kept_state(self):
+        # 23 insertions: every state stays in the record in insertion
+        # order, and after each one every pick equals a first-minimum scan
+        # of all of them, ties on the integer lattice included
         field = BifurcationField(1e-3, SpectralGrid.build(8))
         rng = np.random.default_rng(7)
         grid_points = [(float(q), float(m)) for q, m in rng.integers(0, 4, size=(23, 2))]
@@ -438,7 +442,7 @@ class TestWarmStartLookup:
             h0, Q0 = _nearest_film(field, states[0].Q, states[0].M)
             assert Q0 == states[0].Q and np.array_equal(h0, states[0].h)
 
-    def test_ring_matches_a_plain_list_fifo(self):
+    def test_record_matches_a_plain_list_past_its_growth(self):
         # 600 insertions on a 3 x 3 integer lattice, so nearly every probe
         # ties, and enough to grow the record's capacity past its first
         # doubling; at every stage the lookup equals a first-minimum scan of
@@ -480,23 +484,30 @@ def _seeded_field():
 
 
 def _logging_solves(monkeypatch, fail_at_M=0):
-    """Log every solve_at_M start (h0, Q0) and solve_at_Q call, in order; the
-    first `fail_at_M` bordered solves raise NoConvergence instead of running."""
+    """Log every solve_at_M start (h0, Q0), and every Newton solve outside one,
+    in order; the first `fail_at_M` bordered solves raise NoConvergence
+    instead of running."""
     log = []
-    real_at_M, real_at_Q = lubrication.solve_at_M, lubrication.solve_at_Q
+    bordered = []  # the bordered solve running now, if any
+    real_at_M, real_vector = lubrication.solve_at_M, lubrication.solve_vector
 
     def at_M(M, epsilon, grid, h0, Q0, *args):
         log.append(("M", np.array(h0), Q0))
         if len(log) <= fail_at_M:
             raise NoConvergence("forced", iterations=0)
-        return real_at_M(M, epsilon, grid, h0, Q0, *args)
+        bordered.append(M)
+        try:
+            return real_at_M(M, epsilon, grid, h0, Q0, *args)
+        finally:
+            bordered.pop()
 
-    def at_Q(*args):
-        log.append(("Q",))
-        return real_at_Q(*args)
+    def vector(*args, **kwargs):
+        if not bordered:
+            log.append(("other",))
+        return real_vector(*args, **kwargs)
 
     monkeypatch.setattr(lubrication, "solve_at_M", at_M)
-    monkeypatch.setattr(lubrication, "solve_at_Q", at_Q)
+    monkeypatch.setattr(lubrication, "solve_vector", vector)
     return log
 
 
@@ -505,33 +516,33 @@ class TestPredictedStarts:
         field, seed = _seeded_field()
         field(seed.Q, TWO_PI + 0.05)  # a second state, solved at a new mass
         kept = list(field._states)
+        probes = [(seed.Q + 0.01, TWO_PI, seed), (0.5, TWO_PI + 0.05, kept[1])]
+        # what a bordered solve from the state would return: the state itself
+        expected = [solve_at_M(M, 0.1, field.grid, state.h, state.Q, 1e-11, 12).Q - Q
+                    for Q, M, state in probes]
         log = _logging_solves(monkeypatch)
-        for Q, M, state in [(seed.Q + 0.01, TWO_PI, seed), (0.5, TWO_PI + 0.05, kept[1])]:
-            # what a bordered solve from the state would return: the state itself
-            expected = solve_at_M(M, 0.1, field.grid, state.h, state.Q, 1e-11, 12).Q - Q
-            assert field(Q, M) == expected == state.Q - Q
+        for (Q, M, state), value in zip(probes, expected):
+            assert field(Q, M) == value == state.Q - Q
             assert field.solved[(Q, M)] is state
         assert log == []
         assert field._states == kept
         assert field.counts["reused"] == 2
 
-    def test_secant_start_through_the_two_nearest_states(self, monkeypatch):
+    def test_two_kept_states_start_from_the_nearest(self, monkeypatch):
         field, seed = _seeded_field()
-        field(seed.Q, TWO_PI + 0.05)  # one state kept so far: no secant, start from the seed
-        assert field.counts["secant"] == 0
+        field(seed.Q, TWO_PI + 0.05)  # one state kept so far: start from the seed
         s1 = field._states[1]
         log = _logging_solves(monkeypatch)
-        field(s1.Q, TWO_PI + 0.1)
+        field(s1.Q, TWO_PI + 0.1)  # two kept states: still no prediction
         (_, h0, Q0), = log
-        assert np.allclose(h0, 2.0 * s1.h - seed.h, rtol=0, atol=1e-14)
-        assert Q0 == pytest.approx(2.0 * s1.Q - seed.Q, abs=1e-14)
-        assert field.counts["secant"] == 1
+        assert np.array_equal(h0, s1.h) and Q0 == s1.Q
+        assert (field.counts["quadratic"], field.counts["retried"]) == (0, 0)
 
     def test_quadratic_start_through_the_three_nearest_states(self, monkeypatch):
         field, seed = _seeded_field()
-        for dM in (0.05, 0.12):  # the second solve starts from the secant
+        for dM in (0.05, 0.12):  # both start from the nearest state
             field(seed.Q, TWO_PI + dM)
-        assert (field.counts["secant"], field.counts["quadratic"]) == (1, 0)
+        assert field.counts["quadratic"] == 0
         s1, s2 = field._states[1:]
         log = _logging_solves(monkeypatch)
         M = TWO_PI + 0.2
@@ -543,9 +554,9 @@ class TestPredictedStarts:
         expected = [s2, s1, seed]
         assert np.allclose(h0, sum(w * s.h for w, s in zip(weights, expected)), rtol=0, atol=1e-12)
         assert Q0 == pytest.approx(sum(w * s.Q for w, s in zip(weights, expected)), abs=1e-12)
-        assert (field.counts["secant"], field.counts["quadratic"]) == (1, 1)
+        assert field.counts["quadratic"] == 1
 
-    def test_secant_start_when_only_two_masses_are_distinct(self, monkeypatch):
+    def test_nearest_start_when_only_two_masses_are_distinct(self, monkeypatch):
         field, seed = _seeded_field()
         field(seed.Q, TWO_PI + 0.05)
         s1 = field._states[1]
@@ -553,15 +564,13 @@ class TestPredictedStarts:
         log = _logging_solves(monkeypatch)
         field(s1.Q, TWO_PI + 0.1)
         (_, h0, Q0), = log
-        assert np.allclose(h0, 2.0 * s1.h - seed.h, rtol=0, atol=1e-14)
-        assert Q0 == pytest.approx(2.0 * s1.Q - seed.Q, abs=1e-14)
-        assert (field.counts["secant"], field.counts["quadratic"]) == (1, 0)
+        assert np.array_equal(h0, s1.h) and Q0 == s1.Q
+        assert (field.counts["quadratic"], field.counts["retried"]) == (0, 0)
 
     def test_nearest_state_when_the_quadratic_film_is_not_positive(self, monkeypatch):
         field, seed = _seeded_field()
         field(seed.Q, TWO_PI + 0.05)
-        # a thin third state: the quadratic back to 2*pi - 0.1 is 6 h0 - 8 h1 + 3 h2 < 0,
-        # while the secant through the two nearest, 3 h0 - 2 h1, stays positive
+        # a thin third state: the quadratic back to 2*pi - 0.1 is 6 h0 - 8 h1 + 3 h2 < 0
         thin = LubricationState(h=0.5 * seed.h, Q=seed.Q, M=TWO_PI + 0.1, epsilon=0.1)
         field._remember(thin, thin.M)
         direct = solve_at_M(TWO_PI - 0.1, 0.1, field.grid, seed.h, seed.Q, 1e-11, 12).Q - seed.Q
@@ -570,33 +579,40 @@ class TestPredictedStarts:
         (_, h0, Q0), = log
         assert np.array_equal(h0, seed.h) and Q0 == seed.Q
         assert value == direct
-        assert (field.counts["secant"], field.counts["quadratic"], field.counts["retried"]) == (0, 0, 0)
+        assert (field.counts["quadratic"], field.counts["retried"]) == (0, 0)
 
-    def test_failed_secant_start_is_retried_from_the_nearest_state(self, monkeypatch):
+    @staticmethod
+    def _three_masses():
+        # a seeded field with states kept at three distinct masses
         field, seed = _seeded_field()
-        field(seed.Q, TWO_PI + 0.05)
-        s1 = field._states[1]
-        direct = solve_at_M(TWO_PI + 0.1, 0.1, field.grid, s1.h, s1.Q, 1e-11, 12).Q - s1.Q
+        for dM in (0.05, 0.12):
+            field(seed.Q, TWO_PI + dM)
+        return field
+
+    def test_failed_quadratic_start_retries_from_the_nearest(self, monkeypatch):
+        field = self._three_masses()
+        s2 = field._states[2]
+        direct = solve_at_M(TWO_PI + 0.2, 0.1, field.grid, s2.h, s2.Q, 1e-11, 12).Q - s2.Q
         log = _logging_solves(monkeypatch, fail_at_M=1)
-        value = field(s1.Q, TWO_PI + 0.1)
-        assert [entry[0] for entry in log] == ["M", "M"]  # no fixed-Q solve ran
-        assert not np.array_equal(log[0][1], s1.h)
-        assert np.array_equal(log[1][1], s1.h) and log[1][2] == s1.Q
+        value = field(s2.Q, TWO_PI + 0.2)
+        assert [entry[0] for entry in log] == ["M", "M"]  # no other solve ran
+        assert not np.array_equal(log[0][1], s2.h)
+        assert np.array_equal(log[1][1], s2.h) and log[1][2] == s2.Q
         assert value == pytest.approx(direct, abs=1e-10)
-        assert (field.counts["secant"], field.counts["retried"]) == (1, 1)
+        assert (field.counts["quadratic"], field.counts["retried"]) == (1, 1)
 
     def test_failed_retry_raises_without_a_fixed_flux_solve(self, monkeypatch):
-        field, seed = _seeded_field()
-        field(seed.Q, TWO_PI + 0.05)
+        field = self._three_masses()
         kept, solved = list(field._states), dict(field.solved)
         log = _logging_solves(monkeypatch, fail_at_M=2)
         with pytest.raises(FieldEvaluationError, match="bordered solve failed.*forced"):
-            field(kept[1].Q, TWO_PI + 0.1)
-        assert [entry[0] for entry in log] == ["M", "M"]  # secant start, retry; no fixed-Q solve
+            field(kept[2].Q, TWO_PI + 0.2)
+        assert [entry[0] for entry in log] == ["M", "M"]  # quadratic start, retry; nothing else
         assert field._states == kept
         assert field.solved == solved
-        assert (field.counts["secant"], field.counts["retried"]) == (1, 1)
-        assert "fallbacks" not in field.counts
+        assert (field.counts["quadratic"], field.counts["retried"]) == (1, 1)
+        assert list(field.counts) == ["bordered", "reused", "quadratic", "retried",
+                                      "factorizations", "chord"]
 
 
 class TestDerivativeOperator:
@@ -647,14 +663,15 @@ def _spy_factorizations(monkeypatch):
 @pytest.fixture(scope="module")
 def default_diagram_counts():
     """Trace the default diagram once, counting field evaluations,
-    factorizations, LU solves, fixed-Q solves and residual evaluations."""
+    factorizations, LU solves, Newton solves outside the bordered ones and
+    residual evaluations."""
     residuals = []
     lu_solves = []
-    at_Q = []
+    newton = []  # every Newton solve; each solve_at_M runs one
     at_M = []  # per bordered solve: whether a field evaluation made it
     evaluations = []
     inside = []  # the evaluation running now, if any
-    real_residual, real_at_Q = lubrication.residual_fixed_Q, lubrication.solve_at_Q
+    real_residual, real_vector = lubrication.residual_fixed_Q, lubrication.solve_vector
     real_at_M = lubrication.solve_at_M
     real_call = BifurcationField.__call__
     real_getrs = rootfind._getrs
@@ -675,9 +692,9 @@ def default_diagram_counts():
         residuals.append(1)
         return real_residual(*args, **kwargs)
 
-    def counting_at_Q(*args, **kwargs):
-        at_Q.append(args[0])
-        return real_at_Q(*args, **kwargs)
+    def counting_vector(*args, **kwargs):
+        newton.append(1)
+        return real_vector(*args, **kwargs)
 
     def counting_getrs(*args, **kwargs):
         lu_solves.append(1)
@@ -686,12 +703,13 @@ def default_diagram_counts():
     with pytest.MonkeyPatch.context() as mp:
         shapes = _spy_factorizations(mp)
         mp.setattr(lubrication, "residual_fixed_Q", counting_residual)
-        mp.setattr(lubrication, "solve_at_Q", counting_at_Q)
+        mp.setattr(lubrication, "solve_vector", counting_vector)
         mp.setattr(lubrication, "solve_at_M", counting_at_M)
         mp.setattr(BifurcationField, "__call__", counting_call)
         mp.setattr(rootfind, "_getrs", counting_getrs)
         path, _states, field = trace_bifurcation()
-    return dict(path=path, field=field, factorizations=len(shapes), fixed_flux=len(at_Q),
+    return dict(path=path, field=field, factorizations=len(shapes),
+                unbordered=len(newton) - len(at_M),  # such as a fixed-flux solve
                 residuals=len(residuals), evaluations=len(evaluations), bordered=len(at_M),
                 bordered_in_evaluations=sum(at_M), lu_solves=len(lu_solves))
 
@@ -705,37 +723,37 @@ class TestFactorizationReuse:
         with pytest.raises(NonpositiveThickness):
             solve_at_M(TWO_PI, 0.1, grid32, h0, 1.0)
         with pytest.raises(NonpositiveThickness):
-            solve_at_Q(1.0, 0.1, grid32, h0)
+            _fixed_flux(1.0, 0.1, grid32, h0)
         assert shapes == []
 
     def test_default_diagram_reuses_the_bordered_factorization(self, default_diagram_counts):
         # the whole default diagram made 1,468 factorizations when every
         # Newton iteration factored; the shared one brought it to 373, the
-        # tracer's secant predictor to 336, and the field's own predicted
-        # starts (same-mass reuse, secant in (h, Q)) to 243, dropping the
-        # fixed-flux fallback, whose one attempt failed, to 231, and the
-        # quadratic start to 224
+        # tracer's march predictor to 336, and the field's own predicted
+        # starts (same-mass reuse, a two-point start in (h, Q)) to 243,
+        # dropping the fixed-flux fallback, whose one attempt failed, to
+        # 231, and the quadratic start to 224
         path = default_diagram_counts["path"]
         assert len(path.points) == 280 and len(path.events) == 1
         assert path.termination.name == "LEFT_DOMAIN"
-        assert default_diagram_counts["fixed_flux"] == 0
+        assert default_diagram_counts["unbordered"] == 0
         assert 0 < default_diagram_counts["factorizations"] <= 232
 
     def test_default_diagram_residual_budget(self, default_diagram_counts):
         # 2,033 residual evaluations, all in bordered solves, per diagram;
-        # 2,564 with the secant start, 2,640 with the fixed-flux fallback,
-        # 3,648 before the predicted starts, 4,208 before the tracer's
-        # secant predictor
+        # 2,564 with a two-point start in place of the quadratic, 2,640
+        # with the fixed-flux fallback, 3,648 before the predicted starts,
+        # 4,208 before the tracer's march predictor
         assert 0 < default_diagram_counts["residuals"] <= 2150
 
     def test_default_diagram_lu_solve_budget(self, default_diagram_counts):
         # 1,582 LU solves: one per chord step and one per factorization;
-        # 2,113 with the secant start
+        # 2,113 with a two-point start in place of the quadratic
         assert 0 < default_diagram_counts["lu_solves"] <= 1700
 
     def test_default_diagram_field_evaluation_budget(self, default_diagram_counts):
         # 880 field evaluations, 470 of them answered by a state already
-        # solved at the probed mass; 1,031 before the tracer's secant
+        # solved at the probed mass; 1,031 before the tracer's march
         # predictor
         assert 0 < default_diagram_counts["evaluations"] <= 950
 
@@ -746,8 +764,7 @@ class TestFactorizationReuse:
         # an evaluation is reused or makes one bordered solve, two when retried
         assert counts["reused"] == (default_diagram_counts["evaluations"] + counts["retried"]
                                  - default_diagram_counts["bordered_in_evaluations"])
-        assert counts["reused"] > 0 and 0 < counts["secant"] < counts["quadratic"]
-        assert counts["quadratic"] + counts["secant"] <= counts["bordered"]
+        assert counts["reused"] > 0 and 0 < counts["quadratic"] < counts["bordered"]
         # every LU solve is a chord step or the step of a factorization
         assert counts["chord"] + counts["factorizations"] == default_diagram_counts["lu_solves"]
 
@@ -765,13 +782,19 @@ def test_plus_y_diagram_runs_no_fixed_flux_solve(monkeypatch):
     # marching +M reaches a fold near M = 11.5, where a fixed-flux fallback
     # used to answer 5 of its 6 attempts and the slice solves stalled anyway;
     # bordered solves alone give the same 300 points at 158 factorizations
-    # (157 with the secant start, 241 with the fallback)
+    # (241 with the fallback)
     shapes = _spy_factorizations(monkeypatch)
-    at_Q = []
-    monkeypatch.setattr(lubrication, "solve_at_Q", lambda *args: at_Q.append(args))
-    path, _states, _field = trace_bifurcation(initial="+y")
+    sizes = []  # of every Newton solve's unknowns
+    real_vector = lubrication.solve_vector
+
+    def sizing(F, x0, *args, **kwargs):
+        sizes.append(np.size(x0))
+        return real_vector(F, x0, *args, **kwargs)
+
+    monkeypatch.setattr(lubrication, "solve_vector", sizing)
+    path, _states, field = trace_bifurcation(initial="+y")
     assert len(path.points) == 300
     assert [(event.index, event.kind) for event in path.events] == [(261, TurningPointKind.TYPE2)]
     assert path.termination.name == "MAX_POINTS"
-    assert at_Q == []
+    assert set(sizes) == {field.grid.m + 1}  # every solve is bordered
     assert 0 < len(shapes) <= 170

@@ -528,3 +528,18 @@ class TestChordSteps:
         _, factorizations = solve_vector(F, np.zeros(8), jac=jac, held=held)
         assert held.chord >= 2 and factorizations >= 1
         assert held.chord + factorizations == len(solves)
+
+    def test_factorizations_are_tallied_across_solves(self):
+        # the holder adds up the factorizations of every solve that used it,
+        # those of a solve that ran out of iterations included
+        A, F, jac = self._problem()
+        held = LUHolder()
+        _, first = solve_vector(F, np.zeros(8), jac=jac, held=held)
+        # the negated system: the held LU's chord step points the wrong way
+        _, second = solve_vector(lambda v: -F(v), np.zeros(8), jac=lambda v: -jac(v), held=held)
+        assert first >= 1 and second >= 1 and held.factorizations == first + second
+        with pytest.raises(NoConvergence) as info:
+            solve_vector(lambda v: np.array([math.cos(v[0]) + 2.0]), np.array([0.5]),
+                         tol=1e-14, max_iter=3, held=held)
+        assert info.value.iterations == 3
+        assert held.factorizations == first + second + 3

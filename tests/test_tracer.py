@@ -336,6 +336,18 @@ class TestTraceMisc:
                   TraceConfig(step=0.01, domain=Box(0.0, 1.0, 0.0, 1.0)))
         assert info.value.path.points == [start]
 
+    def test_restart_outside_the_domain_ends_left_domain(self):
+        # the scan at the circle's east fold picks an exit above the box's
+        # top edge: the path ends at the turning point, which gets no event
+        box = Box(-2.0, 2.0, -2.0, -0.01)
+        path = trace(circle_field(), Point2(0.0, -1.0), PLUS_X,
+                     TraceConfig(step=0.03, radius=0.3, domain=box))
+        assert path.termination is Termination.LEFT_DOMAIN
+        assert len(path) == 34
+        assert all(box.contains(p) for p in path.points)
+        assert path.flags[-1] == FLAG_TURNING and FLAG_RESTART not in path.flags
+        assert path.events == []
+
     def test_off_curve_start_rejected(self):
         with pytest.raises(ValueError):
             trace(circle_field(), Point2(2.0, 0.0), PLUS_X, TraceConfig(step=0.1))
