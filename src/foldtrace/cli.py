@@ -47,7 +47,7 @@ _TRACE_FLAGS = dict(step="--step", step_y="--step-y", radius="--scan-r", mesh_co
 _VERIFY_FLAGS = dict(step="--delta", radius="--r-factors", reference_lag="--k-values",
                      mesh_count="--n-values")
 _LUBRICATION_FLAGS = dict(_TRACE_FLAGS, step="--step-q", step_y="--step-m", epsilon="--epsilon",
-                          m="--m", seed_mass="--seed-mass")
+                          m="--m", seed_mass="--seed-mass", min_mass="--min-mass")
 
 
 class _CliError(Exception):

@@ -72,33 +72,15 @@ MINUS_Y = StepDirection(Axis.Y, -1)
 class TurningPointKind(Enum):
     """Which open half-plane around a turning point contains no solutions.
 
-    TYPE1 blocks east (+x), TYPE2 north (+y), TYPE3 west (-x), TYPE4
-    south (-y); the boundary scan therefore samples the opposite half-disk.
+    Each kind's value is the direction it blocks, so `TurningPointKind(d)`
+    classifies a stall while stepping in d; the boundary scan samples the
+    opposite half-disk.
     """
 
-    TYPE1 = 1
-    TYPE2 = 2
-    TYPE3 = 3
-    TYPE4 = 4
-
-    @property
-    def blocked(self) -> StepDirection:
-        return _BLOCKED[self]
-
-    @classmethod
-    def from_blocked(cls, direction: StepDirection) -> "TurningPointKind":
-        for kind, blocked in _BLOCKED.items():
-            if blocked == direction:
-                return kind
-        raise ValueError(f"no kind blocks {direction}")
-
-
-_BLOCKED = {
-    TurningPointKind.TYPE1: PLUS_X,
-    TurningPointKind.TYPE2: PLUS_Y,
-    TurningPointKind.TYPE3: MINUS_X,
-    TurningPointKind.TYPE4: MINUS_Y,
-}
+    TYPE1 = PLUS_X
+    TYPE2 = PLUS_Y
+    TYPE3 = MINUS_X
+    TYPE4 = MINUS_Y
 
 
 @dataclass(frozen=True)

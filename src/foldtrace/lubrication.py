@@ -394,8 +394,12 @@ def trace_bifurcation(
     from .tracer import trace  # looked up per call, so a wrapped tracer.trace sees it
 
     direction = StepDirection.parse(initial)
-    if not 0.0 < seed_mass < math.inf:  # before the domain box below would misreport it
-        raise ValueError("seed mass must be positive and finite")
+    if not 0.0 < seed_mass < math.inf:  # these three before the domain box would misreport them
+        raise ValueError("seed_mass must be positive and finite")
+    if not math.isfinite(min_mass):
+        raise ValueError("min_mass must be finite")
+    if seed_mass < min_mass:  # the trace would start outside its domain
+        raise ValueError(f"seed_mass {seed_mass:g} lies below min_mass {min_mass:g}")
     cfg = TraceConfig(
         step=step_q,
         step_y=step_m,
@@ -403,8 +407,6 @@ def trace_bifurcation(
         max_points=max_points,
         domain=Box(0.0, 5.0, min_mass, 10.0 * max(seed_mass, 1.0)),
     )
-    if seed_mass < min_mass:  # the trace would start outside its domain
-        raise ValueError(f"seed_mass {seed_mass:g} lies below min_mass {min_mass:g}")
     field = BifurcationField(epsilon, SpectralGrid.build(m))
     seed = field.seed(seed_mass)
     # a seed solved at min_mass may land an ulp below it, outside the domain

@@ -308,7 +308,7 @@ def trace(
         flag = FLAG_ORDINARY
         if isinstance(outcome, Stalled):
             j = len(path) - 1
-            kind = TurningPointKind.from_blocked(direction)
+            kind = TurningPointKind(direction)
             log.info("stall (%s) at point %d %s -> %s scan", outcome.reason, j, current, kind.name)
             path.flags[j] = FLAG_TURNING
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -47,24 +48,16 @@ class CandidateSet:
         return iter(self.candidates)
 
 
-# Unit vector at arc parameter phi for each kind, written so that the
-# coordinate bounding the open half-plane is computed from sin(phi) and is
-# therefore exactly zero at phi = 0 (the arc endpoint touching the
-# boundary) and strictly signed elsewhere. Equivalent to rotating the
-# east-blocked arc theta in [pi/2, 3*pi/2) by quarter turns.
-def _arc_unit(kind: TurningPointKind, phi: float) -> Tuple[float, float]:
-    s, c = math.sin(phi), math.cos(phi)
-    if kind is TurningPointKind.TYPE1:  # east blocked, scan west
-        return -s, c
-    if kind is TurningPointKind.TYPE2:  # north blocked, scan south
-        return -c, -s
-    if kind is TurningPointKind.TYPE3:  # west blocked, scan east
-        return s, -c
-    return c, s  # TYPE4: south blocked, scan north
-
-
 def arc_point(center: Point2, radius: float, kind: TurningPointKind, phi: float) -> Point2:
-    ux, uy = _arc_unit(kind, phi)
+    """Point at arc parameter phi on the half-circle opposite the blocked direction.
+
+    The east-blocked arc (-sin(phi), cos(phi)), turned by quarter turns: the
+    coordinate bounding the open half-plane comes from sin(phi), so it is
+    exactly zero at phi = 0 and strictly signed elsewhere.
+    """
+    s, c = math.sin(phi), math.cos(phi)
+    sign = kind.value.sign
+    ux, uy = (-s * sign, c * sign) if kind.value.axis is Axis.X else (-c * sign, -s * sign)
     return Point2(center.x + radius * ux, center.y + radius * uy)
 
 
@@ -75,8 +68,12 @@ def mesh_half_circle(center: Point2, radius: float, n: int, kind: TurningPointKi
     i = 0..n-1, i.e. pi/2 + pi*i/n; other kinds use the same arc rotated by
     quarter turns. Spacing between consecutive angles is exactly pi/n.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:  # NaN fails too
+        raise ValueError("radius must be positive and finite")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("n must be an integer") from None
     if n < 1:
         raise ValueError("n must be >= 1")
     return [arc_point(center, radius, kind, math.pi * i / n) for i in range(n)]
@@ -102,11 +99,10 @@ def scan_boundary(
     tol = cfg.residual_tol
 
     def f(phi: float) -> float:
-        ux, uy = _arc_unit(kind, phi)
-        x, y = center.x + cfg.radius * ux, center.y + cfg.radius * uy
-        v = residual(x, y)
+        p = arc_point(center, cfg.radius, kind, phi)
+        v = residual(p.x, p.y)
         if not math.isfinite(v):
-            raise FieldEvaluationError(f"non-finite residual at ({x}, {y})")
+            raise FieldEvaluationError(f"non-finite residual at {p}")
         return v
 
     result = CandidateSet()

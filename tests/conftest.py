@@ -5,7 +5,9 @@ on every run, and no failures from timing on a loaded machine.
 """
 
 import warnings
+from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("foldtrace", derandomize=True, deadline=None, database=None)
@@ -22,3 +24,9 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:
         pass
+
+
+@pytest.fixture(scope="session")
+def readme():
+    """README.md's text, for tests that hold its quoted figures to the code."""
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

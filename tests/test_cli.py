@@ -202,10 +202,10 @@ class TestTraceCommand:
 
 # the message names the bad setting, not a check it failed further on
 _NAMED_IN_THE_MESSAGE = {
-    ("lubrication", "--seed-mass", "nan"): "seed mass must be positive and finite",
-    ("lubrication", "--seed-mass", "0"): "seed mass must be positive and finite",
     # a start outside the domain would trace nothing and report `left domain`
     ("lubrication", "--seed-mass", "0.2"): "--seed-mass 0.2 lies below min_mass 0.3",
+    # checked before the domain box, which would report "box bounds out of order"
+    ("lubrication", "--min-mass", "100"): "--seed-mass 6.28319 lies below min_mass 100",
     ("trace", "--problem", "circle", "--box", "2,3,2,3"): "outside the domain",
     ("verify", "--k-values", "4.6"): "4.6 is not an integer",
     ("verify", "--n-values", "7.5"): "7.5 is not an integer",
@@ -229,6 +229,10 @@ _NAMED_IN_THE_MESSAGE = {
     ("lubrication", "--m", "7"): "--m must be even",
     ("lubrication", "--epsilon", "nan"): "--epsilon must be positive and finite",
     ("lubrication", "--epsilon", "0"): "--epsilon must be positive and finite",
+    ("lubrication", "--seed-mass", "nan"): "--seed-mass must be positive and finite",
+    ("lubrication", "--seed-mass", "0"): "--seed-mass must be positive and finite",
+    ("lubrication", "--seed-mass", "-1"): "--seed-mass must be positive and finite",
+    ("lubrication", "--min-mass", "nan"): "--min-mass must be finite",
 }
 
 
@@ -265,6 +269,8 @@ _NAMED_IN_THE_MESSAGE = {
     ["lubrication", "--seed-mass", "0"],
     ["lubrication", "--seed-mass", "0.2"],
     ["trace", "--problem", "circle", "--box", "2,3,2,3"],
+    ["lubrication", "--seed-mass", "-1"],
+    ["lubrication", "--min-mass", "nan"],
 ])
 def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
     outputs = {"trace": ["--svg", str(tmp_path / "t.svg")],

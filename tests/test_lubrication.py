@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import itertools
+import re
 
 import foldtrace.lubrication as lubrication
 import foldtrace.rootfind as rootfind
@@ -359,7 +360,7 @@ class TestTraceStates:
         ({"scan_n": 0}, "mesh_count"),
         ({"step_q": -1.0}, "step must be positive"),
         ({"max_points": 1}, "max_points"),
-        ({"min_mass": 100.0}, "box bounds"),
+        ({"min_mass": 100.0}, "seed_mass 6.28319 lies below min_mass 100"),
         ({"initial": "z"}, "cannot parse direction"),
         ({"m": 7}, "m must be even"),
         ({"epsilon": float("nan")}, "epsilon must be positive"),
@@ -368,6 +369,9 @@ class TestTraceStates:
         ({"max_points": 100.5}, "max_points must be an integer"),
         ({"seed_mass": 0.2}, "seed_mass 0.2 lies below min_mass 0.3"),
         ({"seed_mass": 2.0, "min_mass": 2.5}, "seed_mass 2 lies below min_mass 2.5"),
+        ({"seed_mass": -1.0}, "^seed_mass must be positive and finite"),
+        ({"min_mass": float("nan")}, "^min_mass must be finite"),
+        ({"min_mass": -float("inf")}, "^min_mass must be finite"),
     ])
     def test_bad_settings_fail_before_the_seed_solve(self, monkeypatch, setting, message):
         def no_seed(self, M, Q0=None):
@@ -756,6 +760,19 @@ class TestFactorizationReuse:
         # solved at the probed mass; 1,031 before the tracer's march
         # predictor
         assert 0 < default_diagram_counts["evaluations"] <= 950
+
+    def test_readme_quotes_the_default_diagram_counts(self, default_diagram_counts, readme):
+        # a change that moves these counts has to update README too
+        line = re.search(r"^film solves: (.*)$", readme, re.M).group(1)
+        quoted = [(k, int(v)) for k, v in (item.rsplit(" ", 1) for item in line.split(", "))]
+        counts = default_diagram_counts["field"].counts
+        assert quoted == list(counts.items())
+        figures = re.search(r"([\d,]+) LU solves \(([\d,]+) chord steps and ([\d,]+)\s+"
+                            r"factorizations\) and ([\d,]+) residuals", readme)
+        lu_solves, chord, factorizations, residuals = (int(g.replace(",", "")) for g in figures.groups())
+        assert lu_solves == default_diagram_counts["lu_solves"]
+        assert (chord, factorizations) == (counts["chord"], default_diagram_counts["factorizations"])
+        assert residuals == default_diagram_counts["residuals"]
 
     def test_field_counts_agree_with_the_spies(self, default_diagram_counts):
         counts = default_diagram_counts["field"].counts

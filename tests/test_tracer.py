@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -206,11 +207,16 @@ class TestClassify:
         (MINUS_Y, TurningPointKind.TYPE4),
     ])
     def test_blocked_direction_mapping(self, direction, expected):
-        assert TurningPointKind.from_blocked(direction) is expected
+        assert TurningPointKind(direction) is expected
+        assert expected.value == direction
 
     def test_round_trip(self):
-        for direction in (PLUS_X, PLUS_Y, MINUS_X, MINUS_Y):
-            assert TurningPointKind.from_blocked(direction).blocked == direction
+        for kind in TurningPointKind:
+            assert TurningPointKind(kind.value) is kind
+
+    def test_a_value_that_is_no_direction_raises(self):
+        with pytest.raises(ValueError):
+            TurningPointKind(1)
 
 
 @pytest.fixture(scope="module")
@@ -607,7 +613,7 @@ class TestAcceptedPointsWereEvaluated:
 
 
 class TestEvaluationBudget:
-    def test_default_astroid_trace(self, monkeypatch):
+    def test_default_astroid_trace(self, monkeypatch, readme):
         # The count is deterministic, so it is the regression signal for
         # the slice solver's cost: 1,796 evaluations (4.5 per point) with
         # secant steps and the multiplicity step at the two cusp tips on the
@@ -628,6 +634,9 @@ class TestEvaluationBudget:
         assert len(path.points) == 403 and len(path.events) == 2
         assert path.termination is Termination.CLOSED
         assert len(calls) <= 1900
+        # README quotes the count; a change that moves it has to update README
+        quoted = re.search(r"\(([\d,]+) for ([\d,]+) points;", readme).groups()
+        assert [int(g.replace(",", "")) for g in quoted] == [len(calls), len(path.points)]
 
 
 class TestSolutionPath:

@@ -63,7 +63,7 @@ class TestMeshHalfCircle:
             for n in (1, 2, 5, 16, 64):
                 mesh = mesh_half_circle(center, r, n, kind)
                 assert len(mesh) == n
-                blocked = kind.blocked
+                blocked = kind.value
                 for i, p in enumerate(mesh):
                     assert abs(p.distance_to(center) - r) <= 1e-12 * r
                     if blocked.axis is Axis.X:
@@ -82,6 +82,35 @@ class TestMeshHalfCircle:
             mesh_half_circle(Point2(0, 0), -1.0, 4, TurningPointKind.TYPE1)
         with pytest.raises(ValueError):
             mesh_half_circle(Point2(0, 0), 1.0, 0, TurningPointKind.TYPE1)
+
+    @pytest.mark.parametrize("n", [4.0, 2.5, "4"])
+    def test_non_integer_count_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            mesh_half_circle(Point2(0, 0), 1.0, n, TurningPointKind.TYPE1)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            mesh_half_circle(Point2(0, 0), radius, 4, TurningPointKind.TYPE1)
+
+
+class TestArcPoint:
+    # each kind's arc unit vector written out by hand; the quarter-turn
+    # rotation in arc_point must reproduce them bit for bit
+    HAND_WRITTEN = {
+        TurningPointKind.TYPE1: lambda s, c: (-s, c),
+        TurningPointKind.TYPE2: lambda s, c: (-c, -s),
+        TurningPointKind.TYPE3: lambda s, c: (s, -c),
+        TurningPointKind.TYPE4: lambda s, c: (c, s),
+    }
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8, math.pi / 2, 3 * math.pi / 4, math.pi])
+    def test_rotation_matches_the_hand_written_arcs(self, kind, phi):
+        center, r = Point2(0.3, -1.7), 0.25
+        ux, uy = self.HAND_WRITTEN[kind](math.sin(phi), math.cos(phi))
+        p = arc_point(center, r, kind, phi)
+        assert (p.x, p.y) == (center.x + r * ux, center.y + r * uy)
 
 
 class TestScanBoundary:
