@@ -69,7 +69,7 @@ def _nearest_parameters(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     degenerate at the cusps, where c'(t) = 0.
     """
 
-    def rate(t):
+    def rate(t, a, b):
         ct, st = np.cos(t), np.sin(t)
         return (a - ct ** 3) * (-3.0 * ct * ct * st) + (b - st ** 3) * (3.0 * st * st * ct)
 
@@ -80,16 +80,24 @@ def _nearest_parameters(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     tiny = 1e-18  # keeps the bracket off the exactly-degenerate cusp parameters
     lo = np.maximum(_DENSE_T[np.maximum(idx - 1, 0)], tiny)
     hi = np.minimum(_DENSE_T[np.minimum(idx + 1, len(_DENSE_T) - 1)], 0.5 * math.pi - tiny)
-    g_lo, g_hi = rate(lo), rate(hi)
+    g_lo, g_hi = rate(lo, a, b), rate(hi, a, b)
     bracketed = (g_lo >= 0.0) & (0.0 >= g_hi) & ((g_lo > 0.0) | (g_hi < 0.0))
-    moving = bracketed.copy()
+    # bisect only the samples still moving; one at machine width is written back
+    active = np.flatnonzero(bracketed)
+    lo_a, hi_a, a_a, b_a = lo[active], hi[active], a[active], b[active]
     for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        moving &= (mid != lo) & (mid != hi)
-        if not moving.any():
-            break
-        up = rate(mid) > 0.0
-        lo, hi = np.where(moving & up, mid, lo), np.where(moving & ~up, mid, hi)
+        mid = 0.5 * (lo_a + hi_a)
+        moving = (mid != lo_a) & (mid != hi_a)
+        if not moving.all():
+            done = active[~moving]
+            lo[done], hi[done] = lo_a[~moving], hi_a[~moving]
+            active, mid = active[moving], mid[moving]
+            lo_a, hi_a, a_a, b_a = lo_a[moving], hi_a[moving], a_a[moving], b_a[moving]
+            if not active.size:
+                break
+        up = rate(mid, a_a, b_a) > 0.0
+        lo_a, hi_a = np.where(up, mid, lo_a), np.where(up, hi_a, mid)
+    lo[active], hi[active] = lo_a, hi_a
     t_best = np.where(bracketed, 0.5 * (lo + hi), _DENSE_T[idx])
 
     best_d2 = dist2(t_best)

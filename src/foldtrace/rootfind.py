@@ -3,7 +3,8 @@
 The scalar solver is deliberately defensive: the tracer points it at 1-D
 slices of implicit curves, which near cusps behave like |t|^(2/3) where a
 plain finite-difference Newton loop falls apart. It therefore uses a
-relative finite-difference step and backtracking, finishes with ITP (a
+relative finite-difference step (an absolute one only where that slope
+is zero or not finite) and backtracking, finishes with ITP (a
 bracketed regula falsi at worst one step slower than bisection) once a
 sign change has been seen, and gives up early when Newton circles a
 rootless minimum of |g|. Every slice solve of a trace, and so every
@@ -59,28 +60,31 @@ def _fd_step_wide(x: float) -> float:
     return _SQRT_EPS * (1.0 + abs(x))
 
 
-class _SignBracket:
-    """Tracks one negative- and one positive-residual abscissa."""
+def _narrow(neg, pos, x: float, gx: float):
+    """Sign bracket (neg, pos) of (x, g) pairs after seeing g(x) = gx: until both
+    signs are seen the latest abscissa of a sign is kept, after that only one
+    closer to the opposite end. Zero and non-finite residuals are ignored."""
+    if -math.inf < gx < 0.0:
+        if neg is None or pos is None or abs(x - pos[0]) < abs(neg[0] - pos[0]):
+            return (x, gx), pos
+    elif 0.0 < gx < math.inf:
+        if pos is None or neg is None or abs(x - neg[0]) < abs(pos[0] - neg[0]):
+            return neg, (x, gx)
+    return neg, pos
 
-    def __init__(self):
-        self.neg = None  # (x, g)
-        self.pos = None
 
-    def update(self, x: float, gx: float) -> None:
-        # Until both signs are seen keep the latest abscissa; after that,
-        # only one closer to the opposite end, so the bracket only narrows.
-        if gx == 0.0 or not math.isfinite(gx):
-            return
-        own, other = (self.neg, self.pos) if gx < 0.0 else (self.pos, self.neg)
-        if own is None or other is None or abs(x - other[0]) < abs(own[0] - other[0]):
-            if gx < 0.0:
-                self.neg = (x, gx)
-            else:
-                self.pos = (x, gx)
-
-    @property
-    def ready(self) -> bool:
-        return self.neg is not None and self.pos is not None
+def _probe_endpoints(g, bracket, neg, pos, tol: float, reason: str, x: float, gx: float) -> float:
+    """ITP root after probing the bracket ends once for a sign change; without
+    one, NoConvergence(reason) with the last iterate x and its residual gx."""
+    if bracket is not None:
+        for e in bracket:
+            try:
+                neg, pos = _narrow(neg, pos, e, g(e))
+            except (ArithmeticError, ValueError, FoldtraceError):
+                continue
+        if neg is not None and pos is not None:
+            return itp(g, neg, pos, tol)
+    raise NoConvergence(reason, last_iterate=x, residual=gx)
 
 
 def itp(
@@ -171,55 +175,43 @@ def solve_scalar(
     if lo > hi:
         raise ValueError("bracket bounds out of order")
 
-    sign = _SignBracket()
-
-    def finish_from_endpoints(reason: str) -> float:
-        # Probe the confinement endpoints once, hoping for a sign change.
-        if bracket is not None:
-            for e in (lo, hi):
-                try:
-                    sign.update(e, g(e))
-                except (ArithmeticError, ValueError, FoldtraceError):
-                    continue
-            if sign.ready:
-                return itp(g, sign.neg, sign.pos, tol)
-        raise NoConvergence(reason, last_iterate=x, residual=gx)
-
     x = min(max(x0, lo), hi)
     gx = g(x)
     if not math.isfinite(gx):
         raise NoConvergence("residual not finite at start", last_iterate=x, residual=gx)
-    sign.update(x, gx)
+    neg, pos = _narrow(None, None, x, gx)  # (x, g) with g < 0 and with g > 0, once seen
     slow = 0  # consecutive Newton steps that cut |g| by under 10%
     before = None  # (x, g) before a step that cut |g| tenfold: the secant's far end
-    newton = []  # (x, u = g/g', share of |g| kept) of each finite-difference step
+    # (x, u = g/g', share of |g| kept) of the last two finite-difference steps
+    older = newer = None
     multiple, p = False, 1.0  # two steps kept the same share of |g|: a zero of multiplicity p
 
     for _ in range(max_iter):
         if abs(gx) <= tol:
             return x
-        if sign.ready:
-            return itp(g, sign.neg, sign.pos, tol)
+        if neg is not None and pos is not None:
+            return itp(g, neg, pos, tol)
 
         if before is not None:
             xs = min(max(x - gx * (x - before[0]) / (gx - before[1]), lo), hi)
             before = None
             if xs != x:
                 gs = g(xs)
-                sign.update(xs, gs)
+                neg, pos = _narrow(neg, pos, xs, gs)
                 if abs(gs) <= 0.5 * abs(gx):  # NaN fails
                     if abs(gs) <= 0.1 * abs(gx):
                         before = (x, gx)
                     x, gx = xs, gs
                     continue
-                if sign.ready:
-                    return itp(g, sign.neg, sign.pos, tol)
+                if neg is not None and pos is not None:
+                    return itp(g, neg, pos, tol)
 
-        for h in (_fd_step(x), _fd_step_wide(x)):
+        for fd_step in (_fd_step, _fd_step_wide):  # the wide step only if the first is flat
+            h = fd_step(x)
             if x + h > hi:
                 h = -h
             gxh = g(x + h)
-            sign.update(x + h, gxh)
+            neg, pos = _narrow(neg, pos, x + h, gxh)
             slope = (gxh - gx) / h
             if math.isfinite(slope) and slope != 0.0:
                 break
@@ -227,11 +219,11 @@ def solve_scalar(
         stuck = not math.isfinite(slope) or slope == 0.0
         if not stuck:
             u = gx / slope
-            if len(newton) >= 2 and not multiple:
-                q1, q2 = newton[-2][2], newton[-1][2]
+            if older is not None and not multiple:
+                q1, q2 = older[2], newer[2]
                 multiple = 0.5 < q2 < 0.9 and abs(q1 - q2) <= 0.01 * q2
-            if multiple and u != newton[-1][1]:
-                p = (x - newton[-1][0]) / (u - newton[-1][1])
+            if multiple and u != newer[1]:
+                p = (x - newer[0]) / (u - newer[1])
             xn = x - (p if 0.0 < p <= 1.0 else 1.0) * u
             if not math.isfinite(xn):
                 stuck = True
@@ -240,35 +232,39 @@ def solve_scalar(
                 if xn == x:  # pressing against the boundary
                     stuck = True
         if stuck:
-            return finish_from_endpoints("derivative vanished or iterate left the bracket")
+            return _probe_endpoints(g, bracket, neg, pos, tol,
+                                    "derivative vanished or iterate left the bracket", x, gx)
 
         gn = g(xn)
-        sign.update(xn, gn)
+        neg, pos = _narrow(neg, pos, xn, gn)
         halvings = 0
         while (not math.isfinite(gn) or abs(gn) > abs(gx)) and halvings < 8:
             xn = 0.5 * (x + xn)
             gn = g(xn)
-            sign.update(xn, gn)
+            neg, pos = _narrow(neg, pos, xn, gn)
             halvings += 1
         if not math.isfinite(gn):
             raise NoConvergence("residual became non-finite", last_iterate=x, residual=gx)
-        if abs(gn) > tol and not sign.ready:
+        if abs(gn) > tol and (neg is None or pos is None):
             # A step that cannot descend, or three in a row that barely do (Newton
             # keeps under 0.37 of |g| near a simple root), mean a rootless minimum.
             slow = slow + 1 if abs(gn) > 0.9 * abs(gx) else 0
             if abs(gn) > abs(gx):
-                return finish_from_endpoints("no damped step reduced |g| (rootless local minimum)")
+                return _probe_endpoints(g, bracket, neg, pos, tol,
+                                        "no damped step reduced |g| (rootless local minimum)", x, gx)
             if slow == 3:
-                return finish_from_endpoints("|g| shrank under 10% in 3 steps (rootless local minimum)")
-        newton.append((x, u, abs(gn) / abs(gx)))
+                return _probe_endpoints(g, bracket, neg, pos, tol,
+                                        "|g| shrank under 10% in 3 steps (rootless local minimum)",
+                                        x, gx)
+        older, newer = newer, (x, u, abs(gn) / abs(gx))
         if abs(gn) <= 0.1 * abs(gx) and not multiple:
             before = (x, gx)
         x, gx = xn, gn
 
     if abs(gx) <= tol:
         return x
-    if sign.ready:
-        return itp(g, sign.neg, sign.pos, tol)
+    if neg is not None and pos is not None:
+        return itp(g, neg, pos, tol)
     raise NoConvergence(f"no root after {max_iter} iterations",
                         last_iterate=x, residual=gx, iterations=max_iter)
 

@@ -70,6 +70,7 @@ class TurningPointEvent:
     index: int
     kind: TurningPointKind
     restart_index: int
+    reason: str = ""  # why the slice solve at `index` stalled
 
 
 @dataclass
@@ -88,7 +89,7 @@ class SolutionPath:
         return iter(self.points)
 
     def append(self, point: Point2, flag: str = FLAG_ORDINARY) -> None:
-        if self.points and self.points[-1] == point:
+        if self.points and self.points[-1].x == point.x and self.points[-1].y == point.y:
             raise ValueError("consecutive path points must be distinct")
         self.points.append(point)
         self.flags.append(flag)
@@ -131,15 +132,10 @@ class TraceConfig:
                 raise ValueError(f"{name} must be an integer") from None
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        self.max_step = max(self.step_for(Axis.X), self.step_for(Axis.Y))
+        self.max_step = self.step if self.step_y is None else max(self.step, self.step_y)
         if self.radius is None:
             self.radius = self.max_step
         self.closure_tol = 1e-4 * self.max_step
-
-    def step_for(self, axis: Axis) -> float:
-        if axis is Axis.Y:
-            return self.step_y if self.step_y is not None else self.step
-        return self.step
 
 
 def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> float:
@@ -188,17 +184,21 @@ def step(
     steps and BRACKET_PER_PREDICTED_CHANGE x |guess - t0|. Returns the new
     point, or Stalled when the slice solve fails or its root escapes it.
     """
+    # without an anchor the lattice starts at `current`; without `previous`, no secant
+    anchor = current if anchor is None else anchor
+    previous = current if previous is None else previous
     axis = direction.axis
-    transverse = axis.other
-    delta = cfg.step_for(axis)
-    c0 = coordinate(current, axis)
-    target = _next_lattice(c0, delta, direction.sign,
-                           c0 if anchor is None else coordinate(anchor, axis))
+    if axis is Axis.X:
+        delta = cfg.step
+        c0, t0, origin, c1, t1 = current.x, current.y, anchor.x, previous.x, previous.y
+    else:
+        delta = cfg.step if cfg.step_y is None else cfg.step_y
+        c0, t0, origin, c1, t1 = current.y, current.x, anchor.y, previous.y, previous.x
+    target = _next_lattice(c0, delta, direction.sign, origin)
 
-    t0 = coordinate(current, transverse)
     guess = t0
-    if previous is not None and coordinate(previous, axis) != c0:
-        slope = (t0 - coordinate(previous, transverse)) / (c0 - coordinate(previous, axis))
+    if c1 != c0:
+        slope = (t0 - t1) / (c0 - c1)
         guess = t0 + slope * (target - c0)
         if not math.isfinite(guess):
             guess = t0
@@ -274,7 +274,9 @@ def trace(
     Stops when the curve closes onto its opening points (RETRACED if the
     path bounds no area, see `_retraced`), when a boundary scan comes back
     empty, when the path leaves the configured domain, or at the point
-    budget. Turning points on the way are navigated via the half-disk scan
+    budget. A scan that comes back empty after a sign change it could not
+    resolve proves no curve end, so it raises TraceError with the partial
+    path. Turning points on the way are navigated via the half-disk scan
     and recorded as events. A restart point is checked against the domain
     like any other: one outside it ends the path at the turning point, with
     no event. A first step that leaves the domain traced nothing, so it
@@ -297,30 +299,35 @@ def trace(
     direction = initial_direction
     reach2 = None  # squared closure reach, fixed once the opening points are
 
+    points = path.points
     while True:
-        if len(path) >= cfg.max_points:
+        if len(points) >= cfg.max_points:
             path.termination = Termination.MAX_POINTS
             break
-        current = path.points[-1]
-        previous = path.points[-2] if len(path) > 1 and path.flags[-1] == FLAG_ORDINARY else None
-        outcome = step(residual, current, direction, cfg, anchor=path.points[0], previous=previous)
+        current = points[-1]
+        previous = points[-2] if len(points) > 1 and path.flags[-1] == FLAG_ORDINARY else None
+        outcome = step(residual, current, direction, cfg, anchor=points[0], previous=previous)
 
         flag = FLAG_ORDINARY
         if isinstance(outcome, Stalled):
-            j = len(path) - 1
-            kind = TurningPointKind(direction)
-            log.info("stall (%s) at point %d %s -> %s scan", outcome.reason, j, current, kind.name)
+            j = len(points) - 1
+            kind, reason = TurningPointKind(direction), outcome.reason
+            log.info("stall (%s) at point %d %s -> %s scan", reason, j, current, kind.name)
             path.flags[j] = FLAG_TURNING
 
             try:  # before the scan: with no history there is no exit to choose
-                reference = choose_reference_point(path.points, j, cfg)
+                reference = choose_reference_point(points, j, cfg)
             except InsufficientHistory as exc:
-                raise TraceError(f"stalled at the first path point ({outcome.reason}); "
+                raise TraceError(f"stalled at the first path point ({reason}); "
                                  f"no history to choose an exit: {exc}", path=path) from exc
             candidates = scan_boundary(residual, current, kind, cfg)
             try:
                 exit_point = select_exit_point(candidates, reference)
-            except CurveTerminated:
+            except CurveTerminated as exc:
+                if candidates.unresolved_mesh_indices:  # the scan proved no curve end
+                    raise TraceError(f"stalled at point {j} ({reason}); the scan could not resolve "
+                                     f"the sign change after arc samples "
+                                     f"{candidates.unresolved_mesh_indices}", path=path) from exc
                 path.termination = Termination.TERMINATED
                 break
             try:
@@ -331,25 +338,26 @@ def trace(
 
         # every new point, ordinary or restart: domain check, append, closure test
         if cfg.domain is not None and not cfg.domain.contains(outcome):
-            if len(path) == 1:
+            if len(points) == 1:
                 raise TraceError(f"the first step, to {outcome}, leaves the domain {cfg.domain}",
                                  path=path)
             path.termination = Termination.LEFT_DOMAIN
             break
         path.append(outcome, flag)
         if flag == FLAG_RESTART:
-            path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(path) - 1))
+            path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(points) - 1,
+                                                 reason=reason))
             log.info("restart at %s marching %s", outcome, direction)
-        if len(path) > MIN_CLOSURE_POINTS:
+        if len(points) > MIN_CLOSURE_POINTS:
             if reach2 is None:
                 reach2 = _closure_reach(path, cfg.closure_tol) ** 2
-            p1 = path.points[1]
+            p1 = points[1]
             dx, dy = outcome.x - p1.x, outcome.y - p1.y
             if dx * dx + dy * dy <= reach2 and _closed(path, outcome, cfg.closure_tol):
                 break
 
     if path.termination is None:  # the closure test ended the loop
-        retraced = _retraced(path.points, cfg.max_step)
+        retraced = _retraced(points, cfg.max_step)
         path.termination = Termination.RETRACED if retraced else Termination.CLOSED
     return path
 

@@ -40,6 +40,7 @@ class CandidateSet:
 
     candidates: List[Candidate] = field(default_factory=list)
     skipped_mesh_indices: List[int] = field(default_factory=list)
+    unresolved_mesh_indices: List[int] = field(default_factory=list)  # refined to no root
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -93,7 +94,8 @@ def scan_boundary(
     |f| <= residual_tol is accepted outright; a sign change between two
     neighbouring samples, neither accepted, is refined by ITP in phi.
     Samples and refinements where the field cannot be evaluated or is not
-    finite are skipped and their index recorded.
+    finite are skipped and their index recorded, and so, in a list of its
+    own, is a sign change whose refinement never reaches |f| <= residual_tol.
     """
     n = cfg.mesh_count
     tol = cfg.residual_tol
@@ -133,6 +135,7 @@ def scan_boundary(
             continue
         except NoConvergence as exc:
             log.debug("refinement between samples %d and %d found no root: %s", i, i + 1, exc)
+            result.unresolved_mesh_indices.append(i)
             continue
         result.candidates.append(Candidate(arc_point(center, cfg.radius, kind, phi), i))
     return result

@@ -114,6 +114,20 @@ class TestTraceCommand:
             points, flags = read_points_csv(fh)
         assert len(points) == 1 and flags == ["turning_point"]
 
+    def test_unresolved_scan_exits_2_with_partial_csv(self, tmp_path, capsys):
+        # below the circle's rounding floor the scan sees a sign change that
+        # its refinement cannot resolve; that is no proven curve end
+        csv = tmp_path / "c.csv"
+        code = run(["trace", "--problem", "circle", "--tol", "1e-17",
+                    "--csv", str(csv), "--svg", str(tmp_path / "c.svg")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "termination:" not in captured.out
+        assert "Traceback" not in captured.err
+        with csv.open() as fh:
+            points, flags = read_points_csv(fh)
+        assert len(points) == 3 and flags[-1] == "turning_point"
+
     def test_retraced_exits_2_with_outputs(self, tmp_path, capsys):
         # the ellipse reverses at an off-lattice fold and walks back onto
         # its opening segments: reported, written, and not a success

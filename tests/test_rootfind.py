@@ -215,6 +215,79 @@ class TestSolveScalarBudget:
         assert abs(g(x)) <= 1e-10
 
 
+def _hexes(text: str):
+    return [float.fromhex(h) for h in text.split()]
+
+
+class TestSolveScalarAbscissae:
+    """The exact abscissae a slice solve evaluates, recorded as doubles.
+
+    Every path point of a trace is one slice solve, so these sequences pin
+    the march bit for bit at the unit level: a rewrite of the solver that
+    changes the arithmetic or its order changes one of them. Each case is
+    (g, x0, keyword arguments, abscissae, root as a double or the
+    NoConvergence message).
+    """
+
+    CASES = {
+        # one finite-difference Newton step that cuts |g| tenfold, then secant steps
+        "smooth_root_secant_follow_up": (
+            lambda y: 0.3 ** 2 + y * y - 1.0, 0.96, {},
+            _hexes("0x1.eb851eb851eb8p-1 0x1.eb851f3333335p-1 0x1.e86d3a073a38ep-1"
+                   " 0x1.e86aba1953df9p-1 0x1.e86ab810ebe72p-1"),
+            float.fromhex("0x1.e86ab810ebe72p-1")),
+        # two steps keep the same share of |g|, then the multiplicity step lands
+        "cusp_tip_multiplicity_step": (
+            lambda y: cbrt(y) ** 2, 5.46e-4, {},
+            _hexes("0x1.1e42e12620254p-11 0x1.1e42e16db15d9p-11 -0x1.1e42e0edb23f2p-12"
+                   " -0x1.1e42e0a62086ep-12 0x1.1e42dec3ceef8p-13 0x1.1e42df0b61a73p-13"
+                   " -0x1.34a5766000000p-38 -0x1.34a17612d6a26p-38 -0x1.55d554faa0000p-55"),
+            float.fromhex("-0x1.55d554faa0000p-55")),
+        # the astroid slice one step past its cusp: eight halvings fail to
+        # descend, then the bracket ends are probed
+        "rootless_minimum_endpoint_probe": (
+            lambda y: 1.01 ** (2.0 / 3.0) + abs(y) ** (2.0 / 3.0) - 1.0, 0.0,
+            {"bracket": (-0.1, 0.1)},
+            [0.0, 2.0 ** -52] + [-float.fromhex("0x1.5a32cc44fad5bp-25") * 2.0 ** -k
+                                 for k in range(9)] + [-0.1, 0.1],
+            "no damped step reduced |g| (rootless local minimum)"),
+        # the relative step quantizes to a zero slope; the absolute one takes over
+        "cancellation_wide_step_fallback": (
+            lambda t: t * t + 1.0 - 1.0, 5e-5, {},
+            _hexes("0x1.a36e2eb1c432dp-15 0x1.a36e2f1aa7be8p-15 0x1.a38e2f1a9fbe8p-15"
+                   " 0x1.a37aa13fae6b7p-16 0x1.a37aa1a89d13cp-16 0x1.a3baa1a88d13cp-16"
+                   " 0x1.a39d51924c6fap-17 0x1.a39d51fb53c40p-17 0x1.a41d51fb33c40p-17"
+                   " 0x1.a3fea0e49b421p-18"),
+            float.fromhex("0x1.a3fea0e49b421p-18")),
+        # both steps see a flat residual; the probe finds the sign change and
+        # ITP halves onto the jump until the bracket reaches machine width
+        "jump_bisection_exhausted": (
+            lambda t: -1.0 if t < 0.25 else 1.0, 0.0, {"bracket": (-1.0, 1.0)},
+            [0.0, 2.0 ** -52, 2.0 ** -26, -1.0, 1.0, 0.0, 0.5, 0.25, 0.125]
+            + [0.25 - 2.0 ** -k for k in range(4, 56)],
+            "bisection exhausted the bracket"),
+        # the root lies just past hi: clamped to hi, the difference step turns
+        # inward, the next step presses on hi, and the probe finds no sign change
+        "root_pressing_the_bracket_edge": (
+            lambda t: math.exp(t) - math.exp(1.0000001), 0.5, {"bracket": (0.0, 1.0)},
+            [0.5, float.fromhex("0x1.0000004000002p-1"), 1.0,
+             float.fromhex("0x1.ffffff7fffffep-1"), 0.0, 1.0],
+            "derivative vanished or iterate left the bracket"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exact_abscissae(self, name):
+        g, x0, kwargs, abscissae, outcome = self.CASES[name]
+        counted, calls = _counted(g)
+        if isinstance(outcome, str):
+            with pytest.raises(NoConvergence) as info:
+                solve_scalar(counted, x0, **kwargs)
+            assert str(info.value) == outcome
+        else:
+            assert solve_scalar(counted, x0, **kwargs).hex() == outcome.hex()
+        assert [c.hex() for c in calls] == [a.hex() for a in abscissae]
+
+
 def test_tracing_never_imports_scipy_optimize():
     # scipy.optimize costs about 20 MB and a slower start-up; the slice
     # solver is written out so the package never needs it.

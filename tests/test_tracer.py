@@ -396,6 +396,47 @@ class TestTraceMisc:
         assert len(path.events) == 0
         assert path.flags.count(FLAG_TURNING) == 1
 
+    def test_unresolved_scan_raises_with_the_partial_path(self, monkeypatch):
+        # tol 1e-17 lies below the circle's rounding floor: the slice solve
+        # at y=-0.15 stalls, and the scan's one sign change ends in an
+        # exhausted bracket. An empty candidate set after a sign change it
+        # could not resolve proves no curve end, so the trace fails.
+        scans = []
+        real_scan = tracer_mod.scan_boundary
+
+        def spying(*args, **kwargs):
+            scans.append(real_scan(*args, **kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(tracer_mod, "scan_boundary", spying)
+        cfg = TraceConfig(step=0.05, residual_tol=1e-17)
+        with pytest.raises(TraceError, match="sign change") as info:
+            trace(circle_field(), Point2(1.0, 0.0), MINUS_Y, cfg)
+        assert len(info.value.path.points) == 3
+        assert info.value.path.flags == [FLAG_ORDINARY, FLAG_ORDINARY, FLAG_TURNING]
+        assert [len(s) for s in scans] == [0] and scans[0].unresolved_mesh_indices == [3]
+
+    def test_one_slice_solve_per_step(self, monkeypatch):
+        # trace looks `step` up, and `step` looks `solve_scalar` up, as
+        # globals of the tracer module at call time: the benchmark's
+        # per-layer spans wrap them there
+        steps, solves = [], []
+        real_step, real_solve = tracer_mod.step, tracer_mod.solve_scalar
+
+        def counting_step(*args, **kwargs):
+            steps.append(len(solves))
+            return real_step(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            solves.append(len(steps))
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(tracer_mod, "step", counting_step)
+        monkeypatch.setattr(tracer_mod, "solve_scalar", counting_solve)
+        path = trace(circle_field(), Point2(1.0, 0.0), MINUS_Y, TraceConfig(step=0.05, max_points=30))
+        assert len(path.events) == 1  # the march stalls and scans once on the way
+        assert steps == list(range(len(steps))) and solves == list(range(1, len(steps) + 1))
+
     def test_polish_transverse(self):
         p = polish_transverse(circle_field(), Point2(0.6, 0.9), PLUS_X)
         assert abs(circle_field()(p.x, p.y)) <= 1e-10
@@ -445,6 +486,17 @@ class TestTraceAstroid:
         # (0, +-1) cusps are crossed smoothly by the x-drive
         kinds = [e.kind for e in astroid_path.events]
         assert kinds == [TurningPointKind.TYPE1, TurningPointKind.TYPE3]
+
+    def test_events_keep_the_stall_reason(self, caplog):
+        # each event carries why its slice solve stalled, as the stall log says
+        with caplog.at_level("INFO", logger="foldtrace.tracer"):
+            path = trace_astroid(0.01)
+        logged = [r.args[0] for r in caplog.records if r.msg.startswith("stall (")]
+        assert [e.reason for e in path.events] == logged
+        assert [e.reason for e in path.events] == [
+            f"slice solve failed at x={x}: |g| shrank under 10% in 3 steps (rootless local minimum)"
+            for x in ("1.01", "-1.01")
+        ]
 
     def test_on_curve_everywhere(self, astroid_path):
         field = astroid_field()
