@@ -17,7 +17,7 @@ from typing import Iterable, List, Sequence
 import numpy as np
 
 from .errors import TraceError
-from .geometry import PLUS_X, Point2, cbrt
+from .geometry import PLUS_X, Point2
 from .tracer import SolutionPath, Termination, TraceConfig, trace
 from .turnpoint import ResidualField
 
@@ -38,7 +38,8 @@ def astroid_field() -> ResidualField:
     """f(x, y) = cbrt(x)^2 + cbrt(y)^2 - 1, real-valued on all quadrants."""
 
     def f(x: float, y: float) -> float:
-        return cbrt(x) ** 2 + cbrt(y) ** 2 - 1.0
+        # |v|^(1/3) is cbrt(v) up to the sign, which squaring drops exactly
+        return (abs(x) ** (1.0 / 3.0)) ** 2 + (abs(y) ** (1.0 / 3.0)) ** 2 - 1.0
 
     return f
 
@@ -141,7 +142,10 @@ class SweepResult:
 
 def _astroid_config(delta: float, r_factor: float, k: int, n: int) -> TraceConfig:
     cfg = TraceConfig(step=delta, radius=r_factor * delta, mesh_count=n, reference_lag=k)
-    return replace(cfg, max_points=int(6.0 / delta) + 500)  # once delta has passed its check
+    budget = 6.0 / delta  # once delta has passed its check
+    if budget == math.inf:
+        raise ValueError("step is too small: the astroid's point budget 6/step overflows")
+    return replace(cfg, max_points=int(budget) + 500)
 
 
 def trace_astroid(
@@ -171,22 +175,25 @@ def run_sweep(
     combos = [(rf, k, n) for rf in r_factors for k in k_values for n in n_values]
     for rf, k, n in combos:
         _astroid_config(delta, rf, k, n)
+    rows = {}  # row of each distinct point in the one percent-error batch
+    verdicts = {}  # cusp verdict of each distinct closed path, keyed by its rows
     traced = []
     for rf, k, n in combos:
         try:
             path = trace_astroid(delta, r_factor=rf, k=k, n=n)
-            points = list(path.points)
+            points = path.points
             closed = path.termination is Termination.CLOSED
         except TraceError as exc:
             log.warning("sweep combination r=%g k=%d n=%d failed: %s", rf, k, n, exc)
-            points = list(exc.path.points) if exc.path is not None else []
+            points = exc.path.points if exc.path is not None else []
             closed = False
-        traced.append((points, closed and navigated_all_cusps(points, delta)))
+        index = tuple([rows.setdefault(p, len(rows)) for p in points])
+        if closed and index not in verdicts:
+            verdicts[index] = navigated_all_cusps(points, delta)
+        traced.append((index, closed and verdicts[index]))
 
-    # One batch over every point of the sweep, sliced back per combination.
-    everything = [p for points, _ in traced for p in points]
-    errors = np.abs(percent_errors([p.x for p in everything], [p.y for p in everything]))
-    bounds = np.cumsum([0] + [len(points) for points, _ in traced])
+    # The paths share most of their points: each distinct one is checked once.
+    errors = np.abs(percent_errors([p.x for p in rows], [p.y for p in rows]))
     return [SweepResult(r_factor=rf, k=k, n=n, navigated_all_cusps=navigated,
-                        max_pe=float(errors[lo:hi].max()) if hi > lo else math.nan)
-            for (rf, k, n), (_, navigated), lo, hi in zip(combos, traced, bounds, bounds[1:])]
+                        max_pe=float(errors[list(index)].max()) if index else math.nan)
+            for (rf, k, n), (index, navigated) in zip(combos, traced)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 def cbrt(v: float) -> float:
@@ -12,16 +13,20 @@ def cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A coordinate pair in the trace plane."""
-
+class _XY(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+
+class Point2(_XY):
+    """A coordinate pair in the trace plane: an immutable (x, y) tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> "Point2":
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)

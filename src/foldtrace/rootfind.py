@@ -77,11 +77,14 @@ def _probe_endpoints(g, bracket, neg, pos, tol: float, reason: str, x: float, gx
     """ITP root after probing the bracket ends once for a sign change; without
     one, NoConvergence(reason) with the last iterate x and its residual gx."""
     if bracket is not None:
+        known = [end for end in (neg, pos) if end is not None]
         for e in bracket:
             try:
                 neg, pos = _narrow(neg, pos, e, g(e))
             except (ArithmeticError, ValueError, FoldtraceError):
                 continue
+        for end in known:  # a probe of the known sign may have replaced a nearer end
+            neg, pos = _narrow(neg, pos, *end)
         if neg is not None and pos is not None:
             return itp(g, neg, pos, tol)
     raise NoConvergence(reason, last_iterate=x, residual=gx)

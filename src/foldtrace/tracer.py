@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, List, Optional, Union
 
 from .errors import (
@@ -160,7 +161,7 @@ def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> flo
 def _slice(residual: ResidualField, axis: Axis, value: float) -> Callable[[float], float]:
     """The residual along the line `axis` = `value`, as a function of the other coordinate."""
     if axis is Axis.X:
-        return lambda t: residual(value, t)
+        return partial(residual, value)
     return lambda t: residual(t, value)
 
 

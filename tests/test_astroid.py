@@ -17,7 +17,7 @@ from foldtrace.astroid import (
     trace_astroid,
 )
 from foldtrace.errors import TraceError
-from foldtrace.geometry import Point2
+from foldtrace.geometry import Point2, cbrt
 from foldtrace.tracer import SolutionPath, Termination
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,27 @@ class TestAstroidField:
             assert f(-x, y) == v
             assert f(x, -y) == v
             assert f(y, x) == v
+
+    @staticmethod
+    def _cbrt_form(x, y):
+        return cbrt(x) ** 2 + cbrt(y) ** 2 - 1.0
+
+    def test_bitwise_equal_to_the_cube_root_form(self):
+        f = astroid_field()
+        rng = random.Random(5)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310, 1.0, -1.0,
+                   math.inf, -math.inf]
+        pairs = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(200)]
+        pairs += [(rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300), rng.uniform(-1, 1))
+                  for _ in range(200)]
+        pairs += [(x, y) for x in special for y in special + [0.3, -1.7]]
+        for x, y in pairs:
+            assert f(x, y).hex() == self._cbrt_form(x, y).hex(), (x, y)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.5), (-0.5, math.nan), (math.nan, math.inf)])
+    def test_nan_gives_nan(self, x, y):
+        assert math.isnan(astroid_field()(x, y))
+        assert math.isnan(self._cbrt_form(x, y))
 
 
 def _pe(p):
@@ -251,6 +272,19 @@ class TestSweep:
         for r, path in zip(results, paths):
             assert r.max_pe == oracle_max_pe(path.points)
 
+    def test_repeated_combination_matches_oracle(self, monkeypatch):
+        # repeated and overlapping paths share rows of the percent-error batch
+        paths = self._capture_paths(monkeypatch)
+        results = run_sweep([1.0, 100.0], [5, 5], [8, 3], 0.01)
+        assert [(r.r_factor, r.k, r.n) for r in results] == [
+            (rf, k, n) for rf in (1.0, 100.0) for k in (5, 5) for n in (8, 3)]
+        assert len(paths) == 8
+        assert results[0] == results[2] and results[1] == results[3]
+        for r, path in zip(results, paths):
+            assert r.max_pe == oracle_max_pe(path.points)
+            assert r.navigated_all_cusps == (path.termination is Termination.CLOSED
+                                             and navigated_all_cusps(path.points, 0.01))
+
     def test_empty_partial_path_reports_nan(self, monkeypatch):
         paths = self._capture_paths(monkeypatch, fail={(1.0, 5, 4): True, (1.0, 5, 10): False})
         results = run_sweep([1.0], [5], [4, 8, 10], 0.01)
@@ -266,6 +300,16 @@ class TestTraceAstroidHelper:
     def test_bad_setting_rejected_before_tracing(self, settings):
         with pytest.raises(ValueError):
             trace_astroid(0.01, **settings)
+
+    def test_step_too_small_for_the_point_budget_rejected(self, monkeypatch):
+        # 6 / delta overflows a float: a setting error, not a raw OverflowError
+        with pytest.raises(ValueError, match="^step is too small"):
+            trace_astroid(1e-309)
+        calls = []
+        monkeypatch.setattr(astroid, "trace_astroid", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="^step is too small"):
+            run_sweep([1e300], [5], [8], 5e-324)
+        assert calls == []
 
     def test_closed_trace(self):
         path = trace_astroid(0.02, r_factor=1.0, k=5, n=8)

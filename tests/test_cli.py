@@ -226,6 +226,8 @@ _NAMED_IN_THE_MESSAGE = {
     # a library check names the flag that was typed, not the setting it sets
     ("verify", "--delta", "-1"): "--delta must be positive and finite",
     ("verify", "--delta", "nan"): "--delta must be positive and finite",
+    ("verify", "--delta", "5e-324", "--r-factors", "1e300", "--k-values", "5", "--n-values",
+     "8"): "--delta is too small",
     ("verify", "--r-factors", "-1"): "--r-factors must be positive and finite",
     ("verify", "--k-values", "0"): "--k-values must be >= 1",
     ("verify", "--n-values", "0"): "--n-values must be >= 1",
@@ -285,6 +287,7 @@ _NAMED_IN_THE_MESSAGE = {
     ["trace", "--problem", "circle", "--box", "2,3,2,3"],
     ["lubrication", "--seed-mass", "-1"],
     ["lubrication", "--min-mass", "nan"],
+    ["verify", "--delta", "5e-324", "--r-factors", "1e300", "--k-values", "5", "--n-values", "8"],
 ])
 def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
     outputs = {"trace": ["--svg", str(tmp_path / "t.svg")],

@@ -219,6 +219,15 @@ def _hexes(text: str):
     return [float.fromhex(h) for h in text.split()]
 
 
+def _halvings(a: float, b: float, jump: float):
+    """The midpoints bisection of [a, b] visits on a step at `jump`, to machine width."""
+    mids = []
+    while a < 0.5 * (a + b) < b:
+        mids.append(0.5 * (a + b))
+        a, b = (mids[-1], b) if mids[-1] < jump else (a, mids[-1])
+    return mids
+
+
 class TestSolveScalarAbscissae:
     """The exact abscissae a slice solve evaluates, recorded as doubles.
 
@@ -259,12 +268,12 @@ class TestSolveScalarAbscissae:
                    " 0x1.a39d51924c6fap-17 0x1.a39d51fb53c40p-17 0x1.a41d51fb33c40p-17"
                    " 0x1.a3fea0e49b421p-18"),
             float.fromhex("0x1.a3fea0e49b421p-18")),
-        # both steps see a flat residual; the probe finds the sign change and
+        # both steps see a flat residual; the probe finds the sign change, the
+        # negative end stays at 2^-26 (nearer the positive probe than -1), and
         # ITP halves onto the jump until the bracket reaches machine width
         "jump_bisection_exhausted": (
             lambda t: -1.0 if t < 0.25 else 1.0, 0.0, {"bracket": (-1.0, 1.0)},
-            [0.0, 2.0 ** -52, 2.0 ** -26, -1.0, 1.0, 0.0, 0.5, 0.25, 0.125]
-            + [0.25 - 2.0 ** -k for k in range(4, 56)],
+            [0.0, 2.0 ** -52, 2.0 ** -26, -1.0, 1.0] + _halvings(2.0 ** -26, 1.0, 0.25),
             "bisection exhausted the bracket"),
         # the root lies just past hi: clamped to hi, the difference step turns
         # inward, the next step presses on hi, and the probe finds no sign change
