@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -153,9 +153,15 @@ def trace_astroid(
     r_factor: float = 1.0,
     k: int = 5,
     n: int = 8,
+    memo: Optional[dict] = None,
 ) -> SolutionPath:
-    """Trace the full astroid from (0, 1) marching +x."""
-    return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, _astroid_config(delta, r_factor, k, n))
+    """Trace the full astroid from (0, 1) marching +x.
+
+    `memo` is passed to `trace`: traces that share one reuse each other's
+    march steps wherever their paths coincide.
+    """
+    return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, _astroid_config(delta, r_factor, k, n),
+                 memo=memo)
 
 
 def run_sweep(
@@ -168,7 +174,10 @@ def run_sweep(
 
     Every combination's settings are checked, raising ValueError, before
     the first trace. Individual trace failures are recorded in the result
-    (partial-path error, cusps not navigated), never raised.
+    (partial-path error, cusps not navigated), never raised. r, k and n
+    only change the turning-point scan, so the traces share one step memo
+    for this call: a march step any combination has solved is not solved
+    again.
     """
     if not r_factors or not k_values or not n_values:
         raise ValueError("sweep grids must be nonempty")
@@ -178,9 +187,10 @@ def run_sweep(
     rows = {}  # row of each distinct point in the one percent-error batch
     verdicts = {}  # cusp verdict of each distinct closed path, keyed by its rows
     traced = []
+    memo = {}  # march steps shared by every combination
     for rf, k, n in combos:
         try:
-            path = trace_astroid(delta, r_factor=rf, k=k, n=n)
+            path = trace_astroid(delta, r_factor=rf, k=k, n=n, memo=memo)
             points = path.points
             closed = path.termination is Termination.CLOSED
         except TraceError as exc:

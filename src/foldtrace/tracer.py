@@ -263,11 +263,17 @@ def _closure_reach(path: SolutionPath, tol: float) -> float:
     return 2.0 * tol + max(p1.distance_to(p0), p1.distance_to(p2))
 
 
+def _heading(direction: StepDirection) -> int:
+    """A direction as a cheap hashable: +-1 along x, +-2 along y."""
+    return direction.sign if direction.axis is Axis.X else 2 * direction.sign
+
+
 def trace(
     residual: ResidualField,
     start: Point2,
     initial_direction: StepDirection,
     cfg: TraceConfig,
+    memo: Optional[dict] = None,
 ) -> SolutionPath:
     """March along the zero set of `residual` from an on-curve start point.
 
@@ -282,6 +288,12 @@ def trace(
     like any other: one outside it ends the path at the turning point, with
     no event. A first step that leaves the domain traced nothing, so it
     raises TraceError with the one-point path.
+
+    Each distinct march step is solved once: a memo maps `step`'s inputs
+    (current, previous, direction) to its outcome. It lives for this trace
+    unless `memo`, a dict, is given; traces of one field that share it
+    reuse each other's steps. The dict keeps traces with a different start,
+    step, step_y or residual_tol apart, but not different fields.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
@@ -297,7 +309,13 @@ def trace(
         )
     path.append(start, FLAG_ORDINARY)
 
+    # Everything `step` reads but the field. The start only anchors the lattice, and
+    # a stop at origin + k*step never keeps the sign of a zero origin; a zero in
+    # current or previous can reach the result, so those are keyed by repr, which keeps it.
+    settings = (start, cfg.step, cfg.step_y, cfg.max_step, cfg.residual_tol)
+    steps = {} if memo is None else memo.setdefault(settings, {})
     direction = initial_direction
+    heading = _heading(direction)
     reach2 = None  # squared closure reach, fixed once the opening points are
 
     points = path.points
@@ -307,7 +325,13 @@ def trace(
             break
         current = points[-1]
         previous = points[-2] if len(points) > 1 and path.flags[-1] == FLAG_ORDINARY else None
-        outcome = step(residual, current, direction, cfg, anchor=points[0], previous=previous)
+        key = (current, previous, heading)
+        if 0.0 in current or (previous is not None and 0.0 in previous):
+            key = (repr(current), repr(previous), heading)  # repr tells -0.0 from 0.0
+        outcome = steps.get(key)
+        if outcome is None:
+            outcome = steps[key] = step(residual, current, direction, cfg, anchor=points[0],
+                                        previous=previous)
 
         flag = FLAG_ORDINARY
         if isinstance(outcome, Stalled):
@@ -333,8 +357,11 @@ def trace(
                 break
             try:
                 direction, outcome = new_direction(current, exit_point, incoming=direction)
-            except ZeroVector as exc:  # radius > 0 makes this unreachable in practice
-                raise TraceError(f"degenerate exit point: {exc}", path=path) from exc
+            except ZeroVector as exc:  # the arc sample rounded back onto the centre
+                raise TraceError(f"stalled at point {j} ({reason}); the scan radius "
+                                 f"{cfg.radius:g} is below the coordinates' resolution at "
+                                 f"the turning point {current}", path=path) from exc
+            heading = _heading(direction)
             flag = FLAG_RESTART
 
         # every new point, ordinary or restart: domain check, append, closure test

@@ -244,12 +244,12 @@ class TestSweep:
         paths = []
         original = astroid.trace_astroid
 
-        def capturing(delta, r_factor, k, n):
+        def capturing(delta, r_factor, k, n, **kwargs):
             if (r_factor, k, n) in fail:
                 partial = SolutionPath() if fail[(r_factor, k, n)] else None
                 paths.append(partial)
                 raise TraceError("forced failure", path=partial)
-            path = original(delta, r_factor=r_factor, k=k, n=n)
+            path = original(delta, r_factor=r_factor, k=k, n=n, **kwargs)
             paths.append(path)
             return path
 
@@ -293,6 +293,45 @@ class TestSweep:
         assert not results[0].navigated_all_cusps and not results[2].navigated_all_cusps
         assert results[1].navigated_all_cusps
         assert results[1].max_pe == oracle_max_pe(paths[1].points)
+
+    def test_shared_memo_matches_independent_traces(self, monkeypatch):
+        # r, k and n change only the scan, so the 27 traces of the default
+        # grid repeat each other's march steps: through the sweep's one memo
+        # the field is evaluated 5,608 times, where 27 independent traces
+        # evaluate it 42,456 times, and every output stays bit-identical
+        evaluations = []
+        real_field = astroid.astroid_field
+
+        def counting_field():
+            f = real_field()
+
+            def counting(x, y):
+                evaluations.append(1)
+                return f(x, y)
+
+            return counting
+
+        monkeypatch.setattr(astroid, "astroid_field", counting_field)
+        paths = self._capture_paths(monkeypatch)
+        grid = ([0.0001, 1.0, 100.0], [1, 5, 10], [4, 8, 10])
+        results = run_sweep(*grid, 0.01)
+        assert len(evaluations) == 5608
+        evaluations.clear()
+        alone = [trace_astroid(0.01, r_factor=rf, k=k, n=n)
+                 for rf in grid[0] for k in grid[1] for n in grid[2]]
+        assert len(evaluations) == 42456
+        assert len(results) == len(paths) == len(alone) == 27
+
+        def exact(path):
+            return ([(p.x.hex(), p.y.hex()) for p in path.points], path.flags, path.events,
+                    path.termination)
+
+        for result, path, single in zip(results, paths, alone):
+            assert exact(path) == exact(single)
+            errors = np.abs(percent_errors([p.x for p in single], [p.y for p in single]))
+            assert result.max_pe.hex() == float(errors.max()).hex()
+            assert result.navigated_all_cusps == (single.termination is Termination.CLOSED
+                                                  and navigated_all_cusps(single.points, 0.01))
 
 
 class TestTraceAstroidHelper:

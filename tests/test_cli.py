@@ -128,6 +128,20 @@ class TestTraceCommand:
             points, flags = read_points_csv(fh)
         assert len(points) == 3 and flags[-1] == "turning_point"
 
+    def test_scan_radius_below_the_coordinates_resolution_exits_2(self, tmp_path, capsys,
+                                                                   caplog):
+        # at (709, 8.2e307) a unit scan radius rounds away in y
+        csv = tmp_path / "x.csv"
+        code = run(["trace", "--problem", "expression", "--expr", "exp(x)-y", "--start", "0,1",
+                    "--dir", "+x", "--step", "1", "--max-points", "100000",
+                    "--csv", str(csv), "--svg", str(tmp_path / "x.svg")])
+        assert code == 2
+        assert "termination:" not in capsys.readouterr().out
+        assert "below the coordinates' resolution" in caplog.text
+        with csv.open() as fh:
+            points, flags = read_points_csv(fh)
+        assert len(points) == 710 and flags[-1] == "turning_point"
+
     def test_retraced_exits_2_with_outputs(self, tmp_path, capsys):
         # the ellipse reverses at an off-lattice fold and walks back onto
         # its opening segments: reported, written, and not a success

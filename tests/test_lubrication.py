@@ -679,6 +679,12 @@ def default_diagram_counts():
     real_at_M = lubrication.solve_at_M
     real_call = BifurcationField.__call__
     real_getrs = rootfind._getrs
+    real_step = foldtrace.tracer.step
+    steps = []
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
 
     def counting_call(self, Q, M):
         evaluations.append((Q, M))
@@ -711,8 +717,9 @@ def default_diagram_counts():
         mp.setattr(lubrication, "solve_at_M", counting_at_M)
         mp.setattr(BifurcationField, "__call__", counting_call)
         mp.setattr(rootfind, "_getrs", counting_getrs)
+        mp.setattr(foldtrace.tracer, "step", counting_step)
         path, _states, field = trace_bifurcation()
-    return dict(path=path, field=field, factorizations=len(shapes),
+    return dict(path=path, field=field, factorizations=len(shapes), steps=len(steps),
                 unbordered=len(newton) - len(at_M),  # such as a fixed-flux solve
                 residuals=len(residuals), evaluations=len(evaluations), bordered=len(at_M),
                 bordered_in_evaluations=sum(at_M), lu_solves=len(lu_solves))
@@ -760,6 +767,15 @@ class TestFactorizationReuse:
         # solved at the probed mass; 1,031 before the tracer's march
         # predictor
         assert 0 < default_diagram_counts["evaluations"] <= 950
+
+    def test_default_diagram_solves_every_march_step(self, default_diagram_counts):
+        # The field is stateful: each evaluation warm-starts from the states
+        # solved before it. No march step repeats on this diagram, so the
+        # tracer's step memo answers none of them and the field sees the same
+        # 880 evaluations in the same order as without it. One step per point
+        # after the start, and one more that leaves the domain.
+        assert default_diagram_counts["steps"] == len(default_diagram_counts["path"].points)
+        assert default_diagram_counts["evaluations"] == 880
 
     def test_readme_quotes_the_default_diagram_counts(self, default_diagram_counts, readme):
         # a change that moves these counts has to update README too

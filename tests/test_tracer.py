@@ -33,6 +33,7 @@ from foldtrace.tracer import (
     step,
     trace,
 )
+from foldtrace.turnpoint import new_direction
 
 
 class TestTraceConfig:
@@ -437,10 +438,103 @@ class TestTraceMisc:
         assert len(path.events) == 1  # the march stalls and scans once on the way
         assert steps == list(range(len(steps))) and solves == list(range(1, len(steps) + 1))
 
+    def test_scan_radius_below_the_coordinates_resolution_raises(self):
+        # exp(x) reaches 8.2e307 at x = 709, where 8.2e307 + 1 == 8.2e307: the
+        # arc sample at phi = 0 is the turning point itself and wins the scan
+        from foldtrace.expressions import expression_field
+
+        with pytest.raises(TraceError, match=r"stalled at point 709 .* scan radius 1 is below "
+                                             r"the coordinates' resolution") as info:
+            trace(expression_field("exp(x)-y"), Point2(0.0, 1.0), PLUS_X,
+                  TraceConfig(step=1.0, max_points=100000))
+        path = info.value.path
+        assert len(path) == 710 and path.flags[-1] == FLAG_TURNING
+        assert path.points[-1] == Point2(709.0, math.exp(709.0))
+
     def test_polish_transverse(self):
         p = polish_transverse(circle_field(), Point2(0.6, 0.9), PLUS_X)
         assert abs(circle_field()(p.x, p.y)) <= 1e-10
         assert p.x == 0.6
+
+
+def _hex(path):
+    return [(p.x.hex(), p.y.hex()) for p in path.points], path.flags, path.events, path.termination
+
+
+class TestStepMemo:
+    """`trace` solves each distinct march step once and replays it after."""
+
+    @staticmethod
+    def _bouncing_ellipse():
+        # axes 1 and 2/3, tilted 0.3 rad: the folds fall off the lattice, and
+        # the trace bounces between two reversals until its point budget
+        c, s = math.cos(0.3), math.sin(0.3)
+
+        def field(x, y):
+            u, v = c * x + s * y, c * y - s * x
+            return u * u + (1.5 * v) ** 2 - 1.0
+
+        u, v = math.cos(3.0), math.sin(3.0) / 1.5
+        return field, Point2(c * u - s * v, s * u + c * v)
+
+    def test_replayed_steps_reproduce_the_path(self):
+        field, start = self._bouncing_ellipse()
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return field(x, y)
+
+        cfg = TraceConfig(step=0.02, max_points=1500)
+        path = trace(counting, start, PLUS_Y, cfg)
+        points = path.points
+        assert path.termination is Termination.MAX_POINTS and len(path.events) == 31
+        assert len(calls) < len(points) - 1  # one march step per point after the start
+
+        stalls = {e.index: e for e in path.events}
+        restarts = {e.restart_index: e for e in path.events}
+        direction = PLUS_Y
+        for i, current in enumerate(points[:-1]):
+            if i in restarts:
+                turning = points[restarts[i].index]
+                direction = new_direction(turning, current, incoming=direction)[0]
+            previous = None if i == 0 or i in restarts else points[i - 1]
+            outcome = step(field, current, direction, cfg, anchor=start, previous=previous)
+            if i in stalls:
+                assert outcome == Stalled(stalls[i].reason)
+            else:
+                assert i + 1 not in restarts
+                assert (outcome.x.hex(), outcome.y.hex()) == (points[i + 1].x.hex(),
+                                                              points[i + 1].y.hex())
+
+    @pytest.mark.parametrize("other", [dict(step=0.04), dict(step=0.05, step_y=0.04),
+                                       dict(step=0.05, residual_tol=1e-13), None])
+    def test_shared_memo_keeps_starts_and_settings_apart(self, other):
+        # the second trace's first step has the inputs (start, None, direction)
+        # of a step the first trace memoised: the same start at `other`
+        # settings, or (None) the first trace's restart point as a start,
+        # whose lattice is anchored elsewhere
+        memo, start, cfg = {}, Point2(1.0, 0.0), TraceConfig(step=0.05)
+        first = trace(circle_field(), start, MINUS_Y, cfg, memo=memo)
+        direction = MINUS_Y
+        if other is None:
+            event = first.events[0]
+            turning, start = first.points[event.index], first.points[event.restart_index]
+            direction = new_direction(turning, start, incoming=MINUS_Y)[0]
+        else:
+            cfg = TraceConfig(**other)
+        shared = trace(circle_field(), start, direction, cfg, memo=memo)
+        assert _hex(shared) == _hex(trace(circle_field(), start, direction, cfg))
+
+    def test_shared_memo_keeps_the_sign_of_zero(self):
+        # on the line y = 0 the slice solve returns its start as the root, so
+        # a zero's sign reaches the next point; a Point2 key equates the two
+        memo, cfg = {}, TraceConfig(step=0.25, max_points=5)
+        fresh = [trace(lambda x, y: y, Point2(0.0, y0), PLUS_X, cfg) for y0 in (0.0, -0.0)]
+        assert _hex(fresh[0]) != _hex(fresh[1])
+        for y0, expected in zip((0.0, -0.0), fresh):
+            assert _hex(trace(lambda x, y: y, Point2(0.0, y0), PLUS_X, cfg, memo=memo)) \
+                == _hex(expected)
 
 
 class TestTraceAstroid:
