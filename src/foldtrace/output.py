@@ -13,7 +13,7 @@ from typing import IO, Iterable, List, Sequence, Tuple, Union
 from .astroid import SweepResult
 from .geometry import Point2
 from .lubrication import LubricationState
-from .tracer import FLAG_RESTART, FLAG_TURNING, SolutionPath
+from .tracer import FLAG_ORDINARY, FLAG_RESTART, FLAG_TURNING, SolutionPath
 
 
 def _fmt(v: float) -> str:
@@ -28,8 +28,9 @@ def write_points_csv(path: SolutionPath, stream: IO[str]) -> None:
 
 
 def read_points_csv(stream: IO[str]) -> Tuple[List[Point2], List[str]]:
+    """Points and flags from `write_points_csv` output; ValueError names a bad row."""
     reader = csv.reader(stream)
-    header = next(reader)
+    header = next(reader, None)
     if header != ["index", "x", "y", "flag"]:
         raise ValueError(f"unexpected points CSV header: {header}")
     points: List[Point2] = []
@@ -37,7 +38,12 @@ def read_points_csv(stream: IO[str]) -> Tuple[List[Point2], List[str]]:
     for row in reader:
         if not row:
             continue
-        points.append(Point2(float(row[1]), float(row[2])))
+        try:
+            if len(row) != 4 or row[3] not in (FLAG_ORDINARY, FLAG_TURNING, FLAG_RESTART):
+                raise ValueError("expected index,x,y,flag with a known flag")
+            points.append(Point2(float(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise ValueError(f"bad points CSV line {reader.line_num} {row}: {exc}") from None
         flags.append(row[3])
     return points, flags
 

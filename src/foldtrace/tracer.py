@@ -43,8 +43,6 @@ FLAG_ORDINARY = "ordinary"
 FLAG_TURNING = "turning_point"
 FLAG_RESTART = "restart"
 
-MIN_CLOSURE_POINTS = 10  # closure is tested only on longer paths
-
 # Slice bracket half-width per unit of predicted transverse change. Geometry needs
 # > 2.4 at a fold and > 1.7 at a cusp; 16 keeps the default thin-film diagram
 # bit-identical; 8 and 4 narrow its fold stall's solve and cost 890 and 894, not 880.
@@ -104,10 +102,9 @@ class TraceConfig:
     turning point samples `mesh_count` points on a half-circle of `radius`
     (default: the larger step) and measures from the point `reference_lag`
     steps back; the start and every slice solve converge to `residual_tol`.
-    Each setting is checked here. The closure tolerance is 1e-4x the larger
-    step: lattice marching lands a closing pass on the opening points to
-    solver precision, and a looser one would swallow a final turning-point
-    event right at the seed.
+    Each setting is checked here. `max_points` bounds the points marched, not
+    the points returned: a trace ends only once its state repeats, which for a
+    closing trace is a few points past the closing point it returns.
     """
 
     step: float
@@ -136,7 +133,6 @@ class TraceConfig:
         self.max_step = self.step if self.step_y is None else max(self.step, self.step_y)
         if self.radius is None:
             self.radius = self.max_step
-        self.closure_tol = 1e-4 * self.max_step
 
 
 def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> float:
@@ -214,31 +210,13 @@ def step(
     return Point2(target, root) if axis is Axis.X else Point2(root, target)
 
 
-def _segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    ax, ay = b.x - a.x, b.y - a.y
-    length2 = ax * ax + ay * ay
-    if length2 == 0.0:
-        return p.distance_to(a)
-    t = ((p.x - a.x) * ax + (p.y - a.y) * ay) / length2
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(p.x - (a.x + t * ax), p.y - (a.y + t * ay))
-
-
-def _closed(path: SolutionPath, p: Point2, tol: float) -> bool:
-    # Restarts shift the marching lattice, so the returning pass rarely
-    # reproduces the start point itself; passing within `tol` of either
-    # opening segment counts as closure (the first one ends at the start).
-    pts = path.points
-    return any(_segment_distance(p, pts[i], pts[i + 1]) <= tol for i in range(min(2, len(pts) - 1)))
-
-
 def _retraced(points: List[Point2], width: float) -> bool:
-    """Whether a path that met its opening points retraced itself instead of closing.
+    """Whether one period of the march, `points`, retraced itself instead of closing.
 
     A simple closed curve bounds area. With A the shoelace area and L the
     length of the polygon through `points`, its mean width 2|A|/L is the
-    radius of a circle but only the gap between the passes of a path that
-    reversed at a fold and walked back over itself: a fraction of a step.
+    radius of a circle but only the gap between the passes of a cycle that
+    reversed at two folds and walked back over itself: a fraction of a step.
     So a mean width under `width`, the largest step, means a retrace.
     """
     o = points[0]
@@ -249,18 +227,6 @@ def _retraced(points: List[Point2], width: float) -> bool:
         length += math.hypot(bx - ax, by - ay)
         ax, ay = bx, by
     return abs(area2) < width * length
-
-
-def _closure_reach(path: SolutionPath, tol: float) -> float:
-    """Distance from the second path point beyond which `_closed` is False.
-
-    A point within `tol` of either opening segment lies within `tol` plus
-    the longer opening segment of the second point, by the triangle
-    inequality; the second `tol` is slack for rounding. So the pre-test
-    never changes a verdict.
-    """
-    p0, p1, p2 = path.points[:3]
-    return 2.0 * tol + max(p1.distance_to(p0), p1.distance_to(p2))
 
 
 def _heading(direction: StepDirection) -> int:
@@ -278,16 +244,21 @@ def trace(
     """March along the zero set of `residual` from an on-curve start point.
 
     The start must lie on the curve and in the domain (else ValueError).
-    Stops when the curve closes onto its opening points (RETRACED if the
-    path bounds no area, see `_retraced`), when a boundary scan comes back
+    Stops when the march state repeats, when a boundary scan comes back
     empty, when the path leaves the configured domain, or at the point
-    budget. A scan that comes back empty after a sign change it could not
-    resolve proves no curve end, so it raises TraceError with the partial
-    path. Turning points on the way are navigated via the half-disk scan
-    and recorded as events. A restart point is checked against the domain
-    like any other: one outside it ends the path at the turning point, with
-    no event. A first step that leaves the domain traced nothing, so it
-    raises TraceError with the one-point path.
+    budget. The march is deterministic, so a repeated state proves a cycle;
+    the cycle is CLOSED when it bounds area and RETRACED when it walked back
+    over itself (see `_retraced`). A closed path is one period from the
+    start; a retraced one is the march up to the repeat, a whole cycle after
+    the points that led into it. Neither keeps an event past its end, nor
+    ends at a turning point whose restart was marched. A scan that comes
+    back empty after a sign change it could not resolve proves no curve end,
+    so it raises TraceError with the partial path. Turning points on the way
+    are navigated via the half-disk scan and recorded as events. A restart
+    point is checked against the domain like any other: one outside it ends
+    the path at the turning point, with no event. A first step that leaves
+    the domain traced nothing, so it raises TraceError with the one-point
+    path.
 
     Each distinct march step is solved once: a memo maps `step`'s inputs
     (current, previous, direction) to its outcome. It lives for this trace
@@ -314,20 +285,31 @@ def trace(
     # current or previous can reach the result, so those are keyed by repr, which keeps it.
     settings = (start, cfg.step, cfg.step_y, cfg.max_step, cfg.residual_tol)
     steps = {} if memo is None else memo.setdefault(settings, {})
+    seen = {}  # step key -> index of its latest `current`; a shared memo hit is no repeat
     direction = initial_direction
     heading = _heading(direction)
-    reach2 = None  # squared closure reach, fixed once the opening points are
+    lag = cfg.reference_lag
 
     points = path.points
     while True:
-        if len(points) >= cfg.max_points:
-            path.termination = Termination.MAX_POINTS
-            break
         current = points[-1]
         previous = points[-2] if len(points) > 1 and path.flags[-1] == FLAG_ORDINARY else None
         key = (current, previous, heading)
         if 0.0 in current or (previous is not None and 0.0 in previous):
             key = (repr(current), repr(previous), heading)  # repr tells -0.0 from 0.0
+        # The key and the `lag` window `choose_reference_point` reads at the next
+        # stall are all the march reads, so a state met again at k repeats the march
+        # from j on. Tuple == ignores the sign of a zero in the window, which is safe:
+        # the reference point enters only through distances. The proof assumes the
+        # field is a function of (x, y); BifurcationField's warm starts are not, but
+        # the default diagram never repeats.
+        j, k = seen.get(key), len(points) - 1
+        if j is not None and j >= lag and points[j - lag:j + 1] == points[k - lag:k + 1]:
+            break
+        seen[key] = k
+        if len(points) >= cfg.max_points:
+            path.termination = Termination.MAX_POINTS
+            break
         outcome = steps.get(key)
         if outcome is None:
             outcome = steps[key] = step(residual, current, direction, cfg, anchor=points[0],
@@ -335,13 +317,12 @@ def trace(
 
         flag = FLAG_ORDINARY
         if isinstance(outcome, Stalled):
-            j = len(points) - 1
             kind, reason = TurningPointKind(direction), outcome.reason
-            log.info("stall (%s) at point %d %s -> %s scan", reason, j, current, kind.name)
-            path.flags[j] = FLAG_TURNING
+            log.info("stall (%s) at point %d %s -> %s scan", reason, k, current, kind.name)
+            path.flags[k] = FLAG_TURNING
 
             try:  # before the scan: with no history there is no exit to choose
-                reference = choose_reference_point(points, j, cfg)
+                reference = choose_reference_point(points, k, cfg)
             except InsufficientHistory as exc:
                 raise TraceError(f"stalled at the first path point ({reason}); "
                                  f"no history to choose an exit: {exc}", path=path) from exc
@@ -350,7 +331,7 @@ def trace(
                 exit_point = select_exit_point(candidates, reference)
             except CurveTerminated as exc:
                 if candidates.unresolved_mesh_indices:  # the scan proved no curve end
-                    raise TraceError(f"stalled at point {j} ({reason}); the scan could not resolve "
+                    raise TraceError(f"stalled at point {k} ({reason}); the scan could not resolve "
                                      f"the sign change after arc samples "
                                      f"{candidates.unresolved_mesh_indices}", path=path) from exc
                 path.termination = Termination.TERMINATED
@@ -358,13 +339,13 @@ def trace(
             try:
                 direction, outcome = new_direction(current, exit_point, incoming=direction)
             except ZeroVector as exc:  # the arc sample rounded back onto the centre
-                raise TraceError(f"stalled at point {j} ({reason}); the scan radius "
+                raise TraceError(f"stalled at point {k} ({reason}); the scan radius "
                                  f"{cfg.radius:g} is below the coordinates' resolution at "
                                  f"the turning point {current}", path=path) from exc
             heading = _heading(direction)
             flag = FLAG_RESTART
 
-        # every new point, ordinary or restart: domain check, append, closure test
+        # every new point, ordinary or restart: domain check, append
         if cfg.domain is not None and not cfg.domain.contains(outcome):
             if len(points) == 1:
                 raise TraceError(f"the first step, to {outcome}, leaves the domain {cfg.domain}",
@@ -373,20 +354,18 @@ def trace(
             break
         path.append(outcome, flag)
         if flag == FLAG_RESTART:
-            path.events.append(TurningPointEvent(index=j, kind=kind, restart_index=len(points) - 1,
+            path.events.append(TurningPointEvent(index=k, kind=kind, restart_index=k + 1,
                                                  reason=reason))
             log.info("restart at %s marching %s", outcome, direction)
-        if len(points) > MIN_CLOSURE_POINTS:
-            if reach2 is None:
-                reach2 = _closure_reach(path, cfg.closure_tol) ** 2
-            p1 = points[1]
-            dx, dy = outcome.x - p1.x, outcome.y - p1.y
-            if dx * dx + dy * dy <= reach2 and _closed(path, outcome, cfg.closure_tol):
-                break
 
-    if path.termination is None:  # the closure test ended the loop
-        retraced = _retraced(points, cfg.max_step)
+    if path.termination is None:  # the march repeated its state at (j, k)
+        retraced = _retraced(points[j:k], cfg.max_step)
         path.termination = Termination.RETRACED if retraced else Termination.CLOSED
+        cut = k if retraced else k - j + 1
+        while path.flags[cut - 1] == FLAG_TURNING:  # keep the restart of a kept turning point
+            cut += 1
+        del points[cut:], path.flags[cut:]
+        path.events = [e for e in path.events if e.restart_index < cut]
     return path
 
 

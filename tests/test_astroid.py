@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -294,11 +295,11 @@ class TestSweep:
         assert results[1].navigated_all_cusps
         assert results[1].max_pe == oracle_max_pe(paths[1].points)
 
-    def test_shared_memo_matches_independent_traces(self, monkeypatch):
+    def test_shared_memo_matches_independent_traces(self, monkeypatch, readme):
         # r, k and n change only the scan, so the 27 traces of the default
         # grid repeat each other's march steps: through the sweep's one memo
-        # the field is evaluated 5,608 times, where 27 independent traces
-        # evaluate it 42,456 times, and every output stays bit-identical
+        # the field is evaluated 5,844 times, where 27 independent traces
+        # evaluate it 43,941 times, and every output stays bit-identical
         evaluations = []
         real_field = astroid.astroid_field
 
@@ -315,11 +316,15 @@ class TestSweep:
         paths = self._capture_paths(monkeypatch)
         grid = ([0.0001, 1.0, 100.0], [1, 5, 10], [4, 8, 10])
         results = run_sweep(*grid, 0.01)
-        assert len(evaluations) == 5608
+        shared = len(evaluations)
+        assert shared == 5844
         evaluations.clear()
         alone = [trace_astroid(0.01, r_factor=rf, k=k, n=n)
                  for rf in grid[0] for k in grid[1] for n in grid[2]]
-        assert len(evaluations) == 42456
+        assert len(evaluations) == 43941
+        # README quotes both counts; a change that moves them has to update README
+        quoted = re.search(r"evaluates the field ([\d,]+) times instead of ([\d,]+)", readme).groups()
+        assert [int(g.replace(",", "")) for g in quoted] == [shared, len(evaluations)]
         assert len(results) == len(paths) == len(alone) == 27
 
         def exact(path):

@@ -143,8 +143,8 @@ class TestTraceCommand:
         assert len(points) == 710 and flags[-1] == "turning_point"
 
     def test_retraced_exits_2_with_outputs(self, tmp_path, capsys):
-        # the ellipse reverses at an off-lattice fold and walks back onto
-        # its opening segments: reported, written, and not a success
+        # the ellipse reverses at off-lattice folds and walks back over
+        # itself until its state repeats: reported, written, and not a success
         csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
         code = run(["trace", "--problem", "expression", "--expr", "x^2/4+y^2-1",
                     "--start", "2,0", "--dir", "-y", "--step", "0.07",
@@ -154,7 +154,7 @@ class TestTraceCommand:
         assert "termination: retraced" in out
         with csv.open() as fh:
             points, _flags = read_points_csv(fh)
-        assert len(points) == 38
+        assert len(points) == 84
         ET.parse(svg)
 
     def test_expression_leaves_domain(self, tmp_path, capsys):

@@ -59,6 +59,16 @@ class TestPointsCsv:
         with pytest.raises(ValueError):
             read_points_csv(io.StringIO("a,b,c\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "header: None"),
+        ("index,x,y,flag\n0,1,0,ordinary\n1,0.5\n", r"line 3 \['1', '0.5'\]"),
+        ("index,x,y,flag\n0,1,0,bogus\n", r"line 2 .*'bogus'\]: .*known flag"),
+        ("index,x,y,flag\n0,1,nan,ordinary\n", r"line 2 .*'nan'.*finite"),
+    ], ids=["empty stream", "short row", "unknown flag", "non-finite coordinate"])
+    def test_malformed_input_names_the_row(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_points_csv(io.StringIO(text))
+
 
 class TestSweepCsv:
     def test_columns(self):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import re
 
@@ -27,8 +29,6 @@ from foldtrace.tracer import (
     Stalled,
     Termination,
     TraceConfig,
-    _closed,
-    _closure_reach,
     polish_transverse,
     step,
     trace,
@@ -185,10 +185,12 @@ class TestSecantPredictor:
         monkeypatch.setattr(tracer_mod, "step", recording_step)
         path = trace(circle_field(), Point2(1.0, 0.0), MINUS_Y, TraceConfig(step=0.05))
         assert len(path.events) == 4
-        index = {p: i for i, p in enumerate(path.points)}
+        # the march goes on past the returned end to prove the repeat, back
+        # over the opening points: only its first len(path) - 1 steps are kept
+        seen = seen[:len(path) - 1]
         from_restart = predicted = 0
-        for current, previous in seen:
-            i = index[current]
+        for i, (current, previous) in enumerate(seen):
+            assert current == path.points[i]
             if i == 0 or path.flags[i] == FLAG_RESTART:
                 assert previous is None
                 from_restart += i > 0
@@ -230,32 +232,6 @@ def astroid_path():
     cfg = TraceConfig(step=0.01, radius=0.01, mesh_count=8, reference_lag=5,
                       residual_tol=1e-10, max_points=1200)
     return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, cfg)
-
-
-_coord = st.floats(-10.0, 10.0, allow_nan=False)
-
-
-class TestClosureReach:
-    """The constant-time pre-test `trace` runs before `_closed`."""
-
-    @given(opening=st.tuples(_coord, _coord, _coord, _coord, _coord, _coord),
-           tol=st.floats(1e-9, 1.0), s=st.floats(0.0, 2.0), radius=st.floats(0.0, 3.0),
-           angle=st.floats(0.0, 2.0 * math.pi), far=st.tuples(_coord, _coord))
-    def test_skipped_points_never_close(self, opening, tol, s, radius, angle, far):
-        path = SolutionPath()
-        p0, p1, p2 = (Point2(*opening[i:i + 2]) for i in (0, 2, 4))
-        for p in (p0, p1, p2):
-            path.points.append(p)
-        reach = _closure_reach(path, tol)
-        # probes near the opening polyline, at up to three tolerances from
-        # a point on it, and one anywhere
-        a, b, u = (p0, p1, s) if s <= 1.0 else (p1, p2, s - 1.0)
-        on = Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
-        near = Point2(on.x + radius * tol * math.cos(angle), on.y + radius * tol * math.sin(angle))
-        for probe in (near, Point2(*far), p0, on):
-            dx, dy = probe.x - p1.x, probe.y - p1.y
-            if dx * dx + dy * dy > reach ** 2:
-                assert not _closed(path, probe, tol)
 
 
 def _winding(points):
@@ -467,7 +443,7 @@ class TestStepMemo:
     @staticmethod
     def _bouncing_ellipse():
         # axes 1 and 2/3, tilted 0.3 rad: the folds fall off the lattice, and
-        # the trace bounces between two reversals until its point budget
+        # the trace bounces between two reversals until its state repeats
         c, s = math.cos(0.3), math.sin(0.3)
 
         def field(x, y):
@@ -479,17 +455,10 @@ class TestStepMemo:
 
     def test_replayed_steps_reproduce_the_path(self):
         field, start = self._bouncing_ellipse()
-        calls = []
-
-        def counting(x, y):
-            calls.append((x, y))
-            return field(x, y)
-
         cfg = TraceConfig(step=0.02, max_points=1500)
-        path = trace(counting, start, PLUS_Y, cfg)
+        path = trace(field, start, PLUS_Y, cfg)
         points = path.points
-        assert path.termination is Termination.MAX_POINTS and len(path.events) == 31
-        assert len(calls) < len(points) - 1  # one march step per point after the start
+        assert path.termination is Termination.RETRACED and len(path.events) == 2
 
         stalls = {e.index: e for e in path.events}
         restarts = {e.restart_index: e for e in path.events}
@@ -619,13 +588,14 @@ class TestRetraceGuard:
     """A simple closed curve bounds area; a path that walked back along itself does not."""
 
     def test_reversed_ellipse_is_not_closed(self):
-        # the fold at (0, -1) falls off the lattice, the trace reverses there
-        # and walks back onto its opening segments
+        # the folds at (0, +-1) fall off the lattice: the trace reverses near
+        # each and bounces over the right half, turning at (2, 0) in between,
+        # until its state repeats
         from foldtrace.expressions import expression_field
         path = trace(expression_field("x^2/4+y^2-1"), Point2(2.0, 0.0), MINUS_Y,
                      TraceConfig(step=0.07))
         assert path.termination is Termination.RETRACED
-        assert (len(path), len(path.events)) == (38, 1)
+        assert (len(path), len(path.events)) == (84, 4)
         assert round(_winding(path.points)) == 0
 
     @pytest.mark.parametrize("angle", [0.0, 0.3])
@@ -639,10 +609,11 @@ class TestRetraceGuard:
 
     def test_retrace_between_two_reversals_is_not_closed(self):
         # The trace reverses at a fold, passes the start, reverses at the
-        # other fold and walks back onto its opening points: 17 points on
-        # one arc. Its passes lie on different lattices, so the sliver
-        # between them bounds |A| = 1.2e-3 L^2, above the old 1e-3 L^2
-        # cut, but its mean width 2|A|/L is under a tenth of the step.
+        # other fold and walks back: from point 14 on it repeats a 16-point
+        # cycle on one arc, and the path ends after one cycle. The cycle's
+        # passes lie on different lattices, so the sliver between them bounds
+        # |A| = 1.2e-3 L^2, above the old 1e-3 L^2 cut, but its mean width
+        # 2|A|/L is under a tenth of the step.
         c, s = math.cos(2.5), math.sin(2.5)
 
         def field(x, y):
@@ -650,7 +621,7 @@ class TestRetraceGuard:
             return u * u + (1.5 * v) ** 2 - 1.0
 
         path = trace(field, Point2(c, s), MINUS_X, TraceConfig(step=0.05078125))
-        assert (len(path), len(path.events)) == (17, 2)
+        assert (len(path), len(path.events)) == (30, 4)
         assert round(_winding(path.points)) == 0
         assert path.termination is Termination.RETRACED
 
@@ -689,6 +660,103 @@ class TestRetraceGuard:
         for path in (circle_path, astroid_path):
             assert path.termination is Termination.CLOSED
             assert abs(abs(_winding(path.points)) - 1.0) < 1e-9
+
+
+# curve 0 of perfbench's curve zoo: an ellipse with axes 0.89 and 1.38, tilted 0.74 rad
+_ZOO_ELLIPSE = ("((x*0.7373688780783196 + y*0.675490294261524)/0.887874162664502)^2"
+                " + ((y*0.7373688780783196 - x*0.675490294261524)/1.3794580794954512)^2 - 1")
+
+
+def _cycle_case(name):
+    """(field, start, direction, cfg) of a trace that ends at a repeated state."""
+    from foldtrace.expressions import expression_field
+
+    if name == "astroid":  # trace_astroid(0.01)
+        return astroid_field(), Point2(0.0, 1.0), PLUS_X, TraceConfig(step=0.01, max_points=1100)
+    if name == "circle":
+        return circle_field(), Point2(1.0, 0.0), MINUS_Y, TraceConfig(step=0.05)
+    if name == "ellipse":
+        return (expression_field("x*x/4 + y*y - 1"), Point2(2.0, 0.0), MINUS_Y,
+                TraceConfig(step=0.05, max_points=2000))
+    if name == "reversed ellipse":
+        return expression_field("x^2/4+y^2-1"), Point2(2.0, 0.0), MINUS_Y, TraceConfig(step=0.07)
+    if name == "zoo ellipse":
+        return (expression_field(_ZOO_ELLIPSE), Point2(0.34014445265136495, -1.1720056257124918),
+                PLUS_X, TraceConfig(step=0.005, max_points=4325))
+    if name == "tilted ellipse":
+        field, start = TestStepMemo._bouncing_ellipse()
+        return field, start, PLUS_Y, TraceConfig(step=0.02, max_points=1500)
+    assert name == "narrow ellipse"  # its cycle's last point is a turning point
+    c, s = math.cos(0.3), math.sin(0.3)
+
+    def field(x, y):
+        u, v = c * x + s * y, c * y - s * x
+        return u * u + (2.0 * v) ** 2 - 1.0
+
+    return field, Point2(c, s), PLUS_Y, TraceConfig(step=0.07)
+
+
+def _points_md5(path):
+    return hashlib.md5("".join(f"{p.x.hex()} {p.y.hex()}\n" for p in path.points).encode()).hexdigest()
+
+
+class TestCycleStop:
+    """The march is deterministic: a trace ends at the first exact repeat of its state."""
+
+    @pytest.mark.parametrize("name", ["zoo ellipse", "tilted ellipse"])
+    def test_a_bounce_ends_retraced_well_inside_its_budget(self, name):
+        # both bounced between two reversals until `max points` while the
+        # trace stopped only within a tolerance of its opening points
+        field, start, direction, cfg = _cycle_case(name)
+        path = trace(field, start, direction, cfg)
+        points = path.points
+        assert path.termination is Termination.RETRACED
+        assert len(points) < cfg.max_points / 10
+        # one step past the returned end lands, bit for bit, on an earlier
+        # point with the same reference window: the march repeats from there,
+        # so the path holds a whole period
+        for event in path.events:
+            direction = new_direction(points[event.index], points[event.restart_index],
+                                      incoming=direction)[0]
+        previous = points[-2] if path.flags[-1] == FLAG_ORDINARY else None
+        outcome = step(field, points[-1], direction, cfg, anchor=start, previous=previous)
+        assert isinstance(outcome, Point2)
+        lag = cfg.reference_lag
+        window = [(p.x.hex(), p.y.hex()) for p in points[-lag:] + [outcome]]
+        assert any([(p.x.hex(), p.y.hex()) for p in points[j - lag:j + 1]] == window
+                   for j in range(lag, len(points)))
+
+    @pytest.mark.parametrize("name, points, events, md5", [
+        ("astroid", 403, 2, "fb352051e6078cf7bd529b88f6c3c300"),
+        ("circle", 85, 4, "1ff99d9604c1f9b6325842ba4de44885"),
+        ("ellipse", 125, 4, "8e43be308744b6d5088d1ef92c955d67"),
+    ])
+    def test_closed_paths_keep_their_points(self, name, points, events, md5):
+        # digests of the points as float.hex, taken when the trace stopped
+        # within 1e-4 steps of its opening segments: one period of the
+        # proved cycle is that same path, bit for bit
+        path = trace(*_cycle_case(name))
+        assert path.termination is Termination.CLOSED
+        assert (len(path), len(path.events), _points_md5(path)) == (points, events, md5)
+
+    @pytest.mark.parametrize("name", ["astroid", "circle", "ellipse", "reversed ellipse",
+                                      "zoo ellipse", "tilted ellipse", "narrow ellipse"])
+    def test_turning_flags_are_the_event_indices(self, name):
+        # the cut after a repeat drops the events beyond it, and never a
+        # kept turning point's restart
+        path = trace(*_cycle_case(name))
+        assert [i for i, f in enumerate(path.flags) if f == FLAG_TURNING] == \
+            [e.index for e in path.events]
+        assert all(e.restart_index < len(path) for e in path.events)
+
+    def test_a_closing_trace_marches_past_its_closing_point(self):
+        # the astroid closes with 403 points, but its state first repeats
+        # at point 413, so a budget of 413 points ends before the proof
+        field, start, direction, cfg = _cycle_case("astroid")
+        closed = trace(field, start, direction, dataclasses.replace(cfg, max_points=414))
+        assert (len(closed), closed.termination) == (403, Termination.CLOSED)
+        short = trace(field, start, direction, dataclasses.replace(cfg, max_points=413))
+        assert (len(short), short.termination) == (413, Termination.MAX_POINTS)
 
 
 def _recording(field):
@@ -761,8 +829,10 @@ class TestAcceptedPointsWereEvaluated:
 class TestEvaluationBudget:
     def test_default_astroid_trace(self, monkeypatch, readme):
         # The count is deterministic, so it is the regression signal for
-        # the slice solver's cost: 1,796 evaluations (4.5 per point) with
-        # secant steps and the multiplicity step at the two cusp tips on the
+        # the slice solver's cost: 1,835 evaluations (4.6 per point), 39 of
+        # them marching on from the closing point to the proved repeat. A
+        # trace that stopped at its closing point took 1,796 with secant
+        # steps and the multiplicity step at the two cusp tips on the
         # lattice, 2,280 without them, 3,245 also without the secant
         # predictor, and 8,960 with a bisection finish and Newton wandering
         # on rootless slices.
