@@ -20,7 +20,7 @@ _FUNCTIONS = {
     "sin": math.sin,
     "cos": math.cos,
     "abs": abs,
-    "cbrt": cbrt,
+    "cbrt": cbrt,  # never called: _check writes out its arithmetic in place
     "sqrt": math.sqrt,
     "exp": math.exp,
     "log": math.log,
@@ -44,6 +44,11 @@ def _check(node: ast.AST, text: str) -> None:
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
           and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
         children = node.args
+        if node.func.id == "cbrt":  # geometry.cbrt's own arithmetic, without its frame
+            t = f"_cbrt{node.col_offset}"  # unique: the formula is one line
+            inline = ast.parse(f"copysign(abs({t} := X) ** (1.0 / 3.0), {t})", mode="eval").body
+            inline.args[0].left.args[0].value = node.args[0]  # X
+            node.func, node.args = inline.func, inline.args
     elif isinstance(node, ast.Name) and node.id in ("x", "y"):
         children = []
     elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(
@@ -56,8 +61,23 @@ def _check(node: ast.AST, text: str) -> None:
         _check(child, text)
 
 
-def parse_expression(text: str) -> Evaluator:
-    """Compile a formula in x and y to a plain callable."""
+# A field is one function: the formula, its error wrapping and its real-value check.
+_FIELD = """def formula(x, y):
+    try:
+        value = FORMULA
+    except (ArithmeticError, ValueError, TypeError) as exc:  # TypeError: a complex argument
+        raise FieldEvaluationError(f"expression undefined at ({x}, {y}): {exc}") from exc
+    if isinstance(value, complex):
+        raise FieldEvaluationError(f"expression not real at ({x}, {y}): {value}")
+    return value"""
+# A compiled formula's only globals: the whitelisted functions and the templates' names.
+_GLOBALS = dict(_FUNCTIONS, __builtins__={}, copysign=math.copysign, isinstance=isinstance,
+                complex=complex, ArithmeticError=ArithmeticError, ValueError=ValueError,
+                TypeError=TypeError, FieldEvaluationError=FieldEvaluationError)
+
+
+def _compile(text: str, template: str) -> Callable:
+    """The function `formula` of `template`, with the checked formula in place of FORMULA."""
     # Python's ^ is XOR and binds more loosely than +; no other token uses ^.
     text = " ".join(text.split()).replace("^", "**")
     if not text:
@@ -67,29 +87,27 @@ def parse_expression(text: str) -> Evaluator:
     try:
         tree = ast.parse(text, "<formula>", "eval")
         _check(tree.body, text)
-        wrapper = ast.parse("lambda x, y: 0", mode="eval")
-        wrapper.body.body = tree.body
-        code = compile(wrapper, "<formula>", "eval")
+        module = ast.parse(template)
+        for node in ast.walk(module):  # the Return or Assign of the placeholder
+            if isinstance(getattr(node, "value", None), ast.Name) and node.value.id == "FORMULA":
+                node.value = tree.body
+        code = compile(module, "<formula>", "exec")
     except (SyntaxError, ValueError) as exc:  # ValueError: a lone surrogate
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
     except RecursionError as exc:
         raise ExpressionError("formula is nested too deeply") from exc
-    return eval(code, {"__builtins__": {}, **_FUNCTIONS})
+    exec(code, _GLOBALS, scope := {})
+    return scope["formula"]
+
+
+def parse_expression(text: str) -> Evaluator:
+    """Compile a formula in x and y to a plain callable."""
+    return _compile(text, "def formula(x, y):\n    return FORMULA")
 
 
 def expression_field(text: str) -> ResidualField:
-    """Wrap a formula as a residual field; evaluation errors and non-real
-    values (a negative base under a fractional power) become
-    FieldEvaluationError so the tracer can treat bad regions as stalls."""
-    evaluator = parse_expression(text)
-
-    def f(x: float, y: float) -> float:
-        try:
-            value = evaluator(x, y)
-        except (ArithmeticError, ValueError) as exc:
-            raise FieldEvaluationError(f"expression undefined at ({x}, {y}): {exc}") from exc
-        if isinstance(value, complex):
-            raise FieldEvaluationError(f"expression not real at ({x}, {y}): {value}")
-        return value
-
-    return f
+    """Compile a formula as a residual field: one function, one frame per call,
+    that raises FieldEvaluationError on an evaluation error or a non-real value
+    (a negative base under a fractional power, or a real function of one), so
+    the tracer can treat bad regions as stalls."""
+    return _compile(text, _FIELD)

@@ -47,13 +47,6 @@ def _check_settings(tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be >= 1")
 
 
-def _fd_step(x: float) -> float:
-    # Relative step: an absolute step straddles the kink of cube-root-like
-    # slices once |x| falls below it, producing derivative estimates with
-    # the wrong sign.
-    return _SQRT_EPS * (abs(x) + _SQRT_EPS)
-
-
 def _fd_step_wide(x: float) -> float:
     # Fallback for residuals whose internal cancellation swallows the
     # relative step (e.g. x^2 + 1 - 1 near x = 0): classical absolute form.
@@ -182,6 +175,7 @@ def solve_scalar(
     gx = g(x)
     if not math.isfinite(gx):
         raise NoConvergence("residual not finite at start", last_iterate=x, residual=gx)
+    abs_gx = abs(gx)  # each residual's |g| is taken once and carried beside it
     neg, pos = _narrow(None, None, x, gx)  # (x, g) with g < 0 and with g > 0, once seen
     slow = 0  # consecutive Newton steps that cut |g| by under 10%
     before = None  # (x, g) before a step that cut |g| tenfold: the secant's far end
@@ -189,8 +183,10 @@ def solve_scalar(
     older = newer = None
     multiple, p = False, 1.0  # two steps kept the same share of |g|: a zero of multiplicity p
 
+    # Until both signs are seen, (neg, pos) takes each new finite residual of its
+    # sign; that is _narrow's rule for a bracket with an open end, applied in line.
     for _ in range(max_iter):
-        if abs(gx) <= tol:
+        if abs_gx <= tol:
             return x
         if neg is not None and pos is not None:
             return itp(g, neg, pos, tol)
@@ -200,24 +196,38 @@ def solve_scalar(
             before = None
             if xs != x:
                 gs = g(xs)
-                neg, pos = _narrow(neg, pos, xs, gs)
-                if abs(gs) <= 0.5 * abs(gx):  # NaN fails
-                    if abs(gs) <= 0.1 * abs(gx):
+                if -math.inf < gs < 0.0:
+                    neg = (xs, gs)
+                elif 0.0 < gs < math.inf:
+                    pos = (xs, gs)
+                abs_gs = abs(gs)
+                if abs_gs <= 0.5 * abs_gx:  # NaN fails
+                    if abs_gs <= 0.1 * abs_gx:
                         before = (x, gx)
-                    x, gx = xs, gs
+                    x, gx, abs_gx = xs, gs, abs_gs
                     continue
                 if neg is not None and pos is not None:
                     return itp(g, neg, pos, tol)
 
-        for fd_step in (_fd_step, _fd_step_wide):  # the wide step only if the first is flat
-            h = fd_step(x)
+        # Relative step: an absolute step straddles the kink of cube-root-like
+        # slices once |x| falls below it, producing derivative estimates with
+        # the wrong sign.
+        h = _SQRT_EPS * (abs(x) + _SQRT_EPS)
+        if x + h > hi:
+            h = -h
+        gxh = g(x + h)
+        if -math.inf < gxh < 0.0:
+            neg = (x + h, gxh)
+        elif 0.0 < gxh < math.inf:
+            pos = (x + h, gxh)
+        slope = (gxh - gx) / h
+        if not math.isfinite(slope) or slope == 0.0:  # flat: the wide step
+            h = _fd_step_wide(x)
             if x + h > hi:
                 h = -h
             gxh = g(x + h)
             neg, pos = _narrow(neg, pos, x + h, gxh)
             slope = (gxh - gx) / h
-            if math.isfinite(slope) and slope != 0.0:
-                break
 
         stuck = not math.isfinite(slope) or slope == 0.0
         if not stuck:
@@ -239,32 +249,39 @@ def solve_scalar(
                                     "derivative vanished or iterate left the bracket", x, gx)
 
         gn = g(xn)
-        neg, pos = _narrow(neg, pos, xn, gn)
+        if neg is not None and pos is not None:
+            neg, pos = _narrow(neg, pos, xn, gn)
+        elif -math.inf < gn < 0.0:
+            neg = (xn, gn)
+        elif 0.0 < gn < math.inf:
+            pos = (xn, gn)
+        abs_gn = abs(gn)
         halvings = 0
-        while (not math.isfinite(gn) or abs(gn) > abs(gx)) and halvings < 8:
+        while (not math.isfinite(gn) or abs_gn > abs_gx) and halvings < 8:
             xn = 0.5 * (x + xn)
             gn = g(xn)
             neg, pos = _narrow(neg, pos, xn, gn)
+            abs_gn = abs(gn)
             halvings += 1
         if not math.isfinite(gn):
             raise NoConvergence("residual became non-finite", last_iterate=x, residual=gx)
-        if abs(gn) > tol and (neg is None or pos is None):
+        if abs_gn > tol and (neg is None or pos is None):
             # A step that cannot descend, or three in a row that barely do (Newton
             # keeps under 0.37 of |g| near a simple root), mean a rootless minimum.
-            slow = slow + 1 if abs(gn) > 0.9 * abs(gx) else 0
-            if abs(gn) > abs(gx):
+            slow = slow + 1 if abs_gn > 0.9 * abs_gx else 0
+            if abs_gn > abs_gx:
                 return _probe_endpoints(g, bracket, neg, pos, tol,
                                         "no damped step reduced |g| (rootless local minimum)", x, gx)
             if slow == 3:
                 return _probe_endpoints(g, bracket, neg, pos, tol,
                                         "|g| shrank under 10% in 3 steps (rootless local minimum)",
                                         x, gx)
-        older, newer = newer, (x, u, abs(gn) / abs(gx))
-        if abs(gn) <= 0.1 * abs(gx) and not multiple:
+        older, newer = newer, (x, u, abs_gn / abs_gx)
+        if abs_gn <= 0.1 * abs_gx and not multiple:
             before = (x, gx)
-        x, gx = xn, gn
+        x, gx, abs_gx = xn, gn, abs_gn
 
-    if abs(gx) <= tol:
+    if abs_gx <= tol:
         return x
     if neg is not None and pos is not None:
         return itp(g, neg, pos, tol)

@@ -168,6 +168,7 @@ def step(
     cfg: TraceConfig,
     anchor: Optional[Point2] = None,
     previous: Optional[Point2] = None,
+    floor: float = 10.0,
 ) -> Union[Point2, Stalled]:
     """Advance the driven coordinate one lattice stop and re-solve the slice.
 
@@ -177,7 +178,7 @@ def step(
     two (Allgower & Georg, Introduction to Numerical Continuation Methods,
     ch. 2); without it, or when the extrapolation is undefined or not
     finite, at the current transverse coordinate. The search bracket is
-    centred on the current point, its half-width the larger of ten larger
+    centred on the current point, its half-width the larger of `floor` larger
     steps and BRACKET_PER_PREDICTED_CHANGE x |guess - t0|. Returns the new
     point, or Stalled when the slice solve fails or its root escapes it.
     """
@@ -199,7 +200,7 @@ def step(
         guess = t0 + slope * (target - c0)
         if not math.isfinite(guess):
             guess = t0
-    width = max(10.0 * cfg.max_step, BRACKET_PER_PREDICTED_CHANGE * abs(guess - t0))
+    width = max(floor * cfg.max_step, BRACKET_PER_PREDICTED_CHANGE * abs(guess - t0))
     try:
         root = solve_scalar(_slice(residual, axis, target), guess, cfg.residual_tol,
                             bracket=(t0 - width, t0 + width))
@@ -256,15 +257,21 @@ def trace(
     so it raises TraceError with the partial path. Turning points on the way
     are navigated via the half-disk scan and recorded as events. A restart
     point is checked against the domain like any other: one outside it ends
-    the path at the turning point, with no event. A first step that leaves
-    the domain traced nothing, so it raises TraceError with the one-point
-    path.
+    the path at the turning point, with no event. A first step has no secant
+    to size its slice bracket, so one that stalls is retried with the
+    bracket floor widened 4x, up to three times (640 larger steps); a stall
+    there raises TraceError with the one-point path, as does a first step
+    that leaves the domain.
 
-    Each distinct march step is solved once: a memo maps `step`'s inputs
-    (current, previous, direction) to its outcome. It lives for this trace
-    unless `memo`, a dict, is given; traces of one field that share it
-    reuse each other's steps. The dict keeps traces with a different start,
-    step, step_y or residual_tol apart, but not different fields.
+    Each distinct march step is solved once, from one table keyed by
+    `step`'s inputs (current, previous, direction). An entry holds the
+    step's outcome, the path that last met its state and the index of its
+    `current` there, so one lookup per step serves the memo and the repeat
+    test; only an entry this trace met proves a repeat. The table lives for
+    this trace unless `memo`, a dict, is given; traces of one field that
+    share it reuse each other's steps. The dict keeps traces with a
+    different start, step, step_y or residual_tol apart, but not different
+    fields.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
@@ -284,16 +291,16 @@ def trace(
     # a stop at origin + k*step never keeps the sign of a zero origin; a zero in
     # current or previous can reach the result, so those are keyed by repr, which keeps it.
     settings = (start, cfg.step, cfg.step_y, cfg.max_step, cfg.residual_tol)
+    # step key -> [outcome, the path that last met the key, the index of its `current` there]
     steps = {} if memo is None else memo.setdefault(settings, {})
-    seen = {}  # step key -> index of its latest `current`; a shared memo hit is no repeat
     direction = initial_direction
     heading = _heading(direction)
     lag = cfg.reference_lag
 
-    points = path.points
+    points, flags = path.points, path.flags
     while True:
         current = points[-1]
-        previous = points[-2] if len(points) > 1 and path.flags[-1] == FLAG_ORDINARY else None
+        previous = points[-2] if len(points) > 1 and flags[-1] == FLAG_ORDINARY else None
         key = (current, previous, heading)
         if 0.0 in current or (previous is not None and 0.0 in previous):
             key = (repr(current), repr(previous), heading)  # repr tells -0.0 from 0.0
@@ -302,24 +309,30 @@ def trace(
         # from j on. Tuple == ignores the sign of a zero in the window, which is safe:
         # the reference point enters only through distances. The proof assumes the
         # field is a function of (x, y); BifurcationField's warm starts are not, but
-        # the default diagram never repeats.
-        j, k = seen.get(key), len(points) - 1
-        if j is not None and j >= lag and points[j - lag:j + 1] == points[k - lag:k + 1]:
+        # the default diagram never repeats. A key another trace met is no repeat.
+        entry, k = steps.get(key), len(points) - 1
+        j = entry[2] if entry is not None and entry[1] is path else -1
+        if j >= lag and points[j - lag:j + 1] == points[k - lag:k + 1]:
             break
-        seen[key] = k
         if len(points) >= cfg.max_points:
             path.termination = Termination.MAX_POINTS
             break
-        outcome = steps.get(key)
-        if outcome is None:
-            outcome = steps[key] = step(residual, current, direction, cfg, anchor=points[0],
-                                        previous=previous)
+        if entry is not None:
+            entry[1], entry[2] = path, k  # this trace met the state last, at k
+        else:
+            outcome, floor = step(residual, current, direction, cfg, anchor=points[0],
+                                  previous=previous), 10.0
+            while k == 0 and isinstance(outcome, Stalled) and floor < 640.0:
+                floor *= 4.0  # a first step has no secant to size its bracket: widen it
+                outcome = step(residual, current, direction, cfg, anchor=points[0], floor=floor)
+            entry = steps[key] = [outcome, path, k]
+        outcome = entry[0]
 
         flag = FLAG_ORDINARY
         if isinstance(outcome, Stalled):
             kind, reason = TurningPointKind(direction), outcome.reason
             log.info("stall (%s) at point %d %s -> %s scan", reason, k, current, kind.name)
-            path.flags[k] = FLAG_TURNING
+            flags[k] = FLAG_TURNING
 
             try:  # before the scan: with no history there is no exit to choose
                 reference = choose_reference_point(points, k, cfg)
@@ -352,7 +365,10 @@ def trace(
                                  path=path)
             path.termination = Termination.LEFT_DOMAIN
             break
-        path.append(outcome, flag)
+        if outcome == current:  # SolutionPath.append's check, in line
+            raise ValueError("consecutive path points must be distinct")
+        points.append(outcome)
+        flags.append(flag)
         if flag == FLAG_RESTART:
             path.events.append(TurningPointEvent(index=k, kind=kind, restart_index=k + 1,
                                                  reason=reason))

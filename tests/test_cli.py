@@ -101,10 +101,11 @@ class TestTraceCommand:
         assert received == {"step": 0.05, "mesh_count": 4}
 
     def test_first_point_stall_exits_2_with_partial_csv(self, tmp_path, capsys):
-        # at delta=0.002 the slice solve loses the curve at the start cusp,
-        # before any history exists to choose an exit from
+        # the zero of x^2 + (y-1)^2 is isolated, so the first slice solve loses
+        # it at every bracket width, before any history exists to choose an exit from
         csv = tmp_path / "a.csv"
-        code = run(["trace", "--problem", "astroid", "--step", "0.002",
+        code = run(["trace", "--problem", "expression", "--expr", "x^2 + (y-1)^2",
+                    "--start", "0,1", "--dir", "+x", "--step", "0.002",
                     "--csv", str(csv), "--svg", str(tmp_path / "a.svg")])
         captured = capsys.readouterr()
         assert code == 2

@@ -4,7 +4,34 @@ import pytest
 
 from foldtrace.errors import ExpressionError, FieldEvaluationError
 from foldtrace.expressions import expression_field, parse_expression
-from foldtrace.geometry import cbrt
+from foldtrace.geometry import MINUS_X, Point2, cbrt
+from foldtrace.tracer import Termination, TraceConfig, polish_transverse, trace
+
+
+# formulas with the hand-written float expressions they must equal bit for bit
+_FLOAT_FORMULAS = [
+    ("x + y", lambda x, y: x + y),
+    ("x*x + y*y - 1", lambda x, y: x * x + y * y - 1.0),
+    ("2*x - y/4", lambda x, y: 2.0 * x - y / 4.0),
+    ("-x", lambda x, y: -x),
+    ("--x", lambda x, y: x),
+    ("x^2 + 1", lambda x, y: x ** 2.0 + 1.0),
+    ("2^x^2", lambda x, y: 2.0 ** x ** 2.0),
+    ("(x + y)*(x - y)", lambda x, y: (x + y) * (x - y)),
+    ("1e2 + .5", lambda x, y: 100.0 + 0.5),
+    ("x ** 3", lambda x, y: x ** 3.0),
+    ("((x*0.7373688780783196 + y*0.675490294261524)/0.887874162664502)^2"
+     " + ((y*0.7373688780783196 - x*0.675490294261524)/1.3794580794954512)^2 - 1",
+     lambda x, y: (((x * 0.7373688780783196 + y * 0.675490294261524) / 0.887874162664502) ** 2.0
+                   + ((y * 0.7373688780783196 - x * 0.675490294261524)
+                      / 1.3794580794954512) ** 2.0 - 1.0)),
+    ("abs(x/0.5517687378207691)^3 + abs(y/1.2487702524288642)^3 - 1",
+     lambda x, y: abs(x / 0.5517687378207691) ** 3.0 + abs(y / 1.2487702524288642) ** 3.0 - 1.0),
+    ("cbrt(x/1.371585086439172)^2 + cbrt(y/1.1304635976481592)^2 - 1",
+     lambda x, y: cbrt(x / 1.371585086439172) ** 2.0 + cbrt(y / 1.1304635976481592) ** 2.0 - 1.0),
+]
+# the grid of test_bit_identical_to_python_float_arithmetic, with both signed zeros
+_GRID = [-1.7, -1.0, -0.3, -0.0, 0.0, 0.2, 0.9, 1.3]
 
 
 class TestParsing:
@@ -47,44 +74,75 @@ class TestParsing:
         pytest.param("+".join(["x"] * 100_000), id="nested-too-deeply"),
     ])
     def test_rejects_malformed(self, text):
-        with pytest.raises(ExpressionError):
-            parse_expression(text)
+        for compile_formula in (parse_expression, expression_field):
+            with pytest.raises(ExpressionError):
+                compile_formula(text)
 
     def test_formula_may_span_lines(self):
         assert parse_expression("x +\n y")(1.0, 2.0) == 3.0
 
-    @pytest.mark.parametrize("text,reference", [
-        ("x + y", lambda x, y: x + y),
-        ("x*x + y*y - 1", lambda x, y: x * x + y * y - 1.0),
-        ("2*x - y/4", lambda x, y: 2.0 * x - y / 4.0),
-        ("-x", lambda x, y: -x),
-        ("--x", lambda x, y: x),
-        ("x^2 + 1", lambda x, y: x ** 2.0 + 1.0),
-        ("2^x^2", lambda x, y: 2.0 ** x ** 2.0),
-        ("(x + y)*(x - y)", lambda x, y: (x + y) * (x - y)),
-        ("1e2 + .5", lambda x, y: 100.0 + 0.5),
-        ("x ** 3", lambda x, y: x ** 3.0),
-        ("((x*0.7373688780783196 + y*0.675490294261524)/0.887874162664502)^2"
-         " + ((y*0.7373688780783196 - x*0.675490294261524)/1.3794580794954512)^2 - 1",
-         lambda x, y: (((x * 0.7373688780783196 + y * 0.675490294261524) / 0.887874162664502) ** 2.0
-                       + ((y * 0.7373688780783196 - x * 0.675490294261524)
-                          / 1.3794580794954512) ** 2.0 - 1.0)),
-        ("abs(x/0.5517687378207691)^3 + abs(y/1.2487702524288642)^3 - 1",
-         lambda x, y: abs(x / 0.5517687378207691) ** 3.0 + abs(y / 1.2487702524288642) ** 3.0 - 1.0),
-        ("cbrt(x/1.371585086439172)^2 + cbrt(y/1.1304635976481592)^2 - 1",
-         lambda x, y: cbrt(x / 1.371585086439172) ** 2.0 + cbrt(y / 1.1304635976481592) ** 2.0 - 1.0),
-    ])
+    @pytest.mark.parametrize("text,reference", _FLOAT_FORMULAS)
     def test_bit_identical_to_python_float_arithmetic(self, text, reference):
         # the formula runs the same IEEE operations, in the same order, as
         # the hand-written float expression
         f = parse_expression(text)
-        grid = [-1.7, -1.0, -0.3, 0.0, 0.2, 0.9, 1.3]
-        for x in grid:
-            for y in grid:
-                assert f(x, y) == reference(x, y), (x, y)
+        for x in _GRID:
+            for y in _GRID:
+                assert f(x, y).hex() == reference(x, y).hex(), (x, y)
 
 
 class TestExpressionField:
+    @pytest.mark.parametrize("text,reference", _FLOAT_FORMULAS)
+    def test_bit_identical_to_python_float_arithmetic(self, text, reference):
+        # one compiled function with the error checks around the formula: the
+        # same IEEE operations as the plain evaluator, signed zeros included
+        f = expression_field(text)
+        for x in _GRID:
+            for y in _GRID:
+                assert f(x, y).hex() == reference(x, y).hex(), (x, y)
+
+    def test_cbrt_keeps_the_sign_of_zero(self):
+        assert expression_field("cbrt(x)")(-0.0, 1.0).hex() == "-0x0.0p+0"
+        nested = expression_field("cbrt(cbrt(x) * cbrt(y))")
+        assert nested(-27.0, 8.0) == cbrt(cbrt(-27.0) * cbrt(8.0))
+
+    @pytest.mark.parametrize("text,x,y,message,cause", [
+        ("log(x)", -1.0, 0.0, "expression undefined at (-1.0, 0.0): math domain error", ValueError),
+        ("1/x", 0.0, 0.0, "expression undefined at (0.0, 0.0): float division by zero",
+         ZeroDivisionError),
+        ("9^9^9", 0.0, 0.0, "expression undefined at (0.0, 0.0): (34, 'Numerical result out of "
+         "range')", OverflowError),
+        ("x^0.5 - y", -1.0, 0.0, "expression not real at (-1.0, 0.0): (6.123233995736766e-17+1j)",
+         type(None)),
+        # a complex value fed to a real function raised a raw TypeError
+        ("sqrt(x^0.5)", -1.0, 0.0, "expression undefined at (-1.0, 0.0): must be real number, "
+         "not complex", TypeError),
+    ])
+    def test_error_messages(self, text, x, y, message, cause):
+        with pytest.raises(FieldEvaluationError) as info:
+            expression_field(text)(x, y)
+        assert str(info.value) == message
+        assert type(info.value.__cause__) is cause
+
+    def test_trace_matches_the_hand_written_field(self):
+        # curve 8 of perfbench's curve zoo, an astroid with semi-axes a and b
+        a, b = 1.371585086439172, 1.1304635976481592
+
+        def hand_written(x, y):
+            return cbrt(x / a) ** 2.0 + cbrt(y / b) ** 2.0 - 1.0
+
+        seed = Point2(a * math.cos(0.7) ** 3, b * math.sin(0.7) ** 3)
+        start = polish_transverse(hand_written, seed, MINUS_X)
+        cfg = TraceConfig(step=0.01, max_points=2000)
+        expected = trace(hand_written, start, MINUS_X, cfg)
+        assert expected.termination is Termination.CLOSED and len(expected.events) == 2
+        field = expression_field(f"cbrt(x/{a!r})^2 + cbrt(y/{b!r})^2 - 1")
+        path = trace(field, start, MINUS_X, cfg)
+        assert [(p.x.hex(), p.y.hex()) for p in path.points] \
+            == [(p.x.hex(), p.y.hex()) for p in expected.points]
+        assert (path.flags, path.events, path.termination) \
+            == (expected.flags, expected.events, expected.termination)
+
     def test_evaluation_error_wrapped(self):
         field = expression_field("log(x)")
         with pytest.raises(FieldEvaluationError):

@@ -275,6 +275,21 @@ class TestSolveScalarAbscissae:
             lambda t: -1.0 if t < 0.25 else 1.0, 0.0, {"bracket": (-1.0, 1.0)},
             [0.0, 2.0 ** -52, 2.0 ** -26, -1.0, 1.0] + _halvings(2.0 ** -26, 1.0, 0.25),
             "bisection exhausted the bracket"),
+        # the relative step is flat, the wide one crosses a steep ramp, so both
+        # signs are known before the Newton iterate; that iterate lands short of
+        # the flat probe, which stays the negative end because it is nearer the
+        # positive probe, and ITP starts from there
+        "newton_iterate_keeps_the_nearer_end": (
+            lambda t: -1.0 if t < 0.50000001 else -1.0 + 101.0 * (t - 0.50000001) / 1.2e-8,
+            0.5, {"tol": 1e-3},
+            _hexes("0x1.0000000000000p-1 0x1.0000004000002p-1 0x1.000000c000000p-1"
+                   " 0x1.00000001d8cb8p-1 0x1.0000005ad4cc0p-1 0x1.00000046ad5e5p-1"
+                   " 0x1.0000004b7b83ap-1 0x1.0000004f06dbcp-1 0x1.00000052d4cc0p-1"
+                   " 0x1.00000056d4cc0p-1 0x1.00000058d4cc0p-1 0x1.00000057d4cc0p-1"
+                   " 0x1.0000005754cc0p-1 0x1.0000005714cc0p-1 0x1.00000056f4cc0p-1"
+                   " 0x1.00000056e4cc0p-1 0x1.00000056eccc0p-1 0x1.00000056e8cc0p-1"
+                   " 0x1.00000056eacc0p-1 0x1.00000056ebcc0p-1 0x1.00000056eb4c0p-1"),
+            float.fromhex("0x1.00000056eb4c0p-1")),
         # the root lies just past hi: clamped to hi, the difference step turns
         # inward, the next step presses on hi, and the probe finds no sign change
         "root_pressing_the_bracket_edge": (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldtrace.astroid import astroid_field, trace_astroid
+from foldtrace.astroid import astroid_field, navigated_all_cusps, trace_astroid
 from foldtrace.errors import FieldEvaluationError, TraceError
 from foldtrace.fields import circle_field
 from foldtrace.geometry import (
@@ -495,6 +495,22 @@ class TestStepMemo:
         shared = trace(circle_field(), start, direction, cfg, memo=memo)
         assert _hex(shared) == _hex(trace(circle_field(), start, direction, cfg))
 
+    @pytest.mark.parametrize("case", ["circle", "tilted ellipse"])
+    def test_a_retrace_through_a_shared_memo_proves_its_own_repeat(self, case, monkeypatch):
+        # the second trace answers every step from the first trace's entries,
+        # yet stops at the same closing or retracing cut: an entry another
+        # trace met last proves no repeat, and the second trace's own meetings do
+        field, start, direction, cfg = _cycle_case(case)
+        memo = {}
+        first = trace(field, start, direction, cfg, memo=memo)
+        assert first.termination is (Termination.CLOSED if case == "circle"
+                                     else Termination.RETRACED)
+        solved = []
+        monkeypatch.setattr(tracer_mod, "step", lambda *args, **kwargs: solved.append(args))
+        second = trace(field, start, direction, cfg, memo=memo)
+        assert solved == []
+        assert _hex(second) == _hex(first)
+
     def test_shared_memo_keeps_the_sign_of_zero(self):
         # on the line y = 0 the slice solve returns its start as the root, so
         # a zero's sign reaches the next point; a Point2 key equates the two
@@ -506,37 +522,57 @@ class TestStepMemo:
                 == _hex(expected)
 
 
+def _isolated_zero(x, y):
+    # zero only at (0, 1): every slice x != 0 is rootless, at any bracket width
+    return x * x + (y - 1.0) ** 2
+
+
 class TestTraceAstroid:
 
     def test_stall_at_first_point_raises(self):
-        # the start cusp stalls the first slice solve at delta=0.002, and a
-        # one-point path has no history to choose an exit from
+        # the first slice solve stalls at every bracket width, and a one-point
+        # path has no history to choose an exit from
         with pytest.raises(TraceError, match="first path point") as info:
-            trace_astroid(0.002)
+            trace(_isolated_zero, Point2(0.0, 1.0), PLUS_X, TraceConfig(step=0.002))
         assert len(info.value.path) == 1
         assert info.value.path.flags == [FLAG_TURNING]
 
     def test_first_point_stall_scans_nothing(self, monkeypatch):
-        # a one-point path has no exit to choose, so no boundary scan runs
+        # a first step that stalls is retried with its bracket floor widened
+        # 4x, up to three times; a one-point path has no exit to choose, so no
+        # boundary scan runs after the last retry stalls
         calls = []
-        stalls = []  # evaluations made when each slice solve stalled
+        stalls = []  # (bracket floor, evaluations made) of each stalled slice solve
         real_step = tracer_mod.step
 
         def field(x, y):
             calls.append((x, y))
-            return astroid_field()(x, y)
+            return _isolated_zero(x, y)
 
         def spying(*args, **kwargs):
             outcome = real_step(*args, **kwargs)
             if isinstance(outcome, Stalled):
-                stalls.append(len(calls))
+                stalls.append((kwargs.get("floor", 10.0), len(calls)))
             return outcome
 
         monkeypatch.setattr(tracer_mod, "step", spying)
         with pytest.raises(TraceError, match="first path point") as info:
             trace(field, Point2(0.0, 1.0), PLUS_X, TraceConfig(step=0.002))
-        assert stalls == [len(calls)]
+        assert [floor for floor, _ in stalls] == [10.0, 40.0, 160.0, 640.0]
+        assert stalls[-1][1] == len(calls)
         assert info.value.path.flags == [FLAG_TURNING]
+
+    @pytest.mark.parametrize("delta", [0.003, 0.001])
+    def test_first_step_widens_its_bracket_and_keeps_its_branch(self, delta):
+        # from the cusp (0, 1) the slice x = delta needs a bracket of about
+        # 1.5 delta^(2/3), more than ten steps below delta = 3.4e-3; the widened
+        # retry must land on the approach branch, not on the one below it
+        path = trace_astroid(delta)
+        assert path.termination is Termination.CLOSED and len(path.events) == 2
+        first = path.points[1]
+        assert first.x == delta
+        assert first.y == pytest.approx((1.0 - delta ** (2.0 / 3.0)) ** 1.5, abs=1e-9)
+        assert navigated_all_cusps(path.points, delta)
 
     def test_closes_through_cusps(self, astroid_path):
         assert astroid_path.termination is Termination.CLOSED
