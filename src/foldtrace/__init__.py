@@ -19,7 +19,7 @@ from .errors import (
     TraceError,
     ZeroVector,
 )
-from .expressions import expression_field, parse_expression
+from .expressions import expression_field
 from .fields import circle_field
 from .geometry import (
     MINUS_X,

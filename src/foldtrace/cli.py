@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from . import astroid as astroid_mod
 from .errors import ExpressionError, FoldtraceError, TraceError
@@ -130,6 +130,24 @@ def _write_outputs(path: SolutionPath, csv_path: Optional[str], svg_path: Option
         print(f"svg: {svg_path}")
 
 
+def _finish(args, outcome: Union[SolutionPath, TraceError], what: str, label: str,
+            notes: Sequence[str] = ()) -> int:
+    """Exit code of a trace that ended in `outcome`: its path, or the TraceError
+    that ended it. The error is logged as `what` failing and its partial path
+    written, labelled `label`: 2. A path prints its summary and `notes` and is
+    written, labelled `label`: 2 if it retraced, else 0."""
+    if isinstance(outcome, TraceError):
+        log.error("%s failed: %s", what, outcome)
+        if outcome.path is not None and len(outcome.path):
+            _write_outputs(outcome.path, args.csv, args.svg, label)
+        return 2
+    _print_summary(outcome)
+    for note in notes:
+        print(note)
+    _write_outputs(outcome, args.csv, args.svg, label)
+    return 2 if outcome.termination is Termination.RETRACED else 0
+
+
 def cmd_trace(args) -> int:
     start, direction, step = _DEFAULT_SEED[args.problem]
     start, direction = args.start or start, args.dir or direction
@@ -163,16 +181,10 @@ def cmd_trace(args) -> int:
     try:
         path = trace(field, start, direction, cfg)
     except TraceError as exc:
-        log.error("trace failed: %s", exc)
-        if exc.path is not None and len(exc.path):
-            _write_outputs(exc.path, args.csv, args.svg, f"{args.problem} (partial)")
-        return 2
+        return _finish(args, exc, "trace", f"{args.problem} (partial)")
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-
-    _print_summary(path)
-    _write_outputs(path, args.csv, args.svg, args.problem)
-    return 2 if path.termination is Termination.RETRACED else 0
+    return _finish(args, path, "trace", args.problem)
 
 
 _VALID_R = (1e-4, 100.0)
@@ -225,23 +237,19 @@ def cmd_lubrication(args) -> int:
     try:
         path, states, field = trace_bifurcation(**settings)
     except TraceError as exc:
-        log.error("bifurcation trace failed: %s", exc)
-        if exc.path is not None and len(exc.path):
-            _write_outputs(exc.path, args.csv, args.svg, "lubrication (partial)")
-        return 2
+        return _finish(args, exc, "bifurcation trace", "lubrication (partial)")
     except ValueError as exc:
         raise _CliError(f"bad lubrication setting: {_flag_named(exc, _LUBRICATION_FLAGS)}") from exc
     except FoldtraceError as exc:
         raise _CliError(f"lubrication setup failed: {exc}") from exc
 
-    _print_summary(path)
-    print("film solves: " + ", ".join(f"{k} {v}" for k, v in field.counts.items()))
-    _write_outputs(path, args.csv, args.svg, f"(Q, M) diagram, eps={states[0].epsilon:g}")
+    code = _finish(args, path, "bifurcation trace", f"(Q, M) diagram, eps={states[0].epsilon:g}",
+                   ["film solves: " + ", ".join(f"{k} {v}" for k, v in field.counts.items())])
     if args.states_csv:
         with open(args.states_csv, "w", newline="") as fh:
             write_states_csv(states, fh)
         print(f"states csv: {args.states_csv}")
-    return 2 if path.termination is Termination.RETRACED else 0
+    return code
 
 
 def build_parser() -> _Parser:
@@ -339,7 +347,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,7 +10,6 @@ from __future__ import annotations
 import ast
 import math
 import re
-from typing import Callable
 
 from .errors import ExpressionError, FieldEvaluationError
 from .geometry import cbrt
@@ -30,9 +29,6 @@ _BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARY_OPS = (ast.UAdd, ast.USub)
 # Decimal literals only: Python's 0x10, 1_000, 1j and True stay rejected.
 _NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-
-Evaluator = Callable[[float, float], float]
-
 
 def _check(node: ast.AST, text: str) -> None:
     """Raise ExpressionError unless every node under `node` is whitelisted;
@@ -70,14 +66,17 @@ _FIELD = """def formula(x, y):
     if isinstance(value, complex):
         raise FieldEvaluationError(f"expression not real at ({x}, {y}): {value}")
     return value"""
-# A compiled formula's only globals: the whitelisted functions and the templates' names.
+# A compiled formula's only globals: the whitelisted functions and the names of _FIELD.
 _GLOBALS = dict(_FUNCTIONS, __builtins__={}, copysign=math.copysign, isinstance=isinstance,
                 complex=complex, ArithmeticError=ArithmeticError, ValueError=ValueError,
                 TypeError=TypeError, FieldEvaluationError=FieldEvaluationError)
 
 
-def _compile(text: str, template: str) -> Callable:
-    """The function `formula` of `template`, with the checked formula in place of FORMULA."""
+def expression_field(text: str) -> ResidualField:
+    """Compile a formula as a residual field: one function, one frame per call,
+    that raises FieldEvaluationError on an evaluation error or a non-real value
+    (a negative base under a fractional power, or a real function of one), so
+    the tracer can treat bad regions as stalls."""
     # Python's ^ is XOR and binds more loosely than +; no other token uses ^.
     text = " ".join(text.split()).replace("^", "**")
     if not text:
@@ -87,8 +86,8 @@ def _compile(text: str, template: str) -> Callable:
     try:
         tree = ast.parse(text, "<formula>", "eval")
         _check(tree.body, text)
-        module = ast.parse(template)
-        for node in ast.walk(module):  # the Return or Assign of the placeholder
+        module = ast.parse(_FIELD)
+        for node in ast.walk(module):  # the Assign of the placeholder
             if isinstance(getattr(node, "value", None), ast.Name) and node.value.id == "FORMULA":
                 node.value = tree.body
         code = compile(module, "<formula>", "exec")
@@ -98,16 +97,3 @@ def _compile(text: str, template: str) -> Callable:
         raise ExpressionError("formula is nested too deeply") from exc
     exec(code, _GLOBALS, scope := {})
     return scope["formula"]
-
-
-def parse_expression(text: str) -> Evaluator:
-    """Compile a formula in x and y to a plain callable."""
-    return _compile(text, "def formula(x, y):\n    return FORMULA")
-
-
-def expression_field(text: str) -> ResidualField:
-    """Compile a formula as a residual field: one function, one frame per call,
-    that raises FieldEvaluationError on an evaluation error or a non-real value
-    (a negative base under a fractional power, or a real function of one), so
-    the tracer can treat bad regions as stalls."""
-    return _compile(text, _FIELD)

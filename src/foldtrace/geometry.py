@@ -104,12 +104,3 @@ class Box:
     def contains(self, p: Point2) -> bool:
         return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
 
-
-def coordinate(p: Point2, axis: Axis) -> float:
-    return p.x if axis is Axis.X else p.y
-
-
-def with_coordinate(p: Point2, axis: Axis, value: float) -> Point2:
-    if axis is Axis.X:
-        return Point2(value, p.y)
-    return Point2(p.x, value)

@@ -289,15 +289,22 @@ def solve_scalar(
                         last_iterate=x, residual=gx, iterations=max_iter)
 
 
-class LUFactorization:
-    """LU with row pivoting of a square matrix: one LAPACK getrf.
+@dataclass
+class LUHolder:
+    """A pivoted LU factorization (LAPACK getrf) kept from one solve to the next,
+    with tallies of the factorizations made into it and of the chord steps
+    taken from it, accepted or not."""
 
-    Raises ValueError if A is not square or holds a non-finite entry, and
-    SingularMatrix on an exactly zero pivot or a smallest-to-largest |pivot|
-    ratio at or below 1e-14. A is never overwritten.
-    """
+    lu: Optional[np.ndarray] = None
+    piv: Optional[np.ndarray] = None
+    factorizations: int = 0
+    chord: int = 0
 
-    def __init__(self, A):
+    def factor(self, A) -> None:
+        """Hold the LU factorization of A in place of the last one; A is never
+        overwritten. Raises ValueError if A is not square or holds a non-finite
+        entry, and SingularMatrix on an exactly zero pivot or a smallest-to-largest
+        |pivot| ratio at or below 1e-14; the last factorization is then kept."""
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
@@ -312,39 +319,15 @@ class LUFactorization:
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
             raise SingularMatrix(f"pivot ratio {diag.min():.3e}/{diag.max():.3e} below threshold")
         self.lu, self.piv = lu, piv
+        self.factorizations += 1
 
-    @property
-    def n(self) -> int:
-        return self.lu.shape[0]
-
-    def solve(self, b):
-        """x with A x = b: one LAPACK getrs. b is never overwritten.
-
-        Raises ValueError if b does not match A or holds a non-finite
-        entry, and SingularMatrix on a non-finite solution.
-        """
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError("matrix/vector size mismatch")
-        if not np.isfinite(b).all():
-            raise ValueError("non-finite entries")
-        x, info = _getrs(self.lu, self.piv, b, overwrite_b=False)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
-        if not np.isfinite(x).all():
-            raise SingularMatrix("factorization produced non-finite solution")
-        return x
-
-
-@dataclass
-class LUHolder:
-    """The factorization `solve_vector` starts from and leaves its last one in,
-    with tallies of the factorizations made into it and of the chord steps
-    taken from it, accepted or not."""
-
-    lu: Optional[LUFactorization] = None
-    factorizations: int = 0
-    chord: int = 0
+    def solve(self, b) -> Optional[np.ndarray]:
+        """x with A x = b for the held A: one LAPACK getrs; b is never
+        overwritten. None if no A of b's size is held or x is not finite."""
+        if self.lu is None or len(b) != len(self.lu):
+            return None
+        x, info = _getrs(self.lu, self.piv, b)
+        return x if not info and np.isfinite(x).all() else None
 
 
 def fd_jacobian(F, x, fx=None):
@@ -398,12 +381,10 @@ def solve_vector(
         norm = np.abs(fx).max()
         if norm <= tol:
             return x, k
-        lu = held.lu
-        while lu is not None and lu.n == fx.size:
-            # one getrs; fx is finite: it passed the start check or the contraction test
-            step, info = _getrs(lu.lu, lu.piv, fx)
+        while held.lu is not None and len(held.lu) == fx.size:
+            step = held.solve(fx)  # fx is finite: it passed the start check or the contraction test
             held.chord += 1
-            if info or not np.isfinite(step).all():
+            if step is None:
                 break
             candidate = x - step
             try:
@@ -417,12 +398,15 @@ def solve_vector(
             if norm <= tol:
                 return x, k
         J = jac(x) if jac is not None else fd_jacobian(F, x, fx)
+        if len(J) != fx.size:
+            raise ValueError("matrix/vector size mismatch")
         try:
-            held.lu = LUFactorization(J)
-            held.factorizations += 1
-            delta = held.lu.solve(-fx)
+            held.factor(J)
         except SingularMatrix as exc:
             raise SingularJacobian(str(exc)) from exc
+        delta = held.solve(-fx)
+        if delta is None:
+            raise SingularJacobian("factorization produced non-finite solution")
 
         lam = 1.0
         first = None  # largest-lam candidate with a finite residual

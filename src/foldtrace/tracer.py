@@ -27,7 +27,7 @@ from .errors import (
     TraceError,
     ZeroVector,
 )
-from .geometry import Axis, Box, Point2, StepDirection, TurningPointKind, coordinate, with_coordinate
+from .geometry import Axis, Box, Point2, StepDirection, TurningPointKind
 from .rootfind import solve_scalar
 from .turnpoint import (
     ResidualField,
@@ -396,7 +396,7 @@ def polish_transverse(
     Convenience for seeding a trace: the coordinate perpendicular to the
     initial marching direction is adjusted, the driven one kept.
     """
-    transverse = direction.axis.other
-    g = _slice(residual, direction.axis, coordinate(point, direction.axis))
-    root = solve_scalar(g, coordinate(point, transverse), tol, max_iter=80)
-    return with_coordinate(point, transverse, root)
+    axis = direction.axis
+    c, t = (point.x, point.y) if axis is Axis.X else (point.y, point.x)
+    root = solve_scalar(_slice(residual, axis, c), t, tol, max_iter=80)
+    return Point2(c, root) if axis is Axis.X else Point2(root, c)

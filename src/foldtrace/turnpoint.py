@@ -100,19 +100,22 @@ def scan_boundary(
     n = cfg.mesh_count
     tol = cfg.residual_tol
 
-    def f(phi: float) -> float:
-        p = arc_point(center, cfg.radius, kind, phi)
+    def at(p: Point2) -> float:
         v = residual(p.x, p.y)
         if not math.isfinite(v):
             raise FieldEvaluationError(f"non-finite residual at {p}")
         return v
 
+    def f(phi: float) -> float:
+        return at(arc_point(center, cfg.radius, kind, phi))
+
+    mesh = mesh_half_circle(center, cfg.radius, n, kind)
+    mesh.append(arc_point(center, cfg.radius, kind, math.pi))
     result = CandidateSet()
     samples: List[Optional[Tuple[float, float]]] = []
-    for i in range(n + 1):
-        phi = math.pi * i / n
+    for i, p in enumerate(mesh):
         try:
-            samples.append((phi, f(phi)))
+            samples.append((math.pi * i / n, at(p)))
         except FieldEvaluationError as exc:
             log.debug("arc sample %d skipped: %s", i, exc)
             result.skipped_mesh_indices.append(i)
@@ -123,7 +126,7 @@ def scan_boundary(
 
     for i, (lo, hi) in enumerate(zip(samples, samples[1:] + [None])):
         if accepted(lo):
-            result.candidates.append(Candidate(arc_point(center, cfg.radius, kind, lo[0]), i))
+            result.candidates.append(Candidate(mesh[i], i))
         if lo is None or hi is None or accepted(lo) or accepted(hi) or (lo[1] < 0.0) == (hi[1] < 0.0):
             continue  # no sign change, or an accepted sample already covers it
         neg, pos = (lo, hi) if lo[1] < 0.0 else (hi, lo)

@@ -21,7 +21,7 @@ def test_console_entry_point_subprocess(tmp_path):
     # package comes from an install or from the source tree.
     package_root = Path(foldtrace.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-m", "foldtrace.cli", "trace", "--problem", "circle",
+        [sys.executable, "-m", "foldtrace", "trace", "--problem", "circle",
          "--start", "1,0", "--dir", "-y", "--step", "0.05",
          "--csv", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")],
         capture_output=True, text=True,
@@ -39,6 +39,15 @@ def test_package_runs_as_a_module():
                           env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)})
     assert proc.returncode == 0, proc.stderr
     assert "lubrication" in proc.stdout
+
+
+def test_module_exits_1_on_bad_arguments():
+    package_root = Path(foldtrace.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "foldtrace", "trace", "--bogus"],
+                          capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 1  # a configuration error, not argparse's 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestTraceCommand:
@@ -333,6 +342,17 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(argv + ["--strict"]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_validated_failure_exits_1_without_strict(self, tmp_path, capsys, monkeypatch):
+        import foldtrace.astroid as astroid_mod
+
+        failed = astroid_mod.SweepResult(1.0, 5, 8, max_pe=0.5, navigated_all_cusps=True)
+        monkeypatch.setattr(astroid_mod, "run_sweep", lambda *args: [failed])
+        code = run(["verify", "--csv", str(tmp_path / "s.csv")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "r=1 k=5 n=8 [validated]: max|PE|=5.000e-01% cusps=all -> FAILED" in out
+        assert "combinations: 1, failed: 1" in out
 
     def test_empty_grid_exits_1(self, tmp_path, capsys):
         code = run(["verify", "--r-factors", "", "--csv", str(tmp_path / "s.csv")])

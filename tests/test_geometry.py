@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from foldtrace.geometry import Point2
+from foldtrace.geometry import Axis, Box, Point2, StepDirection
 
 
 class TestPoint2:
@@ -43,3 +43,16 @@ class TestPoint2:
         q = pickle.loads(pickle.dumps(p))
         assert type(q) is Point2
         assert q == p and q.x.hex() == p.x.hex() and q.y.hex() == p.y.hex()
+
+
+@pytest.mark.parametrize("sign", [0, 2, -1.5])
+def test_step_direction_sign_must_be_unit(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        StepDirection(Axis.X, sign)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0),
+                                    (math.nan, 1.0, 0.0, 1.0)])
+def test_box_bounds_must_be_ordered(bounds):
+    with pytest.raises(ValueError, match="out of order"):
+        Box(*bounds)

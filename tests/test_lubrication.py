@@ -281,6 +281,11 @@ class TestBifurcationField:
         with pytest.raises(ValueError, match="non-empty 1-D"):
             LubricationState(h=h, Q=1.0, M=1.0, epsilon=1e-3)
 
+    @pytest.mark.parametrize("mass", [-1.0, 0.0, np.inf, np.nan])
+    def test_seed_mass_must_be_positive_and_finite(self, mass):
+        with pytest.raises(ValueError, match="seed mass"):
+            BifurcationField(1e-3, SpectralGrid.build(8)).seed(mass)
+
     def test_seed_homotopy_reaches_smaller_epsilon(self):
         # the staged walk down in surface tension also covers 1e-4, where
         # the pool is taller and the diagram develops its loop structure
@@ -642,7 +647,7 @@ class TestDerivativeOperator:
 
     def test_every_newton_iteration_is_one_factorization(self, monkeypatch):
         # Newton iterations are counted by `iterations`, and each one is a
-        # single rootfind.LUFactorization; chord steps between them are not
+        # single rootfind.LUHolder.factor; chord steps between them are not
         grid = SpectralGrid.build(32)
         shapes = _spy_factorizations(monkeypatch)
         state = solve_at_M(TWO_PI, 0.1, grid, np.full(32, 1.0), 1.0)
@@ -652,15 +657,15 @@ class TestDerivativeOperator:
 
 
 def _spy_factorizations(monkeypatch):
-    """Record the shape of every matrix handed to rootfind.LUFactorization."""
-    real = rootfind.LUFactorization.__init__
+    """Record the shape of every matrix handed to rootfind.LUHolder.factor."""
+    real = rootfind.LUHolder.factor
     shapes = []
 
     def counting(self, A):
         shapes.append(np.shape(A))
         real(self, A)
 
-    monkeypatch.setattr(rootfind.LUFactorization, "__init__", counting)
+    monkeypatch.setattr(rootfind.LUHolder, "factor", counting)
     return shapes
 
 

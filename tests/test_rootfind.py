@@ -16,9 +16,9 @@ import foldtrace.rootfind as rootfind
 from foldtrace.errors import NoConvergence, SingularJacobian, SingularMatrix
 from foldtrace.geometry import cbrt
 from foldtrace.rootfind import (
-    LUFactorization,
     LUHolder,
     fd_jacobian,
+    itp,
     solve_scalar,
     solve_vector,
 )
@@ -88,6 +88,50 @@ def _counted(g):
         return g(x)
 
     return wrapped, calls
+
+
+class TestSolveScalarExits:
+    """The loop's last exits and the input checks, each reached on purpose."""
+
+    def test_budget_spent_without_a_root(self):
+        with pytest.raises(NoConvergence, match="no root after 1 iterations") as info:
+            solve_scalar(lambda t: t * t - 2.0, 10.0, max_iter=1)
+        assert info.value.iterations == 1
+        assert info.value.last_iterate == pytest.approx(5.1)
+
+    def test_sign_change_in_the_last_step_finishes_by_itp(self):
+        # Newton's one step from 1.5 overshoots atan's root to about -1.7;
+        # the budget is spent, and ITP finishes on the bracket it made
+        root = solve_scalar(math.atan, 1.5, max_iter=1)
+        assert abs(root) <= 1e-10
+
+    def test_bracket_out_of_order(self):
+        with pytest.raises(ValueError, match="out of order"):
+            solve_scalar(lambda t: t, 0.0, bracket=(1.0, -1.0))
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_non_finite_start(self, x0):
+        with pytest.raises(NoConvergence, match="not finite at start"):
+            solve_scalar(lambda t: t, x0)
+
+
+class TestITP:
+    def test_nan_inside_the_bracket_raises(self):
+        def g(t):
+            return math.nan if 0.3 < t < 0.7 else t - 0.5
+
+        with pytest.raises(NoConvergence, match="non-finite"):
+            itp(g, (0.0, -0.5), (1.0, 0.5), 1e-12)
+
+    @pytest.mark.parametrize("neg, pos, root", [
+        ((0.0, -1e-13), (1.0, 0.5), 0.0),
+        ((0.0, -0.5), (1.0, 1e-13), 1.0),
+    ])
+    def test_an_end_within_tol_is_the_root(self, neg, pos, root):
+        def g(t):
+            raise AssertionError("no evaluation needed")
+
+        assert itp(g, neg, pos, 1e-12) == root
 
 
 class TestSolveScalarBudget:
@@ -327,23 +371,34 @@ def test_tracing_never_imports_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
+def _held(A) -> LUHolder:
+    """A holder with A factored into it."""
+    held = LUHolder()
+    held.factor(A)
+    return held
+
+
+def _dense_solve(A, b):
+    return _held(A).solve(b)
+
+
 class TestDenseSolve:
-    """A dense solve end to end: `LUFactorization(A).solve(b)`."""
+    """A dense solve end to end: `LUHolder.factor(A)`, then `solve(b)`."""
 
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.5])
-        x = LUFactorization(np.eye(3)).solve(b)
+        x = _dense_solve(np.eye(3), b)
         assert np.array_equal(x, b)
 
     def test_diagonal(self):
-        x = LUFactorization(np.array([[2.0, 0.0], [0.0, 4.0]])).solve(np.array([2.0, 4.0]))
+        x = _dense_solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 4.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_recovers_known_solution_50x50(self):
         rng = np.random.default_rng(7)
         A = np.eye(50) + 0.1 * rng.standard_normal((50, 50))
         x_true = rng.standard_normal(50)
-        x = LUFactorization(A).solve(A @ x_true)
+        x = _dense_solve(A, A @ x_true)
         assert np.max(np.abs(x - x_true)) < 1e-9
 
     def test_residual_bound(self):
@@ -351,24 +406,24 @@ class TestDenseSolve:
         for _ in range(5):
             A = np.eye(20) + 0.2 * rng.standard_normal((20, 20))
             b = rng.standard_normal(20)
-            x = LUFactorization(A).solve(b)
+            x = _dense_solve(A, b)
             norm_a = np.max(np.sum(np.abs(A), axis=1))
             bound = 1e-10 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
             assert np.max(np.abs(A @ x - b)) <= bound
 
     def test_singular_matrix(self):
         with pytest.raises(SingularMatrix):
-            LUFactorization(np.array([[1.0, 2.0], [2.0, 4.0]])).solve(np.array([1.0, 1.0]))
+            _dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            LUFactorization(np.ones((2, 3))).solve(np.ones(2))
+            _dense_solve(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ValueError):
-            LUFactorization(np.full((2, 2), np.nan)).solve(np.ones(2))
+            _dense_solve(np.full((2, 2), np.nan), np.ones(2))
 
     def test_nonfinite_rhs_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            LUFactorization(np.eye(3)).solve(np.array([1.0, np.inf, 0.0]))
+        # a non-finite right-hand side gives a non-finite solution: no solution
+        assert _dense_solve(np.eye(3), np.array([1.0, np.inf, 0.0])) is None
 
     def test_exact_zero_pivot_raises_without_warning(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -376,45 +431,66 @@ class TestDenseSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrix, match="exactly zero"):
-                LUFactorization(A).solve(np.array([1.0, 1.0]))
+                _dense_solve(A, np.array([1.0, 1.0]))
 
     def test_tiny_pivot_ratio_raises(self):
         # the second pivot is about 1e-15: nonzero, so only the ratio check catches it
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         assert scipy.linalg.lapack.dgetrf(A)[2] == 0
         with pytest.raises(SingularMatrix, match="pivot ratio"):
-            LUFactorization(A).solve(np.array([1.0, 1.0]))
+            _dense_solve(A, np.array([1.0, 1.0]))
 
 
-class TestLUFactorization:
-    """One factorization serves many right-hand sides, with every check."""
+class TestLUHolder:
+    """One held factorization serves many right-hand sides, with every check."""
 
     def test_one_factorization_solves_many_rhs(self):
         A, _ = _system(33, "C", seed=4)
-        lu = LUFactorization(A)
-        assert lu.n == 33
+        held = _held(A)
+        assert held.lu.shape == (33, 33) and held.factorizations == 1
         for seed in range(3):
             b = np.random.default_rng(seed).standard_normal(33)
-            assert np.array_equal(lu.solve(b), LUFactorization(A).solve(b))
+            assert np.array_equal(held.solve(b), _dense_solve(A, b))
+        assert held.factorizations == 1 and held.chord == 0
 
     def test_non_square_or_nonfinite_matrix(self):
+        held = LUHolder()
         with pytest.raises(ValueError, match="square"):
-            LUFactorization(np.ones((2, 3)))
+            held.factor(np.ones((2, 3)))
         with pytest.raises(ValueError, match="non-finite"):
-            LUFactorization(np.full((2, 2), np.nan))
+            held.factor(np.full((2, 2), np.nan))
+        assert held.lu is None and held.factorizations == 0
 
-    def test_singular_matrix(self):
+    def test_singular_matrix_keeps_the_last_factorization(self):
+        held = _held(np.eye(2))
+        lu = held.lu
         with pytest.raises(SingularMatrix, match="exactly zero"):
-            LUFactorization(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            held.factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrix, match="pivot ratio"):
-            LUFactorization(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+            held.factor(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+        assert held.lu is lu and held.factorizations == 1
 
     def test_rhs_checks(self):
-        lu = LUFactorization(np.eye(3))
-        with pytest.raises(ValueError, match="size mismatch"):
-            lu.solve(np.ones(2))
-        with pytest.raises(ValueError, match="non-finite"):
-            lu.solve(np.array([1.0, np.nan, 0.0]))
+        held = LUHolder()
+        assert held.solve(np.ones(3)) is None  # nothing held
+        held.factor(np.eye(3))
+        assert held.solve(np.ones(2)) is None
+        assert held.solve(np.array([1.0, np.nan, 0.0])) is None
+
+    def test_one_getrs_per_solve(self, monkeypatch):
+        calls = []
+        real = rootfind._getrs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rootfind, "_getrs", counting)
+        held = _held(np.eye(3))
+        b = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(held.solve(b), b) and np.array_equal(b, [1.0, 2.0, 3.0])
+        assert held.solve(np.ones(2)) is None  # a mismatched b never reaches getrs
+        assert len(calls) == 1
 
 
 def _lu_reference(A, b):
@@ -448,7 +524,7 @@ class TestDenseSolveMatchesScipyLU:
     def test_bit_identical_and_inputs_untouched(self, layout, n):
         A, b = _system(n, layout, seed=n)
         A_before, b_before = A.copy(), b.copy()
-        x = LUFactorization(A).solve(b)
+        x = _dense_solve(A, b)
         assert x.dtype == np.float64 and x.shape == (n,)
         assert np.array_equal(x, _lu_reference(A, b))
         assert np.array_equal(A, A_before) and np.array_equal(b, b_before)
@@ -493,7 +569,7 @@ class TestSolveVector:
     def test_linear_system_from_its_own_factorization(self):
         # an exact held factorization solves an affine residual without factoring
         A, b = _system(6, "C", seed=6)
-        held = LUHolder(LUFactorization(A))
+        held = _held(A)
         lu = held.lu
         x, factorizations = solve_vector(lambda v: A @ v - b, np.zeros(6), jac=lambda _v: A,
                                          held=held)
@@ -512,6 +588,12 @@ class TestSolveVector:
             solve_vector(lambda v: np.array([math.cos(v[0]) + 2.0]), np.array([0.5]),
                          tol=1e-14, max_iter=3)
         assert info.value.last_iterate is not None
+
+    def test_jacobian_of_the_wrong_size(self):
+        held = LUHolder()
+        with pytest.raises(ValueError, match="size mismatch"):
+            solve_vector(lambda v: v - 1.0, np.zeros(2), jac=lambda _v: np.eye(3), held=held)
+        assert held.lu is None and held.factorizations == 0
 
     def test_singular_jacobian(self):
         def F(v):
@@ -553,7 +635,7 @@ class TestChordSteps:
 
     def test_stale_factorization_of_a_nearby_matrix(self):
         A, F, jac = self._problem()
-        held = LUHolder(LUFactorization(1.02 * A))
+        held = _held(1.02 * A)
         x, factorizations = solve_vector(F, np.zeros(8), tol=1e-12, jac=jac, held=held)
         assert np.max(np.abs(F(x))) <= 1e-12
         # without a held factorization the same solve factors more often
@@ -562,8 +644,8 @@ class TestChordSteps:
 
     def test_useless_factorization_is_replaced(self):
         A, F, jac = self._problem()
-        stale = LUFactorization(-A)  # its steps point the wrong way
-        held = LUHolder(stale)
+        held = _held(-A)  # its steps point the wrong way
+        stale = held.lu
         x, factorizations = solve_vector(F, np.zeros(8), jac=jac, held=held)
         assert np.max(np.abs(F(x))) <= 1e-11
         assert factorizations >= 1 and held.lu is not stale
@@ -572,10 +654,10 @@ class TestChordSteps:
 
     def test_wrong_size_factorization_is_ignored(self):
         A, F, jac = self._problem()
-        held = LUHolder(LUFactorization(np.eye(3)))
+        held = _held(np.eye(3))
         x, _ = solve_vector(F, np.zeros(8), jac=jac, held=held)
         assert np.max(np.abs(F(x))) <= 1e-11
-        assert held.lu.n == 8
+        assert held.lu.shape == (8, 8)
 
     def test_chord_steps_do_not_spend_the_iteration_budget(self):
         # each chord step with a 0.1%-off matrix cuts the residual about
@@ -587,7 +669,7 @@ class TestChordSteps:
             calls.append(1)
             return A @ v - b
 
-        held = LUHolder(LUFactorization(1.001 * A))
+        held = _held(1.001 * A)
         lu = held.lu
         x, factorizations = solve_vector(F, np.zeros(8), max_iter=1, jac=lambda _v: A, held=held)
         assert np.max(np.abs(A @ x - b)) <= 1e-11
@@ -603,11 +685,11 @@ class TestChordSteps:
             calls.append(v.copy())
             return v - 1.0
 
-        held = LUHolder(LUFactorization(1e-310 * np.eye(2)))
+        held = _held(1e-310 * np.eye(2))
         x, factorizations = solve_vector(F, np.full(2, 3.0), jac=lambda _v: np.eye(2), held=held)
         assert np.array_equal(x, np.ones(2))
         assert factorizations == 1 and held.chord == 1
-        assert np.array_equal(held.lu.lu, np.eye(2))
+        assert np.array_equal(held.lu, np.eye(2))
         assert len(calls) == 2 and all(np.isfinite(v).all() for v in calls)
 
     def test_every_chord_step_tried_is_tallied(self, monkeypatch):
@@ -621,7 +703,7 @@ class TestChordSteps:
 
         monkeypatch.setattr(rootfind, "_getrs", counting)
         A, F, jac = self._problem()
-        held = LUHolder(LUFactorization(-A))  # its one chord step is rejected
+        held = _held(-A)  # its one chord step is rejected
         _, factorizations = solve_vector(F, np.zeros(8), jac=jac, held=held)
         assert held.chord >= 2 and factorizations >= 1
         assert held.chord + factorizations == len(solves)

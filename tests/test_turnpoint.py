@@ -200,7 +200,7 @@ class TestScanBoundary:
     def test_samples_are_the_mesh_then_the_far_end(self):
         # A field without roots is only sampled, so the spy sees exactly the
         # n mesh points the paper's formula gives, then phi = pi. The scan
-        # computes its arc points itself, so they are compared bit for bit.
+        # takes them from mesh_half_circle; they are compared bit for bit.
         center = Point2(0.3, -1.7)
         for r, kind, n in itertools.product((0.25, 1e-6, 0.01, 0.35), ALL_KINDS,
                                             (1, 2, 4, 5, 8, 10, 16)):
