@@ -24,7 +24,7 @@ also tallies the factorizations and the chord steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -295,10 +295,11 @@ class LUHolder:
     with tallies of the factorizations made into it and of the chord steps
     taken from it, accepted or not."""
 
-    lu: Optional[np.ndarray] = None
-    piv: Optional[np.ndarray] = None
     factorizations: int = 0
     chord: int = 0
+    # getrf's factors of the held matrix and its pivot indices, set by `factor`
+    lu: Optional[np.ndarray] = field(default=None, init=False)
+    _piv: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def factor(self, A) -> None:
         """Hold the LU factorization of A in place of the last one; A is never
@@ -318,7 +319,7 @@ class LUHolder:
         diag = np.abs(lu.diagonal())
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
             raise SingularMatrix(f"pivot ratio {diag.min():.3e}/{diag.max():.3e} below threshold")
-        self.lu, self.piv = lu, piv
+        self.lu, self._piv = lu, piv
         self.factorizations += 1
 
     def solve(self, b) -> Optional[np.ndarray]:
@@ -326,7 +327,7 @@ class LUHolder:
         overwritten. None if no A of b's size is held or x is not finite."""
         if self.lu is None or len(b) != len(self.lu):
             return None
-        x, info = _getrs(self.lu, self.piv, b)
+        x, info = _getrs(self.lu, self._piv, b)
         return x if not info and np.isfinite(x).all() else None
 
 
