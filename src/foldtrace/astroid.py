@@ -158,7 +158,7 @@ def trace_astroid(
     """Trace the full astroid from (0, 1) marching +x.
 
     `memo` is passed to `trace`: traces that share one reuse each other's
-    march steps wherever their paths coincide.
+    march steps and boundary scans wherever their paths coincide.
     """
     return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, _astroid_config(delta, r_factor, k, n),
                  memo=memo)
@@ -177,7 +177,8 @@ def run_sweep(
     (partial-path error, cusps not navigated), never raised. r, k and n
     only change the turning-point scan, so the traces share one step memo
     for this call: a march step any combination has solved is not solved
-    again.
+    again, and each turning point is scanned once per (r, n), since k only
+    picks the exit from the scan's candidates.
     """
     if not r_factors or not k_values or not n_values:
         raise ValueError("sweep grids must be nonempty")
@@ -187,7 +188,7 @@ def run_sweep(
     rows = {}  # row of each distinct point in the one percent-error batch
     verdicts = {}  # cusp verdict of each distinct closed path, keyed by its rows
     traced = []
-    memo = {}  # march steps shared by every combination
+    memo = {}  # march steps and scans shared by every combination
     for rf, k, n in combos:
         try:
             path = trace_astroid(delta, r_factor=rf, k=k, n=n, memo=memo)

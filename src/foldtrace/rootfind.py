@@ -28,16 +28,28 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import FoldtraceError, NoConvergence, SingularJacobian, SingularMatrix
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+# LAPACK's getrf and getrs, bound by `__getattr__` on first use: a trace that
+# factors no matrix never imports SciPy
+_getrf: Callable
+_getrs: Callable
 # A chord step is kept only if it cuts max|F| at least this much; otherwise
 # the Jacobian is factored afresh.
 _CHORD_CONTRACTION = 0.1
 _DAMPING_MIN = 1.0 / 64.0  # the line search halves a Newton step down to this fraction
+
+
+def __getattr__(name: str):
+    global _getrf, _getrs
+    if name not in ("_getrf", "_getrs"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+    return globals()[name]
 
 
 def _check_settings(tol: float, max_iter: int) -> None:
@@ -311,7 +323,8 @@ class LUHolder:
             raise ValueError(f"matrix must be square, got {A.shape}")
         if not np.isfinite(A).all():
             raise ValueError("non-finite entries")
-        lu, piv, info = _getrf(A, overwrite_a=False)
+        getrf = globals().get("_getrf") or __getattr__("_getrf")
+        lu, piv, info = getrf(A, overwrite_a=False)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of getrf")
         if info > 0:

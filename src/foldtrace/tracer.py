@@ -269,7 +269,10 @@ def trace(
     `current` there, so one lookup per step serves the memo and the repeat
     test; only an entry this trace met proves a repeat. The table lives for
     this trace unless `memo`, a dict, is given; traces of one field that
-    share it reuse each other's steps. The dict keeps traces with a
+    share it reuse each other's steps. The same table holds each boundary
+    scan, keyed by its centre, kind, radius and mesh_count, so traces that
+    differ only in reference_lag scan each turning point once; the lag only
+    picks the exit from the shared candidates. The dict keeps traces with a
     different start, step, step_y or residual_tol apart, but not different
     fields.
     """
@@ -291,7 +294,8 @@ def trace(
     # a stop at origin + k*step never keeps the sign of a zero origin; a zero in
     # current or previous can reach the result, so those are keyed by repr, which keeps it.
     settings = (start, cfg.step, cfg.step_y, cfg.max_step, cfg.residual_tol)
-    # step key -> [outcome, the path that last met the key, the index of its `current` there]
+    # step key -> [outcome, the path that last met the key, the index of its `current` there];
+    # scan key (centre, kind, radius, mesh_count) -> the scan's CandidateSet
     steps = {} if memo is None else memo.setdefault(settings, {})
     direction = initial_direction
     heading = _heading(direction)
@@ -339,7 +343,11 @@ def trace(
             except InsufficientHistory as exc:
                 raise TraceError(f"stalled at the first path point ({reason}); "
                                  f"no history to choose an exit: {exc}", path=path) from exc
-            candidates = scan_boundary(residual, current, kind, cfg)
+            scan_key = (repr(current) if 0.0 in current else current, kind, cfg.radius,
+                        cfg.mesh_count)
+            candidates = steps.get(scan_key)
+            if candidates is None:  # the lag picks the exit below, so scans are shared across it
+                candidates = steps[scan_key] = scan_boundary(residual, current, kind, cfg)
             try:
                 exit_point = select_exit_point(candidates, reference)
             except CurveTerminated as exc:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from foldtrace import astroid
+from foldtrace import astroid, tracer
 from foldtrace.astroid import (
     CUSPS,
     SweepResult,
@@ -297,11 +297,13 @@ class TestSweep:
 
     def test_shared_memo_matches_independent_traces(self, monkeypatch, readme):
         # r, k and n change only the scan, so the 27 traces of the default
-        # grid repeat each other's march steps: through the sweep's one memo
-        # the field is evaluated 5,844 times, where 27 independent traces
-        # evaluate it 43,941 times, and every output stays bit-identical
-        evaluations = []
-        real_field = astroid.astroid_field
+        # grid repeat each other's march steps, and k only picks the exit
+        # from a scan's candidates, so they repeat each other's scans for
+        # each (r, n): through the sweep's one memo the field is evaluated
+        # 4,936 times in 18 scans, where 27 independent traces evaluate it
+        # 43,941 times in 54 scans, and every output stays bit-identical
+        evaluations, scans = [], []
+        real_field, real_scan = astroid.astroid_field, tracer.scan_boundary
 
         def counting_field():
             f = real_field()
@@ -312,16 +314,22 @@ class TestSweep:
 
             return counting
 
+        def counting_scan(*args, **kwargs):
+            scans.append(1)
+            return real_scan(*args, **kwargs)
+
         monkeypatch.setattr(astroid, "astroid_field", counting_field)
+        monkeypatch.setattr(tracer, "scan_boundary", counting_scan)
         paths = self._capture_paths(monkeypatch)
         grid = ([0.0001, 1.0, 100.0], [1, 5, 10], [4, 8, 10])
         results = run_sweep(*grid, 0.01)
         shared = len(evaluations)
-        assert shared == 5844
+        assert (shared, len(scans)) == (4936, 18)
         evaluations.clear()
+        scans.clear()
         alone = [trace_astroid(0.01, r_factor=rf, k=k, n=n)
                  for rf in grid[0] for k in grid[1] for n in grid[2]]
-        assert len(evaluations) == 43941
+        assert (len(evaluations), len(scans)) == (43941, 54)
         # README quotes both counts; a change that moves them has to update README
         quoted = re.search(r"evaluates the field ([\d,]+) times instead of ([\d,]+)", readme).groups()
         assert [int(g.replace(",", "")) for g in quoted] == [shared, len(evaluations)]

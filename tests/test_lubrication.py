@@ -816,6 +816,17 @@ def test_diagram_keeps_its_shape_across_grid_sizes(m, points, event_index):
     assert path.termination.name == "LEFT_DOMAIN"
 
 
+def test_small_surface_tension_diagram_gets_past_its_first_point():
+    # at epsilon=3e-4 the first slice solve has no secant to size its bracket
+    # and once stalled at the seed; the widened first-step floor now carries
+    # it on. Where the event falls moves with m, a resolution question, so
+    # only the march past the seed is pinned.
+    path, states, _field = trace_bifurcation(epsilon=3e-4, m=128)
+    assert len(path.points) == len(states) > 2
+    assert path.flags[:2] == ["ordinary", "ordinary"]
+    assert all(event.index > 0 for event in path.events)
+
+
 def test_plus_y_diagram_runs_no_fixed_flux_solve(monkeypatch):
     # marching +M reaches a fold near M = 11.5, where a fixed-flux fallback
     # used to answer 5 of its 6 attempts and the slice solves stalled anyway;

@@ -358,17 +358,23 @@ class TestSolveScalarAbscissae:
 
 def test_tracing_never_imports_scipy_optimize():
     # scipy.optimize costs about 20 MB and a slower start-up; the slice
-    # solver is written out so the package never needs it.
+    # solver is written out so the package never needs it. SciPy's LAPACK
+    # bindings are imported by the first LU factorization, not before, so a
+    # trace of a plain field imports no SciPy at all.
     package_root = Path(foldtrace.__file__).resolve().parent.parent
-    script = ("import sys, foldtrace\n"
+    script = ("import sys, foldtrace, numpy\n"
               "from foldtrace.astroid import trace_astroid\n"
+              "from foldtrace.rootfind import LUHolder\n"
               "path = trace_astroid(0.05)\n"
               "assert len(path.events) == 2, path.events\n"
-              "print('scipy.optimize' in sys.modules)\n")
+              "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+              "held = LUHolder()\n"
+              "held.factor(2.0 * numpy.eye(2))\n"
+              "print('scipy.linalg' in sys.modules, held.solve(numpy.ones(2)).tolist())\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False False", "True [0.5, 0.5]"]
 
 
 def _held(A) -> LUHolder:

@@ -511,6 +511,45 @@ class TestStepMemo:
         assert solved == []
         assert _hex(second) == _hex(first)
 
+    @staticmethod
+    def _counting_scans(monkeypatch):
+        scans = []
+        real = tracer_mod.scan_boundary
+
+        def counting(*args, **kwargs):
+            scans.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tracer_mod, "scan_boundary", counting)
+        return scans
+
+    def test_a_shared_memo_replays_the_scans(self, monkeypatch):
+        # the second trace meets the same turning points with the same scan
+        # settings, so it takes every scan's candidates from the table
+        scans = self._counting_scans(monkeypatch)
+        memo = {}
+        first = trace_astroid(0.01, memo=memo)
+        assert len(scans) >= len(first.events) == 2
+        del scans[:]
+        second = trace_astroid(0.01, memo=memo)
+        assert scans == []
+        assert _hex(second) == _hex(first)
+
+    @pytest.mark.parametrize("other", [dict(r_factor=2.0), dict(n=10)])
+    def test_another_radius_or_mesh_count_scans_again(self, other, monkeypatch):
+        # a scan's result depends on its radius and mesh count: a trace that
+        # differs in either scans every turning point itself, as it would alone
+        scans = self._counting_scans(monkeypatch)
+        memo = {}
+        trace_astroid(0.01, memo=memo)
+        del scans[:]
+        shared = trace_astroid(0.01, memo=memo, **other)
+        shared_scans = list(scans)
+        del scans[:]
+        alone = trace_astroid(0.01, **other)
+        assert shared_scans == scans and len(scans) >= 2
+        assert _hex(shared) == _hex(alone)
+
     def test_shared_memo_keeps_the_sign_of_zero(self):
         # on the line y = 0 the slice solve returns its start as the root, so
         # a zero's sign reaches the next point; a Point2 key equates the two
