@@ -4,9 +4,9 @@ The driver marches one coordinate along a fixed lattice of step multiples
 and solves the transverse coordinate from the residual field at every
 stop, starting each solve at the secant extrapolation of the last two
 points of the current march. When the transverse solve loses its root
-the last point is declared a turning point, the half-disk boundary scan
-picks the exit point, and marching resumes from there in the direction
-the scan decided.
+the fold past the last point, or else that point, is declared a turning
+point, the half-disk boundary scan picks the exit point, and marching
+resumes from there in the direction the scan decided.
 """
 
 from __future__ import annotations
@@ -211,6 +211,40 @@ def step(
     return Point2(target, root) if axis is Axis.X else Point2(root, target)
 
 
+def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
+          cfg: TraceConfig) -> Optional[Point2]:
+    """The fold past the last of three march points `fit`, where c(t), the driven
+    coordinate as a function of the transverse, is extremal (Allgower & Georg, ch. 9). A
+    vertex of the parabola through `fit` ahead in c and within the slice bracket's
+    width w of the last t is solved for c within +-w and replaces the oldest point,
+    up to 8 times, until t moves under 1e-3 radius; None if no such move is solved."""
+    axis, sign = direction.axis, direction.sign
+    fit = [(p.y, p.x) if axis is Axis.X else (p.x, p.y) for p in fit]  # as (t, c)
+    (t_k, c_k), fold = fit[-1], None
+    t, width = t_k, max(10.0 * cfg.max_step, BRACKET_PER_PREDICTED_CHANGE * abs(t_k - fit[-2][0]))
+    for _ in range(8):
+        (t0, c0), (t1, c1), (t2, c2) = fit
+        try:  # c = c2 + d (t - t2) + a (t - t2)(t - t1), extremal where c' = 0
+            d = (c2 - c1) / (t2 - t1)
+            a = (d - (c1 - c0) / (t1 - t0)) / (t2 - t0)
+            vertex = 0.5 * (t1 + t2) - d / (2.0 * a)
+        except ZeroDivisionError:
+            break
+        c = c2 + d * (vertex - t2) + a * (vertex - t2) * (vertex - t1)
+        if not (math.isfinite(c) and sign * (c - c_k) > 0.0 and abs(vertex - t_k) <= width
+                and abs(vertex - t) >= 1e-3 * cfg.radius):
+            break
+        t = vertex
+        try:
+            c = solve_scalar(_slice(residual, axis.other, t), c, cfg.residual_tol,
+                             bracket=(c - width, c + width))
+        except (NoConvergence, FieldEvaluationError):
+            break
+        fold = Point2(c, t) if axis is Axis.X else Point2(t, c)
+        fit = fit[1:] + [(t, c)]
+    return fold
+
+
 def _retraced(points: List[Point2], width: float) -> bool:
     """Whether one period of the march, `points`, retraced itself instead of closing.
 
@@ -250,18 +284,19 @@ def trace(
     budget. The march is deterministic, so a repeated state proves a cycle;
     the cycle is CLOSED when it bounds area and RETRACED when it walked back
     over itself (see `_retraced`). A closed path is one period from the
-    start; a retraced one is the march up to the repeat, a whole cycle after
-    the points that led into it. Neither keeps an event past its end, nor
-    ends at a turning point whose restart was marched. A scan that comes
-    back empty after a sign change it could not resolve proves no curve end,
-    so it raises TraceError with the partial path. Turning points on the way
-    are navigated via the half-disk scan and recorded as events. A restart
-    point is checked against the domain like any other: one outside it ends
-    the path at the turning point, with no event. A first step has no secant
-    to size its slice bracket, so one that stalls is retried with the
-    bracket floor widened 4x, up to three times (640 larger steps); a stall
-    there raises TraceError with the one-point path, as does a first step
-    that leaves the domain.
+    start, or the lap itself when a turning point, which may have reversed
+    the march, came before it; a retraced one is the march up to the repeat.
+    Neither keeps an event past its end, nor ends at a turning point whose
+    restart was marched. A scan that comes back empty after a sign change it
+    could not resolve proves no curve end: TraceError with the partial path.
+    A stall after three points of one march adds the fold `_fold` locates, if
+    in the domain and budget, as the turning point; each turning point's
+    half-disk scan picks the restart, recorded with it as an event. A restart
+    outside the domain ends the path at the turning point, with no event. A
+    first step has no secant to size its slice bracket, so one that stalls
+    is retried with the bracket floor widened 4x, up to three times (640
+    larger steps); a stall there raises TraceError with the one-point path,
+    as does a first step that leaves the domain.
 
     Each distinct march step is solved once, from one table keyed by
     `step`'s inputs (current, previous, direction). An entry holds the
@@ -271,10 +306,10 @@ def trace(
     this trace unless `memo`, a dict, is given; traces of one field that
     share it reuse each other's steps. The same table holds each boundary
     scan, keyed by its centre, kind, radius and mesh_count, so traces that
-    differ only in reference_lag scan each turning point once; the lag only
-    picks the exit from the shared candidates. The dict keeps traces with a
-    different start, step, step_y or residual_tol apart, but not different
-    fields.
+    differ only in reference_lag scan each turning point once, and each fold
+    estimate, keyed by its fit points, heading and radius. The dict keeps
+    traces with a different start, step, step_y or residual_tol apart, but
+    not different fields.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
@@ -295,11 +330,12 @@ def trace(
     # current or previous can reach the result, so those are keyed by repr, which keeps it.
     settings = (start, cfg.step, cfg.step_y, cfg.max_step, cfg.residual_tol)
     # step key -> [outcome, the path that last met the key, the index of its `current` there];
-    # scan key (centre, kind, radius, mesh_count) -> the scan's CandidateSet
+    # scan key (centre, kind, radius, mesh_count) -> the scan's CandidateSet; fold key
+    # (step key, the point before `previous`, radius) -> the fold or None
     steps = {} if memo is None else memo.setdefault(settings, {})
     direction = initial_direction
     heading = _heading(direction)
-    lag = cfg.reference_lag
+    lag = max(cfg.reference_lag, 2)  # the fold fit reads points k-2..k
 
     points, flags = path.points, path.flags
     while True:
@@ -308,10 +344,10 @@ def trace(
         key = (current, previous, heading)
         if 0.0 in current or (previous is not None and 0.0 in previous):
             key = (repr(current), repr(previous), heading)  # repr tells -0.0 from 0.0
-        # The key and the `lag` window `choose_reference_point` reads at the next
-        # stall are all the march reads, so a state met again at k repeats the march
-        # from j on. Tuple == ignores the sign of a zero in the window, which is safe:
-        # the reference point enters only through distances. The proof assumes the
+        # The key and the `lag` window, where the next stall fits its fold and picks its
+        # reference, are all the march reads, so a state met again at k repeats the march
+        # from j on. Tuple == ignores the sign of a zero in the window, which is safe: the
+        # window is read only through distances and differences. The proof assumes the
         # field is a function of (x, y); BifurcationField's warm starts are not, but
         # the default diagram never repeats. A key another trace met is no repeat.
         entry, k = steps.get(key), len(points) - 1
@@ -336,10 +372,23 @@ def trace(
         if isinstance(outcome, Stalled):
             kind, reason = TurningPointKind(direction), outcome.reason
             log.info("stall (%s) at point %d %s -> %s scan", reason, k, current, kind.name)
-            flags[k] = FLAG_TURNING
-
+            turning, fold, reference = k, None, None
+            if k >= 2 and flags[k] == flags[k - 1] == FLAG_ORDINARY and k + 3 <= cfg.max_points:
+                fold_key = (key, points[k - 2], cfg.radius)
+                if fold_key not in steps:
+                    steps[fold_key] = _fold(residual, points[k - 2:], direction, cfg)
+                fold = steps[fold_key]
+            if fold and fold != current and (cfg.domain is None or cfg.domain.contains(fold)):
+                log.info("fold located at %s", fold)
+                reference = next((p for p in reversed(points[max(k - lag, 0):])
+                                  if p.distance_to(fold) >= 0.5 * cfg.radius), None)
+                turning, current = k + 1, fold
+                points.append(fold)
+                flags.append(FLAG_TURNING)
+            else:
+                flags[k] = FLAG_TURNING
             try:  # before the scan: with no history there is no exit to choose
-                reference = choose_reference_point(points, k, cfg)
+                reference = reference or choose_reference_point(points, turning, cfg)
             except InsufficientHistory as exc:
                 raise TraceError(f"stalled at the first path point ({reason}); "
                                  f"no history to choose an exit: {exc}", path=path) from exc
@@ -378,18 +427,19 @@ def trace(
         points.append(outcome)
         flags.append(flag)
         if flag == FLAG_RESTART:
-            path.events.append(TurningPointEvent(index=k, kind=kind, restart_index=k + 1,
-                                                 reason=reason))
+            path.events.append(TurningPointEvent(turning, kind, turning + 1, reason))
             log.info("restart at %s marching %s", outcome, direction)
 
     if path.termination is None:  # the march repeated its state at (j, k)
         retraced = _retraced(points[j:k], cfg.max_step)
         path.termination = Termination.RETRACED if retraced else Termination.CLOSED
-        cut = k if retraced else k - j + 1
-        while path.flags[cut - 1] == FLAG_TURNING:  # keep the restart of a kept turning point
+        first = j if not retraced and FLAG_TURNING in flags[:j] else 0
+        cut = k if retraced or first else k - j + 1
+        while flags[cut - 1] == FLAG_TURNING:  # keep the restart of a kept turning point
             cut += 1
-        del points[cut:], path.flags[cut:]
-        path.events = [e for e in path.events if e.restart_index < cut]
+        del points[cut:], flags[cut:], points[:first], flags[:first]
+        path.events = [TurningPointEvent(e.index - first, e.kind, e.restart_index - first, e.reason)
+                       for e in path.events if first <= e.index and e.restart_index < cut]
     return path
 
 

@@ -89,7 +89,7 @@ class TestTraceCommand:
         library = tmp_path / "library.csv"
         with library.open("w", newline="") as fh:
             write_points_csv(path, fh)
-        assert len(path) == 237
+        assert len(path) == 241
         assert csv.read_bytes() == library.read_bytes()
 
     def test_omitted_flags_take_the_library_defaults(self, tmp_path, capsys, monkeypatch):
@@ -125,10 +125,12 @@ class TestTraceCommand:
         assert len(points) == 1 and flags == ["turning_point"]
 
     def test_unresolved_scan_exits_2_with_partial_csv(self, tmp_path, capsys):
-        # below the circle's rounding floor the scan sees a sign change that
-        # its refinement cannot resolve; that is no proven curve end
+        # below the circle's rounding floor the slice solve at y=0.35 stalls
+        # mid-arc, and the scan sees a sign change that its refinement cannot
+        # resolve; that is no proven curve end
         csv = tmp_path / "c.csv"
-        code = run(["trace", "--problem", "circle", "--tol", "1e-17",
+        code = run(["trace", "--problem", "circle", "--start", "0.6,0.8", "--dir", "-y",
+                    "--step", "0.09", "--tol", "1e-17",
                     "--csv", str(csv), "--svg", str(tmp_path / "c.svg")])
         captured = capsys.readouterr()
         assert code == 2
@@ -136,7 +138,7 @@ class TestTraceCommand:
         assert "Traceback" not in captured.err
         with csv.open() as fh:
             points, flags = read_points_csv(fh)
-        assert len(points) == 3 and flags[-1] == "turning_point"
+        assert len(points) == 5 and flags[-1] == "turning_point"
 
     def test_scan_radius_below_the_coordinates_resolution_exits_2(self, tmp_path, capsys,
                                                                    caplog):
@@ -153,10 +155,11 @@ class TestTraceCommand:
         assert len(points) == 710 and flags[-1] == "turning_point"
 
     def test_retraced_exits_2_with_outputs(self, tmp_path, capsys):
-        # the ellipse reverses at off-lattice folds and walks back over
-        # itself until its state repeats: reported, written, and not a success
+        # the superellipse reverses at flat folds, which a parabola misplaces,
+        # and walks back over itself until its state repeats: reported,
+        # written, and not a success
         csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
-        code = run(["trace", "--problem", "expression", "--expr", "x^2/4+y^2-1",
+        code = run(["trace", "--problem", "expression", "--expr", "x^4/16+y^4-1",
                     "--start", "2,0", "--dir", "-y", "--step", "0.07",
                     "--csv", str(csv), "--svg", str(svg)])
         out = capsys.readouterr().out
@@ -164,7 +167,7 @@ class TestTraceCommand:
         assert "termination: retraced" in out
         with csv.open() as fh:
             points, _flags = read_points_csv(fh)
-        assert len(points) == 84
+        assert len(points) == 51
         ET.parse(svg)
 
     def test_expression_leaves_domain(self, tmp_path, capsys):

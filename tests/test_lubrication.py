@@ -748,39 +748,43 @@ class TestFactorizationReuse:
         # tracer's march predictor to 336, and the field's own predicted
         # starts (same-mass reuse, a two-point start in (h, Q)) to 243,
         # dropping the fixed-flux fallback, whose one attempt failed, to
-        # 231, and the quadratic start to 224
+        # 231, and the quadratic start to 224; locating the fold before its
+        # scan made it 225, and the path 279 points, from 280
         path = default_diagram_counts["path"]
-        assert len(path.points) == 280 and len(path.events) == 1
+        assert len(path.points) == 279 and len(path.events) == 1
         assert path.termination.name == "LEFT_DOMAIN"
         assert default_diagram_counts["unbordered"] == 0
         assert 0 < default_diagram_counts["factorizations"] <= 232
 
     def test_default_diagram_residual_budget(self, default_diagram_counts):
-        # 2,033 residual evaluations, all in bordered solves, per diagram;
+        # 2,040 residual evaluations, all in bordered solves, per diagram
+        # (2,033 before the fold was located ahead of its scan);
         # 2,564 with a two-point start in place of the quadratic, 2,640
         # with the fixed-flux fallback, 3,648 before the predicted starts,
         # 4,208 before the tracer's march predictor
         assert 0 < default_diagram_counts["residuals"] <= 2150
 
     def test_default_diagram_lu_solve_budget(self, default_diagram_counts):
-        # 1,582 LU solves: one per chord step and one per factorization;
-        # 2,113 with a two-point start in place of the quadratic
+        # 1,588 LU solves: one per chord step and one per factorization;
+        # 1,582 before the fold was located ahead of its scan, 2,113 with a
+        # two-point start in place of the quadratic
         assert 0 < default_diagram_counts["lu_solves"] <= 1700
 
     def test_default_diagram_field_evaluation_budget(self, default_diagram_counts):
-        # 880 field evaluations, 470 of them answered by a state already
-        # solved at the probed mass; 1,031 before the tracer's march
-        # predictor
+        # 884 field evaluations, 473 of them answered by a state already
+        # solved at the probed mass; 880 before the fold was located ahead of
+        # its scan, 1,031 before the tracer's march predictor
         assert 0 < default_diagram_counts["evaluations"] <= 950
 
     def test_default_diagram_solves_every_march_step(self, default_diagram_counts):
         # The field is stateful: each evaluation warm-starts from the states
         # solved before it. No march step repeats on this diagram, so the
         # tracer's step memo answers none of them and the field sees the same
-        # 880 evaluations in the same order as without it. One step per point
-        # after the start, and one more that leaves the domain.
-        assert default_diagram_counts["steps"] == len(default_diagram_counts["path"].points)
-        assert default_diagram_counts["evaluations"] == 880
+        # 884 evaluations in the same order as without it. One step per point
+        # after the start but the located fold, which no step returns, and one
+        # more that leaves the domain.
+        assert default_diagram_counts["steps"] == len(default_diagram_counts["path"].points) - 1
+        assert default_diagram_counts["evaluations"] == 884
 
     def test_readme_quotes_the_default_diagram_counts(self, default_diagram_counts, readme):
         # a change that moves these counts has to update README too
@@ -807,8 +811,8 @@ class TestFactorizationReuse:
         assert counts["chord"] + counts["factorizations"] == default_diagram_counts["lu_solves"]
 
 
-@pytest.mark.parametrize("m, points, event_index", [(64, 282, 46), (128, 280, 44),
-                                                     (256, 280, 44)])
+@pytest.mark.parametrize("m, points, event_index", [(64, 281, 47), (128, 279, 45),
+                                                     (256, 279, 45)])
 def test_diagram_keeps_its_shape_across_grid_sizes(m, points, event_index):
     path, _states, _field = trace_bifurcation(m=m)
     assert len(path.points) == points
