@@ -217,7 +217,8 @@ def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
     coordinate as a function of the transverse, is extremal (Allgower & Georg, ch. 9). A
     vertex of the parabola through `fit` ahead in c and within the slice bracket's
     width w of the last t is solved for c within +-w and replaces the oldest point,
-    up to 8 times, until t moves under 1e-3 radius; None if no such move is solved."""
+    up to 8 times, until t moves under 1e-3 radius. Returns the last root solved ahead
+    in c, or None if there is none or it lies within 1e-3 radius of the last t."""
     axis, sign = direction.axis, direction.sign
     fit = [(p.y, p.x) if axis is Axis.X else (p.x, p.y) for p in fit]  # as (t, c)
     (t_k, c_k), fold = fit[-1], None
@@ -240,7 +241,9 @@ def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
                              bracket=(c - width, c + width))
         except (NoConvergence, FieldEvaluationError):
             break
-        fold = Point2(c, t) if axis is Axis.X else Point2(t, c)
+        if sign * (c - c_k) > 0.0:  # a root behind the last point is no fold, but fits
+            near = abs(t - t_k) < 1e-3 * cfg.radius  # then the last point is the fold
+            fold = None if near else Point2(c, t) if axis is Axis.X else Point2(t, c)
         fit = fit[1:] + [(t, c)]
     return fold
 
@@ -306,10 +309,10 @@ def trace(
     this trace unless `memo`, a dict, is given; traces of one field that
     share it reuse each other's steps. The same table holds each boundary
     scan, keyed by its centre, kind, radius and mesh_count, so traces that
-    differ only in reference_lag scan each turning point once, and each fold
-    estimate, keyed by its fit points, heading and radius. The dict keeps
-    traces with a different start, step, step_y or residual_tol apart, but
-    not different fields.
+    differ only in reference_lag scan each turning point once; the lag only
+    picks the exit from the shared candidates. The dict keeps traces with a
+    different start, step, step_y or residual_tol apart, but not different
+    fields.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
@@ -330,8 +333,7 @@ def trace(
     # current or previous can reach the result, so those are keyed by repr, which keeps it.
     settings = (start, cfg.step, cfg.step_y, cfg.max_step, cfg.residual_tol)
     # step key -> [outcome, the path that last met the key, the index of its `current` there];
-    # scan key (centre, kind, radius, mesh_count) -> the scan's CandidateSet; fold key
-    # (step key, the point before `previous`, radius) -> the fold or None
+    # scan key (centre, kind, radius, mesh_count) -> the scan's CandidateSet
     steps = {} if memo is None else memo.setdefault(settings, {})
     direction = initial_direction
     heading = _heading(direction)
@@ -374,11 +376,8 @@ def trace(
             log.info("stall (%s) at point %d %s -> %s scan", reason, k, current, kind.name)
             turning, fold, reference = k, None, None
             if k >= 2 and flags[k] == flags[k - 1] == FLAG_ORDINARY and k + 3 <= cfg.max_points:
-                fold_key = (key, points[k - 2], cfg.radius)
-                if fold_key not in steps:
-                    steps[fold_key] = _fold(residual, points[k - 2:], direction, cfg)
-                fold = steps[fold_key]
-            if fold and fold != current and (cfg.domain is None or cfg.domain.contains(fold)):
+                fold = _fold(residual, points[k - 2:], direction, cfg)
+            if fold is not None and (cfg.domain is None or cfg.domain.contains(fold)):
                 log.info("fold located at %s", fold)
                 reference = next((p for p in reversed(points[max(k - lag, 0):])
                                   if p.distance_to(fold) >= 0.5 * cfg.radius), None)
@@ -434,7 +433,7 @@ def trace(
         retraced = _retraced(points[j:k], cfg.max_step)
         path.termination = Termination.RETRACED if retraced else Termination.CLOSED
         first = j if not retraced and FLAG_TURNING in flags[:j] else 0
-        cut = k if retraced or first else k - j + 1
+        cut = k if retraced else k + 1 if first else k - j + 1
         while flags[cut - 1] == FLAG_TURNING:  # keep the restart of a kept turning point
             cut += 1
         del points[cut:], flags[cut:], points[:first], flags[:first]

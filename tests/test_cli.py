@@ -89,7 +89,7 @@ class TestTraceCommand:
         library = tmp_path / "library.csv"
         with library.open("w", newline="") as fh:
             write_points_csv(path, fh)
-        assert len(path) == 241
+        assert len(path) == 237
         assert csv.read_bytes() == library.read_bytes()
 
     def test_omitted_flags_take_the_library_defaults(self, tmp_path, capsys, monkeypatch):
@@ -167,7 +167,7 @@ class TestTraceCommand:
         assert "termination: retraced" in out
         with csv.open() as fh:
             points, _flags = read_points_csv(fh)
-        assert len(points) == 51
+        assert len(points) == 92
         ET.parse(svg)
 
     def test_expression_leaves_domain(self, tmp_path, capsys):
