@@ -374,20 +374,18 @@ def trace(
         if isinstance(outcome, Stalled):
             kind, reason = TurningPointKind(direction), outcome.reason
             log.info("stall (%s) at point %d %s -> %s scan", reason, k, current, kind.name)
-            turning, fold, reference = k, None, None
+            turning, fold = k, None
             if k >= 2 and flags[k] == flags[k - 1] == FLAG_ORDINARY and k + 3 <= cfg.max_points:
                 fold = _fold(residual, points[k - 2:], direction, cfg)
             if fold is not None and (cfg.domain is None or cfg.domain.contains(fold)):
                 log.info("fold located at %s", fold)
-                reference = next((p for p in reversed(points[max(k - lag, 0):])
-                                  if p.distance_to(fold) >= 0.5 * cfg.radius), None)
                 turning, current = k + 1, fold
                 points.append(fold)
                 flags.append(FLAG_TURNING)
             else:
                 flags[k] = FLAG_TURNING
             try:  # before the scan: with no history there is no exit to choose
-                reference = reference or choose_reference_point(points, turning, cfg)
+                reference = choose_reference_point(points, turning, cfg)
             except InsufficientHistory as exc:
                 raise TraceError(f"stalled at the first path point ({reason}); "
                                  f"no history to choose an exit: {exc}", path=path) from exc
