@@ -186,7 +186,7 @@ def run_sweep(
     for rf, k, n in combos:
         _astroid_config(delta, rf, k, n)
     rows = {}  # row of each distinct point in the one percent-error batch
-    verdicts = {}  # cusp verdict of each distinct closed path, keyed by its rows
+    verdicts = {}  # cusp verdict of each closed path's point set, which order does not change
     traced = []
     memo = {}  # march steps and scans shared by every combination
     for rf, k, n in combos:
@@ -198,13 +198,14 @@ def run_sweep(
             log.warning("sweep combination r=%g k=%d n=%d failed: %s", rf, k, n, exc)
             points = exc.path.points if exc.path is not None else []
             closed = False
-        index = tuple([rows.setdefault(p, len(rows)) for p in points])
-        if closed and index not in verdicts:
-            verdicts[index] = navigated_all_cusps(points, delta)
-        traced.append((index, closed and verdicts[index]))
+        index = [rows.setdefault(p, len(rows)) for p in points]
+        key = frozenset(index)
+        if closed and key not in verdicts:
+            verdicts[key] = navigated_all_cusps(points, delta)
+        traced.append((index, closed and verdicts[key]))
 
     # The paths share most of their points: each distinct one is checked once.
     errors = np.abs(percent_errors([p.x for p in rows], [p.y for p in rows]))
     return [SweepResult(r_factor=rf, k=k, n=n, navigated_all_cusps=navigated,
-                        max_pe=float(errors[list(index)].max()) if index else math.nan)
+                        max_pe=float(errors[index].max()) if index else math.nan)
             for (rf, k, n), (index, navigated) in zip(combos, traced)]

@@ -41,6 +41,8 @@ def read_points_csv(stream: IO[str]) -> Tuple[List[Point2], List[str]]:
         try:
             if len(row) != 4 or row[3] not in (FLAG_ORDINARY, FLAG_TURNING, FLAG_RESTART):
                 raise ValueError("expected index,x,y,flag with a known flag")
+            if row[0] != str(len(points)):
+                raise ValueError(f"expected index {len(points)}, the row's position")
             points.append(Point2(float(row[1]), float(row[2])))
         except ValueError as exc:
             raise ValueError(f"bad points CSV line {reader.line_num} {row}: {exc}") from None

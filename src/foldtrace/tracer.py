@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, List, Optional, Union
@@ -66,9 +66,8 @@ class Stalled:
 
 @dataclass(frozen=True)
 class TurningPointEvent:
-    index: int
+    index: int  # of the turning point; its restart follows at index + 1
     kind: TurningPointKind
-    restart_index: int
     reason: str = ""  # why the slice solve at `index` stalled
 
 
@@ -103,8 +102,8 @@ class TraceConfig:
     (default: the larger step) and measures from the point `reference_lag`
     steps back; the start and every slice solve converge to `residual_tol`.
     Each setting is checked here. `max_points` bounds the points marched, not
-    the points returned: a trace ends only once its state repeats, which for a
-    closing trace is a few points past the closing point it returns.
+    the points returned: a trace ends only once its state repeats, and a
+    closing trace returns only the cycle, not the march that led into it.
     """
 
     step: float
@@ -286,20 +285,21 @@ def trace(
     empty, when the path leaves the configured domain, or at the point
     budget. The march is deterministic, so a repeated state proves a cycle;
     the cycle is CLOSED when it bounds area and RETRACED when it walked back
-    over itself (see `_retraced`). A closed path is one period from the
-    start, or the lap itself when a turning point, which may have reversed
-    the march, came before it; a retraced one is the march up to the repeat.
-    Neither keeps an event past its end, nor ends at a turning point whose
-    restart was marched. A scan that comes back empty after a sign change it
-    could not resolve proves no curve end: TraceError with the partial path.
-    A stall after three points of one march adds the fold `_fold` locates, if
-    in the domain and budget, as the turning point; each turning point's
-    half-disk scan picks the restart, recorded with it as an event. A restart
-    outside the domain ends the path at the turning point, with no event. A
-    first step has no secant to size its slice bracket, so one that stalls
-    is retried with the bracket floor widened 4x, up to three times (640
-    larger steps); a stall there raises TraceError with the one-point path,
-    as does a first step that leaves the domain.
+    over itself (see `_retraced`). A closed path is the cycle, from the first
+    repeated state round to it again: it ends on its first point, which need
+    not be the start. When that point is a restart, its turning point and
+    event are the path's second-last point and last event. A retraced path
+    is the march up to and including the repeated state. A scan that comes
+    back empty after a sign change it could not resolve proves no curve end:
+    TraceError with the partial path. A stall after three points of one march
+    adds the fold `_fold` locates, if in the domain and budget, as the turning
+    point; each turning point's half-disk scan picks the restart, recorded
+    with it as an event. A restart outside the domain ends the path at the
+    turning point, with no event. A first step has no secant to size its
+    slice bracket, so one that stalls is retried with the bracket floor
+    widened 4x, up to three times (640 larger steps); a stall there raises
+    TraceError with the one-point path, as does a first step that leaves the
+    domain.
 
     Each distinct march step is solved once, from one table keyed by
     `step`'s inputs (current, previous, direction). An entry holds the
@@ -424,19 +424,16 @@ def trace(
         points.append(outcome)
         flags.append(flag)
         if flag == FLAG_RESTART:
-            path.events.append(TurningPointEvent(turning, kind, turning + 1, reason))
+            path.events.append(TurningPointEvent(turning, kind, reason))
             log.info("restart at %s marching %s", outcome, direction)
 
     if path.termination is None:  # the march repeated its state at (j, k)
-        retraced = _retraced(points[j:k], cfg.max_step)
-        path.termination = Termination.RETRACED if retraced else Termination.CLOSED
-        first = j if not retraced and FLAG_TURNING in flags[:j] else 0
-        cut = k if retraced else k + 1 if first else k - j + 1
-        while flags[cut - 1] == FLAG_TURNING:  # keep the restart of a kept turning point
-            cut += 1
-        del points[cut:], flags[cut:], points[:first], flags[:first]
-        path.events = [TurningPointEvent(e.index - first, e.kind, e.restart_index - first, e.reason)
-                       for e in path.events if first <= e.index and e.restart_index < cut]
+        if _retraced(points[j:k], cfg.max_step):
+            path.termination = Termination.RETRACED
+        else:  # the cycle points[j:k+1], from the repeated state round to it again
+            path.termination = Termination.CLOSED
+            del points[:j], flags[:j]
+            path.events = [replace(e, index=e.index - j) for e in path.events if e.index >= j]
     return path
 
 

@@ -301,8 +301,9 @@ class TestSweep:
         # from a scan's candidates, so they repeat each other's scans for
         # each (r, n): through the sweep's one memo the field is evaluated
         # 4,936 times in 18 scans, where 27 independent traces evaluate it
-        # 43,941 times in 54 scans, and every output stays bit-identical
-        evaluations, scans = [], []
+        # 43,941 times in 54 scans, and every output stays bit-identical. The
+        # 27 closed paths are cycles of 9 point sets, one cusp verdict each
+        evaluations, scans, verdicts = [], [], []
         real_field, real_scan = astroid.astroid_field, tracer.scan_boundary
 
         def counting_field():
@@ -318,13 +319,19 @@ class TestSweep:
             scans.append(1)
             return real_scan(*args, **kwargs)
 
+        def counting_verdict(*args):
+            verdicts.append(1)
+            return navigated_all_cusps(*args)
+
         monkeypatch.setattr(astroid, "astroid_field", counting_field)
         monkeypatch.setattr(tracer, "scan_boundary", counting_scan)
+        monkeypatch.setattr(astroid, "navigated_all_cusps", counting_verdict)
         paths = self._capture_paths(monkeypatch)
         grid = ([0.0001, 1.0, 100.0], [1, 5, 10], [4, 8, 10])
         results = run_sweep(*grid, 0.01)
         shared = len(evaluations)
-        assert (shared, len(scans)) == (4936, 18)
+        assert (shared, len(scans), len(verdicts)) == (4936, 18, 9)
+        assert len({tuple(path.points) for path in paths}) == 27
         evaluations.clear()
         scans.clear()
         alone = [trace_astroid(0.01, r_factor=rf, k=k, n=n)

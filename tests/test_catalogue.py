@@ -10,10 +10,18 @@ step is one of STEPS and the point budget is 3 * 2 pi max(a, b) / step + 50.
 
 Curve i's parameters are the i-th point of a Kronecker sequence, so they
 are fixed in code and no seed moves them. Soundness is asserted outright:
-every trace that reports `closed` winds once around its centre and stays
-within RADIAL_TOL of the curve. Completeness, the closed count per family,
+every trace that reports `closed` ends on its first point, winds once around
+its centre and stays within RADIAL_TOL of the curve. Completeness, the closed count per family,
 is pinned as a floor that a change may raise but not lower; that every
 curve closes is a strict expected failure per family.
+
+A second yardstick, the tilted-ellipse sweep, traces SWEEP_SIZE ellipses
+centred on the origin with axes 1 and 1/aspect, in the ranges of the tracer
+tests' hypothesis test: aspect in [1, 4], tilt in [0, pi], start angle in
+[0, 2 pi], step in [0.02, 0.08], one of the four axis directions and a budget
+of three perimeters. Their parameters come from the same Kronecker sequence.
+Soundness is asserted as above; the closed count is a floor and the count of
+traces that raise (a stall at the first point) a ceiling.
 """
 
 import math
@@ -22,7 +30,7 @@ from collections import Counter
 import pytest
 
 from foldtrace.errors import TraceError
-from foldtrace.geometry import Axis, Point2, StepDirection, cbrt
+from foldtrace.geometry import MINUS_X, MINUS_Y, PLUS_X, PLUS_Y, Axis, Point2, StepDirection, cbrt
 from foldtrace.tracer import Termination, TraceConfig, trace
 
 PER_FAMILY = 64
@@ -35,6 +43,9 @@ _ALPHA = tuple(math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17))
 # ellipse closes, each fold located before its scan; every superellipse retraces:
 # a parabola misplaces its flat folds, which fall off the step lattice.
 CLOSED_FLOOR = {"ellipse": 64, "superellipse": 0, "astroid": 64}
+SWEEP_SIZE = 1500
+# Of the sweep's traces, 1,135 close, 194 retrace and 171 raise.
+SWEEP_CLOSED_FLOOR, SWEEP_RAISED_CEILING = 1135, 171
 
 
 def _size(u):
@@ -122,7 +133,8 @@ def _winding(points, centre):
 
 @pytest.fixture(scope="module")
 def catalogue():
-    """Per family, (termination or "raised", winding, max radial error) of every curve."""
+    """Per family, (termination or "raised", winding, max radial error, whether the
+    path ends on its first point) of every curve."""
     results = {}
     for family in CLOSED_FLOOR:
         rows = results[family] = []
@@ -131,10 +143,11 @@ def catalogue():
             try:
                 path = trace(field, start, direction, cfg)
             except TraceError:
-                rows.append(("raised", None, None))
+                rows.append(("raised", None, None, None))
                 continue
             error = max(abs(radius(p.x, p.y) - 1.0) for p in path.points)
-            rows.append((path.termination.value, _winding(path.points, centre), error))
+            rows.append((path.termination.value, _winding(path.points, centre), error,
+                         path.points[-1] == path.points[0]))
     return results
 
 
@@ -147,8 +160,9 @@ def test_every_start_lies_on_its_curve(family):
 
 @pytest.mark.parametrize("family", list(CLOSED_FLOOR))
 def test_closed_traces_wind_once_on_the_curve(catalogue, family):
-    for i, (termination, winding, error) in enumerate(catalogue[family]):
+    for i, (termination, winding, error, ends_on_start) in enumerate(catalogue[family]):
         if termination == Termination.CLOSED.value:
+            assert ends_on_start, (family, i)
             assert abs(abs(winding) - 1.0) < 1e-9, (family, i, winding)
             assert error <= RADIAL_TOL, (family, i, error)
 
@@ -168,3 +182,46 @@ _RETRACES = pytest.mark.xfail(
 def test_every_curve_closes(catalogue, family):
     split = Counter(row[0] for row in catalogue[family])
     assert split[Termination.CLOSED.value] == PER_FAMILY, split
+
+
+def _tilted_ellipse(i):
+    """(field, start, direction, config) of curve i of the tilted-ellipse sweep."""
+    u = [(i + 1) * alpha % 1.0 for alpha in _ALPHA[:5]]
+    a, b = 1.0, 1.0 / (1.0 + 3.0 * u[0])
+    field, point, _ = _ellipse(a, b, u[1])
+    direction = (PLUS_X, MINUS_X, PLUS_Y, MINUS_Y)[int(4.0 * u[4])]
+    step = 0.02 + 0.06 * u[3]
+    perimeter = math.pi * (3.0 * (a + b) - math.sqrt((3.0 * a + b) * (a + 3.0 * b)))
+    return (field, Point2(*point(2.0 * math.pi * u[2])), direction,
+            TraceConfig(step=step, max_points=int(3.0 * perimeter / step)))
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(termination or "raised", winding, whether the path ends on its first point) of
+    every sweep curve."""
+    rows = []
+    for i in range(SWEEP_SIZE):
+        try:
+            path = trace(*_tilted_ellipse(i))
+        except TraceError:
+            rows.append(("raised", None, None))
+            continue
+        rows.append((path.termination.value, _winding(path.points, Point2(0.0, 0.0)),
+                     path.points[-1] == path.points[0]))
+    return rows
+
+
+def test_sweep_closed_traces_wind_once_back_to_their_first_point(sweep):
+    # curve 518 marches into its cycle from a start off it: as many points
+    # from the start as the cycle has (69) hold no event and wind 0 times
+    for i, (termination, winding, ends_on_start) in enumerate(sweep):
+        if termination == Termination.CLOSED.value:
+            assert ends_on_start, i
+            assert abs(abs(winding) - 1.0) < 1e-9, (i, winding)
+
+
+def test_sweep_keeps_its_closed_floor_and_raised_ceiling(sweep):
+    split = Counter(row[0] for row in sweep)
+    assert split[Termination.CLOSED.value] >= SWEEP_CLOSED_FLOOR, split
+    assert split["raised"] <= SWEEP_RAISED_CEILING, split

@@ -167,7 +167,7 @@ class TestTraceCommand:
         assert "termination: retraced" in out
         with csv.open() as fh:
             points, _flags = read_points_csv(fh)
-        assert len(points) == 92
+        assert len(points) == 93
         ET.parse(svg)
 
     def test_expression_leaves_domain(self, tmp_path, capsys):

@@ -64,7 +64,11 @@ class TestPointsCsv:
         ("index,x,y,flag\n0,1,0,ordinary\n1,0.5\n", r"line 3 \['1', '0.5'\]"),
         ("index,x,y,flag\n0,1,0,bogus\n", r"line 2 .*'bogus'\]: .*known flag"),
         ("index,x,y,flag\n0,1,nan,ordinary\n", r"line 2 .*'nan'.*finite"),
-    ], ids=["empty stream", "short row", "unknown flag", "non-finite coordinate"])
+        ("index,x,y,flag\nabc,1.0,2.0,ordinary\n7,3,4,restart\n",
+         r"line 2 \['abc'.*expected index 0"),
+        ("index,x,y,flag\n0,1.0,2.0,ordinary\n7,3,4,restart\n", r"line 3 \['7'.*expected index 1"),
+    ], ids=["empty stream", "short row", "unknown flag", "non-finite coordinate",
+            "index not a number", "index out of place"])
     def test_malformed_input_names_the_row(self, text, message):
         with pytest.raises(ValueError, match=message):
             read_points_csv(io.StringIO(text))

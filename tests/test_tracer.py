@@ -185,22 +185,24 @@ class TestSecantPredictor:
         monkeypatch.setattr(tracer_mod, "step", recording_step)
         path = trace(circle_field(), Point2(1.0, 0.0), MINUS_Y, TraceConfig(step=0.05))
         assert len(path.events) == 4
-        # the march goes on past the returned end to prove the repeat, back
-        # over the opening points: only its first len(path) - 1 steps are kept.
-        # The folds lie on lattice stops, so each stall point is the fold: no
-        # fold is added, and every kept point is a step's current
-        seen = seen[:len(path) - 1]
+        # the path is the cycle, marched from its first point on by the last
+        # steps seen, bar those the memo replays from the march into it. The
+        # folds lie on lattice stops, so each stall point is the fold and no
+        # fold is added: every point but the closing one is a step's current
+        first = next(n for n, (current, _) in enumerate(seen) if current == path.points[0])
+        position = {p: i for i, p in enumerate(path.points[:-1])}
+        seen = [(position[current], previous) for current, previous in seen[first:]]
         from_restart = predicted = 0
-        for i, (current, previous) in enumerate(seen):
-            assert current == path.points[i]
-            if i == 0 or path.flags[i] == FLAG_RESTART:
+        for i, previous in seen:
+            if path.flags[i] == FLAG_RESTART:
                 assert previous is None
-                from_restart += i > 0
+                from_restart += 1
             else:
                 assert path.flags[i] in (FLAG_ORDINARY, FLAG_TURNING)
-                assert previous == path.points[i - 1]
+                # the point before the cycle's first is its second-last
+                assert previous == path.points[i - 1 if i else -2]
                 predicted += 1
-        assert from_restart >= 3  # the last restart closes the curve
+        assert from_restart == 4
         assert predicted > 0.9 * len(seen)
 
 
@@ -270,8 +272,7 @@ class TestTraceCircle:
         assert len(turning) == 4 and len(restarts) == 4
         for e in circle_path.events:
             assert circle_path.flags[e.index] == FLAG_TURNING
-            assert circle_path.flags[e.restart_index] == FLAG_RESTART
-            assert e.restart_index == e.index + 1
+            assert circle_path.flags[e.index + 1] == FLAG_RESTART
 
     def test_consecutive_points_distinct(self, circle_path):
         for a, b in zip(circle_path.points, circle_path.points[1:]):
@@ -454,7 +455,7 @@ class TestStepMemo:
         assert path.termination is Termination.RETRACED and len(path.events) == 2
 
         events = {e.index: e for e in path.events}
-        restarts = {e.restart_index: e for e in path.events}
+        restarts = {e.index + 1: e for e in path.events}
         i = 0
         while i < len(points) - 1:
             current = points[i]
@@ -468,7 +469,7 @@ class TestStepMemo:
                 event = events[i] if i in events else events[i + 1]
                 assert outcome == Stalled(event.reason)
                 assert abs(field(*points[event.index])) <= cfg.residual_tol
-                i = event.restart_index
+                i = event.index + 1
                 continue
             assert i + 1 not in restarts and i + 1 not in events
             assert (outcome.x.hex(), outcome.y.hex()) == (points[i + 1].x.hex(),
@@ -487,7 +488,7 @@ class TestStepMemo:
         direction = MINUS_Y
         if other is None:
             event = first.events[0]
-            turning, start = first.points[event.index], first.points[event.restart_index]
+            turning, start = first.points[event.index], first.points[event.index + 1]
             direction = new_direction(turning, start, incoming=MINUS_Y)[0]
         else:
             cfg = TraceConfig(**other)
@@ -601,15 +602,29 @@ class TestTraceAstroid:
         assert info.value.path.flags == [FLAG_TURNING]
 
     @pytest.mark.parametrize("delta", [0.003, 0.001])
-    def test_first_step_widens_its_bracket_and_keeps_its_branch(self, delta):
+    def test_first_step_widens_its_bracket_and_keeps_its_branch(self, delta, monkeypatch):
         # from the cusp (0, 1) the slice x = delta needs a bracket of about
         # 1.5 delta^(2/3), more than ten steps below delta = 3.4e-3; the widened
-        # retry must land on the approach branch, not on the one below it
+        # retry must land on the approach branch, not on the one below it. The
+        # closed path is the cycle, which the march enters after the first step,
+        # so the step is caught on its way out
+        outcomes = []
+        real_step = tracer_mod.step
+
+        def spying(*args, **kwargs):
+            outcomes.append(real_step(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(tracer_mod, "step", spying)
         path = trace_astroid(delta)
         assert path.termination is Termination.CLOSED and len(path.events) == 2
-        first = path.points[1]
-        assert first.x == delta
-        assert first.y == pytest.approx((1.0 - delta ** (2.0 / 3.0)) ** 1.5, abs=1e-9)
+        assert isinstance(outcomes[0], Stalled)
+        first = next(p for p in outcomes if isinstance(p, Point2))
+        branch = (1.0 - delta ** (2.0 / 3.0)) ** 1.5
+        assert first.x == delta and first.y == pytest.approx(branch, abs=1e-9)
+        # the cycle passes the same stop on the same branch
+        passes = [p.y for p in path.points if p.x == delta and p.y > 0]
+        assert passes == pytest.approx([branch], abs=1e-9)
         assert navigated_all_cusps(path.points, delta)
 
     def test_closes_through_cusps(self, astroid_path):
@@ -668,7 +683,7 @@ class TestRetraceGuard:
         # east fold, a lattice stop, until its state repeats
         path = trace(*_cycle_case("reversed superellipse"))
         assert path.termination is Termination.RETRACED
-        assert (len(path), len(path.events)) == (92, 4)
+        assert (len(path), len(path.events)) == (93, 4)
         assert round(_winding(path.points)) == 0
 
     @pytest.mark.parametrize("angle", [0.0, 0.3])
@@ -692,7 +707,7 @@ class TestRetraceGuard:
         start = Point2(math.copysign(abs(c) ** 0.5, c), math.copysign(abs(s) ** 0.5, s) / 2.0)
         path = trace(lambda x, y: x ** 4 + (2.0 * y) ** 4 - 1.0, start, PLUS_X,
                      TraceConfig(step=0.07))
-        assert (len(path), len(path.events)) == (29, 2)
+        assert (len(path), len(path.events)) == (30, 2)
         assert round(_winding(path.points)) == 0
         assert path.termination is Termination.RETRACED
 
@@ -704,18 +719,21 @@ class TestRetraceGuard:
         step_size=st.floats(0.02, 0.08),
         direction=st.sampled_from([PLUS_X, MINUS_X, PLUS_Y, MINUS_Y]),
     )
-    # Each of these reverses at a stall that no fold estimate resolves and then
-    # closes its lap the other way round: one period from the start holds that
-    # reversal and winds 0 times, only the lap itself winds once.
+    # The march enters the cycle of each of these through a reversal at a stall
+    # that no fold estimate resolves, or in the last from a start off the
+    # cycle: as many points from the start as the cycle has wind 0 times (in
+    # the last, 69 points with no event), the cycle itself winds once.
     @example(4.0, 0.5, 4.0, 0.0234375, MINUS_X)
     @example(2.8637733481937095, 0.7872238646022688, 3.2691727334348526, 0.046021476344757825, PLUS_X)
     @example(3.3487257986171173, 2.457468370618875, 5.465414186882322, 0.03284758347098895, PLUS_Y)
     @example(2.8436284941444296, 0.44554473750054857, 5.060251508559111, 0.06915899125565017, PLUS_X)
+    @example(3.9305166149091235, 2.935407189042764, 3.2627344919540593, 0.028695826551355594, MINUS_X)
     def test_rotated_ellipse_closed_implies_winding_one(self, aspect, tilt, start_angle,
                                                          step_size, direction):
         # Folds of a tilted ellipse fall off the marching lattice, so a trace
         # may reverse, retrace or run out of points; whatever it does, it
-        # reports `closed` only if it went round the curve once.
+        # reports `closed` only if it went round the curve once, back to its
+        # first point.
         a, b = 1.0, 1.0 / aspect
         c, s = math.cos(tilt), math.sin(tilt)
 
@@ -732,6 +750,7 @@ class TestRetraceGuard:
         except TraceError:
             return  # a stall at the first point claims nothing
         if path.termination is Termination.CLOSED:
+            assert path.points[-1] == path.points[0]
             assert abs(abs(_winding(path.points)) - 1.0) < 1e-9
 
     def test_genuine_closures_stay_closed(self, circle_path, astroid_path):
@@ -758,7 +777,7 @@ def _cycle_case(name):
     if name == "ellipse":
         return (expression_field("x*x/4 + y*y - 1"), Point2(2.0, 0.0), MINUS_Y,
                 TraceConfig(step=0.05, max_points=2000))
-    if name == "coarse ellipse":  # its cycle's last point is a turning point
+    if name == "coarse ellipse":
         return expression_field("x^2/4+y^2-1"), Point2(2.0, 0.0), MINUS_Y, TraceConfig(step=0.07)
     if name == "zoo ellipse":
         return (expression_field(_ZOO_ELLIPSE), Point2(0.34014445265136495, -1.1720056257124918),
@@ -779,7 +798,7 @@ def _cycle_case(name):
         u, v = math.cos(3.0), math.sin(3.0) / 1.5
         return field, Point2(c * u - s * v, s * u + c * v), PLUS_Y, TraceConfig(step=0.02,
                                                                                 max_points=1500)
-    assert name == "narrow ellipse"  # a turning point comes before its cycle: the path is the lap
+    assert name == "narrow ellipse"  # a turning point comes before its cycle
     c, s = math.cos(0.3), math.sin(0.3)
 
     def field(x, y):
@@ -805,31 +824,31 @@ class TestCycleStop:
         points = path.points
         assert path.termination is Termination.RETRACED
         assert len(points) < cfg.max_points / 10
-        # one step past the returned end lands, bit for bit, on an earlier
-        # point with the same reference window: the march repeats from there,
-        # so the path holds a whole period
+        # the path ends on the repeat: its last point and the reference window
+        # before it equal, bit for bit, an earlier point j and its window, and
+        # one step past the end lands on point j + 1, so the march repeats from
+        # j on and the path holds a whole period
+        hexes = [(p.x.hex(), p.y.hex()) for p in points]
+        lag = cfg.reference_lag
+        j = next(j for j in range(lag, len(points) - 1) if hexes[j - lag:j + 1] == hexes[-lag - 1:])
         for event in path.events:
-            direction = new_direction(points[event.index], points[event.restart_index],
+            direction = new_direction(points[event.index], points[event.index + 1],
                                       incoming=direction)[0]
         previous = points[-2] if path.flags[-1] == FLAG_ORDINARY else None
         outcome = step(field, points[-1], direction, cfg, anchor=start, previous=previous)
-        assert isinstance(outcome, Point2)
-        lag = cfg.reference_lag
-        window = [(p.x.hex(), p.y.hex()) for p in points[-lag:] + [outcome]]
-        assert any([(p.x.hex(), p.y.hex()) for p in points[j - lag:j + 1]] == window
-                   for j in range(lag, len(points)))
+        assert (outcome.x.hex(), outcome.y.hex()) == hexes[j + 1]
 
     @pytest.mark.parametrize("name, points, events, md5", [
-        ("astroid", 403, 2, "fb352051e6078cf7bd529b88f6c3c300"),
-        ("circle", 85, 4, "1ff99d9604c1f9b6325842ba4de44885"),
-        ("ellipse", 125, 4, "8e43be308744b6d5088d1ef92c955d67"),
+        ("astroid", 403, 2, "17fba32609ece7ed88f28ce26d004c49"),
+        ("circle", 85, 4, "1af83ef481fe8236364106c909304dba"),
+        ("ellipse", 125, 4, "56a623cb6bee90b9ed9e52893fd32423"),
     ])
     def test_closed_paths_keep_their_points(self, name, points, events, md5):
-        # digests of the points as float.hex. The astroid's was taken when the
-        # trace stopped within 1e-4 steps of its opening segments: one period
-        # of the proved cycle is that same path, bit for bit. The circle and
-        # the ellipse were pinned alike; their folds lie on lattice stops, so
-        # no fold is added past a stall.
+        # digests of the points as float.hex. Each path is the cycle the
+        # repeat proved, from its first repeated state (the astroid's at
+        # x = 0.11, the circle's and the ellipse's at y = -0.4) round to it
+        # again; the folds of the circle and the ellipse lie on lattice stops,
+        # so no fold is added past a stall.
         path = trace(*_cycle_case(name))
         assert path.termination is Termination.CLOSED
         assert (len(path), len(path.events), _points_md5(path)) == (points, events, md5)
@@ -838,24 +857,37 @@ class TestCycleStop:
                                       "zoo ellipse", "tilted ellipse", "narrow ellipse",
                                       "zoo superellipse", "reversed superellipse"])
     def test_turning_flags_are_the_event_indices(self, name):
-        # the cut after a repeat drops the events beyond it, and never a
-        # kept turning point's restart
+        # a path keeps the events of its turning points and no other, and
+        # each kept turning point's restart
         path = trace(*_cycle_case(name))
         assert [i for i, f in enumerate(path.flags) if f == FLAG_TURNING] == \
             [e.index for e in path.events]
-        assert all(e.restart_index < len(path) for e in path.events)
+        assert all(path.flags[e.index + 1:e.index + 2] == [FLAG_RESTART] for e in path.events)
 
-    def test_a_lap_ends_on_its_closing_point(self):
-        # a turning point comes before the narrow ellipse's cycle, so its path
-        # is the lap: from the first repeated state round to that state again
-        path = trace(*_cycle_case("narrow ellipse"))
-        assert (path.termination, len(path.events)) == (Termination.CLOSED, 4)
+    @pytest.mark.parametrize("name", ["astroid", "circle", "ellipse", "coarse ellipse",
+                                      "zoo ellipse", "tilted ellipse", "narrow ellipse"])
+    def test_a_closed_path_ends_on_its_first_point(self, name):
+        # a closed path is the cycle: from the first repeated state round to
+        # that state again, once
+        path = trace(*_cycle_case(name))
+        assert path.termination is Termination.CLOSED
         assert path.points[-1] == path.points[0] != path.points[-2]
         assert abs(abs(_winding(path.points)) - 1.0) < 1e-9
 
-    def test_a_closing_trace_marches_past_its_closing_point(self):
-        # the astroid closes with 403 points, but its state first repeats
-        # at point 413, so a budget of 413 points ends before the proof
+    def test_a_cycle_that_starts_on_a_restart_ends_on_its_turning_point_and_restart(self):
+        # the first repeated state is a restart: the turning point it restarts
+        # from comes round as the second-last point, with its event last
+        start = Point2(math.cos(1.0), math.sin(1.0))
+        path = trace(circle_field(), start, PLUS_X, TraceConfig(step=0.07))
+        assert (path.termination, len(path)) == (Termination.CLOSED, 63)
+        assert [e.index for e in path.events] == [14, 30, 46, 61]
+        assert path.flags[0] == path.flags[-1] == FLAG_RESTART
+        assert path.flags[-2] == FLAG_TURNING and path.points[-1] == path.points[0]
+
+    def test_a_closing_trace_marches_into_its_cycle_first(self):
+        # the astroid's cycle has 403 points, but the march enters it at point
+        # 11 and proves it at point 413, so a budget of 413 points ends before
+        # the proof
         field, start, direction, cfg = _cycle_case("astroid")
         closed = trace(field, start, direction, dataclasses.replace(cfg, max_points=414))
         assert (len(closed), closed.termination) == (403, Termination.CLOSED)
@@ -933,9 +965,9 @@ class TestAcceptedPointsWereEvaluated:
 class TestEvaluationBudget:
     def test_default_astroid_trace(self, monkeypatch, readme):
         # The count is deterministic, so it is the regression signal for
-        # the slice solver's cost: 1,835 evaluations (4.6 per point), 39 of
-        # them marching on from the closing point to the proved repeat. A
-        # trace that stopped at its closing point took 1,796 with secant
+        # the slice solver's cost: 1,835 evaluations (4.6 per point), 55 of
+        # them at the start and on the 11 steps from it into the returned
+        # cycle. A trace that stopped at its closing point took 1,796 with secant
         # steps and the multiplicity step at the two cusp tips on the
         # lattice, 2,280 without them, 3,245 also without the secant
         # predictor, and 8,960 with a bisection finish and Newton wandering
