@@ -121,14 +121,8 @@ def percent_errors(xs, ys) -> np.ndarray:
 
 def navigated_all_cusps(path: Iterable[Point2], delta: float) -> bool:
     radius = NAVIGATED_RADIUS_STEPS * delta
-    remaining = set(range(len(CUSPS)))
-    for p in path:
-        for i in tuple(remaining):
-            if p.distance_to(CUSPS[i]) <= radius:
-                remaining.discard(i)
-        if not remaining:
-            return True
-    return False
+    points = list(path)
+    return all(any(math.hypot(x - cx, y - cy) <= radius for x, y in points) for cx, cy in CUSPS)
 
 
 @dataclass(frozen=True)

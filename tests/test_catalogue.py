@@ -10,10 +10,11 @@ step is one of STEPS and the point budget is 3 * 2 pi max(a, b) / step + 50.
 
 Curve i's parameters are the i-th point of a Kronecker sequence, so they
 are fixed in code and no seed moves them. Soundness is asserted outright:
-every trace that reports `closed` ends on its first point, winds once around
-its centre and stays within RADIAL_TOL of the curve. Completeness, the closed count per family,
-is pinned as a floor that a change may raise but not lower; that every
-curve closes is a strict expected failure per family.
+every trace that reports `closed` ends on its first point, winds once
+around its centre and stays within RADIAL_TOL of the curve. Completeness,
+the closed count per family, is pinned as a floor that a change may raise
+but not lower; that every curve closes is a strict expected failure per
+family.
 
 A second yardstick, the tilted-ellipse sweep, traces SWEEP_SIZE ellipses
 centred on the origin with axes 1 and 1/aspect, in the ranges of the tracer
