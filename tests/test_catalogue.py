@@ -186,40 +186,43 @@ def test_every_curve_closes(catalogue, family):
 
 
 def _tilted_ellipse(i):
-    """(field, start, direction, config) of curve i of the tilted-ellipse sweep."""
+    """(field, start, direction, config, radius) of curve i of the tilted-ellipse sweep."""
     u = [(i + 1) * alpha % 1.0 for alpha in _ALPHA[:5]]
     a, b = 1.0, 1.0 / (1.0 + 3.0 * u[0])
-    field, point, _ = _ellipse(a, b, u[1])
+    field, point, radius = _ellipse(a, b, u[1])
     direction = (PLUS_X, MINUS_X, PLUS_Y, MINUS_Y)[int(4.0 * u[4])]
     step = 0.02 + 0.06 * u[3]
     perimeter = math.pi * (3.0 * (a + b) - math.sqrt((3.0 * a + b) * (a + 3.0 * b)))
     return (field, Point2(*point(2.0 * math.pi * u[2])), direction,
-            TraceConfig(step=step, max_points=int(3.0 * perimeter / step)))
+            TraceConfig(step=step, max_points=int(3.0 * perimeter / step)), radius)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    """(termination or "raised", winding, whether the path ends on its first point) of
-    every sweep curve."""
+    """(termination or "raised", winding, max radial error, whether the path ends on
+    its first point) of every sweep curve."""
     rows = []
     for i in range(SWEEP_SIZE):
+        *case, radius = _tilted_ellipse(i)
         try:
-            path = trace(*_tilted_ellipse(i))
+            path = trace(*case)
         except TraceError:
-            rows.append(("raised", None, None))
+            rows.append(("raised", None, None, None))
             continue
-        rows.append((path.termination.value, _winding(path.points, Point2(0.0, 0.0)),
+        error = max(abs(radius(p.x, p.y) - 1.0) for p in path.points)
+        rows.append((path.termination.value, _winding(path.points, Point2(0.0, 0.0)), error,
                      path.points[-1] == path.points[0]))
     return rows
 
 
-def test_sweep_closed_traces_wind_once_back_to_their_first_point(sweep):
+def test_sweep_closed_traces_wind_once_on_the_curve(sweep):
     # curve 518 marches into its cycle from a start off it: as many points
     # from the start as the cycle has (69) hold no event and wind 0 times
-    for i, (termination, winding, ends_on_start) in enumerate(sweep):
+    for i, (termination, winding, error, ends_on_start) in enumerate(sweep):
         if termination == Termination.CLOSED.value:
             assert ends_on_start, i
             assert abs(abs(winding) - 1.0) < 1e-9, (i, winding)
+            assert error <= RADIAL_TOL, (i, error)
 
 
 def test_sweep_keeps_its_closed_floor_and_raised_ceiling(sweep):

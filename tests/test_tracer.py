@@ -864,13 +864,15 @@ class TestCycleStop:
             [e.index for e in path.events]
         assert all(path.flags[e.index + 1:e.index + 2] == [FLAG_RESTART] for e in path.events)
 
-    @pytest.mark.parametrize("name", ["astroid", "circle", "ellipse", "coarse ellipse",
-                                      "zoo ellipse", "tilted ellipse", "narrow ellipse"])
-    def test_a_closed_path_ends_on_its_first_point(self, name):
+    @pytest.mark.parametrize("name, events", [
+        pytest.param(name, events, id=name) for name, events in [
+            ("astroid", 2), ("circle", 4), ("ellipse", 4), ("coarse ellipse", 4),
+            ("zoo ellipse", 4), ("tilted ellipse", 4), ("narrow ellipse", 4)]])
+    def test_a_closed_path_ends_on_its_first_point(self, name, events):
         # a closed path is the cycle: from the first repeated state round to
-        # that state again, once
+        # that state again, once, through every fold
         path = trace(*_cycle_case(name))
-        assert path.termination is Termination.CLOSED
+        assert (path.termination, len(path.events)) == (Termination.CLOSED, events)
         assert path.points[-1] == path.points[0] != path.points[-2]
         assert abs(abs(_winding(path.points)) - 1.0) < 1e-9
 
