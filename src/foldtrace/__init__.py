@@ -38,12 +38,11 @@ from .lubrication import (
     LubricationState,
     SpectralGrid,
     fourier_diff_matrix,
-    jacobian_fixed_Q,
     residual_fixed_Q,
     solve_at_M,
     trace_bifurcation,
 )
-from .rootfind import fd_jacobian, solve_scalar, solve_vector
+from .rootfind import solve_scalar, solve_vector
 from .tracer import (
     SolutionPath,
     Stalled,

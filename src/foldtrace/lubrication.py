@@ -7,10 +7,11 @@ The film thickness h(theta) on a periodic grid satisfies
 with flux Q, and carries the mass M = integral of h over [0, 2*pi).
 Derivatives are Fourier spectral differentiation matrices, so the rectangle
 rule is the natural (spectrally accurate) quadrature. Fixing Q leaves m
-unknowns (h, solved with the m x m Jacobian); fixing M leaves m+1 (h and
-Q, solved with a bordered (m+1) x (m+1) Jacobian). The BifurcationField
-adapter exposes the (Q, M) curve to the tracer through bordered solves
-alone, so its folds are navigated like any other turning point.
+unknowns (h); fixing M leaves m+1 (h and Q, solved with a bordered
+(m+1) x (m+1) Jacobian, whose leading m x m block is the fixed-Q
+Jacobian). The BifurcationField adapter exposes the (Q, M) curve to the
+tracer through bordered solves alone, so its folds are navigated like
+any other turning point.
 """
 
 from __future__ import annotations
@@ -134,21 +135,6 @@ def residual_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid,
     return out
 
 
-def _write_fixed_Q_block(J: np.ndarray, h: np.ndarray, Q: float, epsilon: float,
-                         grid: SpectralGrid) -> None:
-    """Write the fixed-flux Jacobian into the leading m x m block of J."""
-    m, n = grid.m, J.shape[1]
-    J[:m, :m] = grid.derivative_operator(epsilon)
-    J.ravel()[: m * (n + 1) : n + 1] += 3.0 * Q / h**4 - 2.0 / h**3
-
-
-def jacobian_fixed_Q(h, Q: float, epsilon: float, grid: SpectralGrid) -> np.ndarray:
-    h = _check_thickness(h)
-    J = np.empty((grid.m, grid.m))
-    _write_fixed_Q_block(J, h, Q, epsilon, grid)
-    return J
-
-
 def mass_of(h: np.ndarray, grid: SpectralGrid) -> float:
     return grid.weight * float(h.sum())
 
@@ -174,12 +160,14 @@ def augmented_residual(z: np.ndarray, M: float, epsilon: float, grid: SpectralGr
 
 
 def augmented_jacobian(z: np.ndarray, epsilon: float, grid: SpectralGrid) -> np.ndarray:
-    """Bordered Jacobian, built in one buffer: fixed-Q block, -1/h^3
-    column, quadrature row."""
+    """Bordered Jacobian, built in one buffer: the fixed-Q Jacobian at
+    (h, Q) as its leading m x m block, then the -1/h^3 column and the
+    quadrature row."""
     h, Q = _check_thickness(z[:-1]), z[-1]
     m = grid.m
     J = np.empty((m + 1, m + 1))
-    _write_fixed_Q_block(J, h, Q, epsilon, grid)
+    J[:m, :m] = grid.derivative_operator(epsilon)
+    J.ravel()[: m * (m + 2) : m + 2] += 3.0 * Q / h**4 - 2.0 / h**3
     J[:m, m] = -1.0 / h**3
     J[m, :m] = grid.weight
     J[m, m] = 0.0
@@ -232,8 +220,9 @@ class BifurcationField:
     scan as a skipped sample.
 
     Every converged state is kept, oldest first, with the mass of its
-    bordered solve. The nearest in (Q, M), oldest on a tie, answers if it
-    was solved at exactly M* (keeping its first solve's `iterations`).
+    bordered solve; the first is the seed's, and evaluating before `seed`
+    raises ValueError. The nearest in (Q, M), oldest on a tie, answers if
+    it was solved at exactly M* (keeping its first solve's `iterations`).
     Else Newton starts from the Lagrange quadratic in (h, Q) through the
     three nearest, in the bordered mass, if they were solved at distinct
     masses. It starts from the nearest if there is no such prediction,
@@ -282,10 +271,7 @@ class BifurcationField:
             d[rows[i]] = math.inf
         return tuple(rows)
 
-    def _warm(self, row: int, Q: float, M: float) -> Tuple[np.ndarray, float]:
-        if row < 0:
-            mean = max(M, 0.5) / TWO_PI
-            return np.full(self.grid.m, max(mean, 0.05)), max(Q, 0.05)
+    def _warm(self, row: int) -> Tuple[np.ndarray, float]:
         return self._states[row].h.copy(), self._states[row].Q
 
     def _solve(self, M: float, h0, Q0: float, epsilon: Optional[float] = None,
@@ -322,12 +308,14 @@ class BifurcationField:
     def __call__(self, Q: float, M: float) -> float:
         rows = self._nearest(Q, M)
         near = rows[0]
-        if near >= 0 and self._QM[near, 2] == M:
+        if near < 0:
+            raise ValueError("the field holds no state to start from; call seed first")
+        if self._QM[near, 2] == M:
             self._counts["reused"] += 1
             state = self.solved[(Q, M)] = self._states[near]
             return state.Q - Q
         try:
-            state = self._predicted(rows, M) or self._solve(M, *self._warm(near, Q, M))
+            state = self._predicted(rows, M) or self._solve(M, *self._warm(near))
         except _SOLVE_FAILURES as exc:
             raise FieldEvaluationError(
                 f"bordered solve failed at (Q={Q:.6g}, M={M:.6g}): {exc}") from exc

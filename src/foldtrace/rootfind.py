@@ -12,13 +12,14 @@ turning point, goes through it; on the lubrication diagram each residual
 evaluation is a bordered Newton solve, so its steps reuse earlier
 iterates where they can instead of taking fresh finite differences.
 
-The vector solver is a chord (modified) Newton method: it keeps the last
-LU factorization of the Jacobian and reuses it while the steps it gives
-stay finite and cut the residual tenfold, and factors a fresh Jacobian
-only when they stop doing so. A chord step costs one LU solve (LAPACK
-getrs) and one residual. A caller that runs many nearby solves can carry
-the factorization from one solve to the next in an `LUHolder`, which
-also tallies the factorizations and the chord steps.
+The vector solver is a chord (modified) Newton method on the Jacobian its
+caller supplies: it keeps the last LU factorization of the Jacobian and
+reuses it while the steps it gives stay finite and cut the residual
+tenfold, and factors a fresh Jacobian only when they stop doing so. A
+chord step costs one LU solve (LAPACK getrs) and one residual. A caller
+that runs many nearby solves can carry the factorization from one solve
+to the next in an `LUHolder`, which also tallies the factorizations and
+the chord steps.
 """
 
 from __future__ import annotations
@@ -344,27 +345,13 @@ class LUHolder:
         return x if not info and np.isfinite(x).all() else None
 
 
-def fd_jacobian(F, x, fx=None):
-    """Forward-difference Jacobian of a vector residual."""
-    x = np.asarray(x, dtype=float)
-    if fx is None:
-        fx = np.asarray(F(x), dtype=float)
-    n = x.size
-    J = np.empty((fx.size, n))
-    for j in range(n):
-        h = _SQRT_EPS * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        J[:, j] = (np.asarray(F(xp), dtype=float) - fx) / h
-    return J
-
-
 def solve_vector(
     F: Callable[[np.ndarray], Sequence[float]],
     x0,
     tol: float = 1e-11,
     max_iter: int = 25,
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    *,
+    jac: Callable[[np.ndarray], np.ndarray],
     held: Optional[LUHolder] = None,
 ) -> Tuple[np.ndarray, int]:
     """Chord-accelerated damped Newton for F(x) = 0; returns (x, factorizations).
@@ -374,14 +361,14 @@ def solve_vector(
     one stays finite and cuts the max-norm residual at least tenfold; each
     step tried adds one to `held.chord`. The iteration then factors J(x)
     by pivoted LU, keeps that factorization in `held` and adds one to
-    `held.factorizations`, and halves the step until the max-norm residual
-    decreases. If the damping floor, 1/64 of the step, is reached first,
-    the longest step with a finite residual is taken, and NoConvergence is
-    raised when there is none. Only factorizing iterations count toward
+    `held.factorizations`, and tries the step at 1, 1/2, ..., 1/64 of its
+    length. It takes the first trial that decreases the max-norm residual,
+    else the longest one with a finite residual, and raises NoConvergence
+    when no trial has one. Only factorizing iterations count toward
     `max_iter`; their number is returned with x,
     whose max-norm residual is at most `tol`, or is NoConvergence's
-    `iterations`. `jac` defaults to a forward finite-difference Jacobian;
-    `held` defaults to a fresh, empty holder.
+    `iterations`. `jac(x)`, the Jacobian of F at x, is required; `held`
+    defaults to a fresh, empty holder.
     Raises ValueError unless tol is positive and finite and max_iter >= 1.
     """
     _check_settings(tol, max_iter)
@@ -411,7 +398,7 @@ def solve_vector(
             x, fx, norm = candidate, fc, norm_c
             if norm <= tol:
                 return x, k
-        J = jac(x) if jac is not None else fd_jacobian(F, x, fx)
+        J = jac(x)
         if len(J) != fx.size:
             raise ValueError("matrix/vector size mismatch")
         try:
@@ -422,36 +409,28 @@ def solve_vector(
         if delta is None:
             raise SingularJacobian("factorization produced non-finite solution")
 
-        lam = 1.0
-        first = None  # largest-lam candidate with a finite residual
-        accepted = None
-        while True:
+        # A full Newton step that transiently grows the norm is still the best move
+        # inside the quadratic basin, so without a decrease the longest finite trial wins.
+        lam, accepted, error = 1.0, None, None
+        while lam >= _DAMPING_MIN:
             candidate = x + lam * delta
+            lam /= 2.0
             try:
                 fc = np.asarray(F(candidate), dtype=float)
             except (ArithmeticError, ValueError, FoldtraceError) as exc:
-                fc = None
-                if lam / 2.0 < _DAMPING_MIN:
-                    if first is None:
-                        raise NoConvergence(f"line search left the residual domain: {exc}",
-                                            last_iterate=x, residual=fx, iterations=k + 1) from exc
-            if fc is not None and np.isfinite(fc).all():
-                if first is None:
-                    first = (candidate, fc)
-                if np.abs(fc).max() < norm:
-                    accepted = (candidate, fc)
-                    break
-            if lam / 2.0 < _DAMPING_MIN:
+                error = exc
+                continue
+            error = None
+            if not np.isfinite(fc).all():
+                continue
+            accepted = accepted or (candidate, fc)
+            if np.abs(fc).max() < norm:
+                accepted = (candidate, fc)
                 break
-            lam /= 2.0
         if accepted is None:
-            # No damped step shrank the residual; a full Newton step that
-            # transiently grows the norm is still the best move inside the
-            # quadratic basin, so take the longest finite one.
-            accepted = first
-        if accepted is None:
-            raise NoConvergence("line search produced no finite residual",
-                                last_iterate=x, residual=fx, iterations=k + 1)
+            reason = ("line search produced no finite residual" if error is None
+                      else f"line search left the residual domain: {error}")
+            raise NoConvergence(reason, last_iterate=x, residual=fx, iterations=k + 1) from error
         x, fx = accepted
 
     if np.abs(fx).max() <= tol:

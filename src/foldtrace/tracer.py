@@ -299,7 +299,8 @@ def trace(
     slice bracket, so one that stalls is retried with the bracket floor
     widened 4x, up to three times (640 larger steps); a stall there raises
     TraceError with the one-point path, as does a first step that leaves the
-    domain.
+    domain. A step below the coordinates' resolution, which rounds back onto
+    its own point, raises TraceError with the partial path.
 
     Each distinct march step is solved once, from one table keyed by
     `step`'s inputs (current, previous, direction). An entry holds the
@@ -331,7 +332,7 @@ def trace(
     # Everything `step` reads but the field. The start only anchors the lattice, and
     # a stop at origin + k*step never keeps the sign of a zero origin; a zero in
     # current or previous can reach the result, so those are keyed by repr, which keeps it.
-    settings = (start, cfg.step, cfg.step_y, cfg.max_step, cfg.residual_tol)
+    settings = (start, cfg.step, cfg.step_y, cfg.residual_tol)
     # step key -> [outcome, the path that last met the key, the index of its `current` there];
     # scan key (centre, kind, radius, mesh_count) -> the scan's CandidateSet
     steps = {} if memo is None else memo.setdefault(settings, {})
@@ -404,13 +405,12 @@ def trace(
                 path.termination = Termination.TERMINATED
                 break
             try:
-                direction, outcome = new_direction(current, exit_point, incoming=direction)
+                direction = new_direction(current, exit_point, incoming=direction)
             except ZeroVector as exc:  # the arc sample rounded back onto the centre
                 raise TraceError(f"stalled at point {k} ({reason}); the scan radius "
                                  f"{cfg.radius:g} is below the coordinates' resolution at "
                                  f"the turning point {current}", path=path) from exc
-            heading = _heading(direction)
-            flag = FLAG_RESTART
+            heading, outcome, flag = _heading(direction), exit_point, FLAG_RESTART
 
         # every new point, ordinary or restart: domain check, append
         if cfg.domain is not None and not cfg.domain.contains(outcome):
@@ -419,8 +419,10 @@ def trace(
                                  path=path)
             path.termination = Termination.LEFT_DOMAIN
             break
-        if outcome == current:  # SolutionPath.append's check, in line
-            raise ValueError("consecutive path points must be distinct")
+        if outcome == current:  # SolutionPath.append's check, in line; a restart never lands here
+            delta = cfg.step if direction.axis is Axis.X else cfg.step_y or cfg.step
+            raise TraceError(f"the step {delta:g} from point {k} is below the coordinates' "
+                             f"resolution at {current}", path=path)
         points.append(outcome)
         flags.append(flag)
         if flag == FLAG_RESTART:

@@ -189,12 +189,12 @@ def new_direction(
     turning_point: Point2,
     exit_point: Point2,
     incoming: Optional[StepDirection] = None,
-) -> Tuple[StepDirection, Point2]:
+) -> StepDirection:
     """Derive the next marching direction from the turning-point-to-exit vector.
 
     The axis with the larger component wins, signed accordingly; on an
     exact tie the axis perpendicular to the blocked (incoming) one is
-    chosen. The restart point is the exit point itself.
+    chosen. The march restarts at the exit point itself.
     """
     vx = exit_point.x - turning_point.x
     vy = exit_point.y - turning_point.y
@@ -209,4 +209,4 @@ def new_direction(
     else:
         axis = Axis.Y
     sign = 1 if (vx if axis is Axis.X else vy) > 0 else -1
-    return StepDirection(axis, sign), exit_point
+    return StepDirection(axis, sign)

@@ -166,20 +166,20 @@ def test_criterion_07_spectral_exactness():
 
 
 def test_criterion_08_jacobian_correctness():
-    from foldtrace.lubrication import SpectralGrid, augmented_jacobian, augmented_residual, jacobian_fixed_Q
-    from foldtrace.rootfind import fd_jacobian
+    from foldtrace.lubrication import SpectralGrid, augmented_jacobian, augmented_residual
+    from conftest import fd_jacobian
     grid = SpectralGrid.build(32)
     rng = np.random.default_rng(88)
     worst_fixed = worst_bordered = 0.0
     for _ in range(10):
         h = 0.6 + 0.8 * rng.random(32)
         Q = 0.4 + 0.8 * rng.random()
-        J = jacobian_fixed_Q(h, Q, 1e-3, grid)
+        z = np.concatenate([h, [Q]])
+        Jb = augmented_jacobian(z, 1e-3, grid)
+        J = Jb[:32, :32]  # the fixed-flux Jacobian
         J_fd = fd_jacobian(lambda hh: residual_fixed_Q(hh, Q, 1e-3, grid), h)
         worst_fixed = max(worst_fixed, np.max(np.abs(J - J_fd)) / np.max(np.abs(J)))
-        z = np.concatenate([h, [Q]])
         mass_target = float(grid.weight * np.sum(h)) + 0.3
-        Jb = augmented_jacobian(z, 1e-3, grid)
         Jb_fd = fd_jacobian(lambda zz: augmented_residual(zz, mass_target, 1e-3, grid), z)
         worst_bordered = max(worst_bordered, np.max(np.abs(Jb - Jb_fd)) / np.max(np.abs(Jb)))
     ok = worst_fixed <= 1e-5 and worst_bordered <= 1e-5

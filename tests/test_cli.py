@@ -7,7 +7,7 @@ import pytest
 
 import foldtrace
 from foldtrace.cli import main
-from foldtrace.geometry import Box
+from foldtrace.geometry import Box, Point2
 from foldtrace.output import read_points_csv
 
 
@@ -153,6 +153,20 @@ class TestTraceCommand:
         with csv.open() as fh:
             points, flags = read_points_csv(fh)
         assert len(points) == 710 and flags[-1] == "turning_point"
+
+    def test_march_step_below_the_coordinates_resolution_exits_2(self, tmp_path, capsys,
+                                                                  caplog):
+        # 1e16 + 0.5 == 1e16: the first step cannot leave the start
+        csv = tmp_path / "y.csv"
+        code = run(["trace", "--problem", "expression", "--expr", "y", "--start", "1e16,0",
+                    "--dir", "+x", "--step", "0.5",
+                    "--csv", str(csv), "--svg", str(tmp_path / "y.svg")])
+        assert code == 2
+        assert "termination:" not in capsys.readouterr().out
+        assert "below the coordinates' resolution" in caplog.text
+        with csv.open() as fh:
+            points, flags = read_points_csv(fh)
+        assert points == [Point2(1e16, 0.0)] and flags == ["ordinary"]
 
     def test_retraced_exits_2_with_outputs(self, tmp_path, capsys):
         # the superellipse reverses at flat folds, which a parabola misplaces,

@@ -19,12 +19,13 @@ from foldtrace.lubrication import (
     flux_balance_defect,
     trace_bifurcation,
     fourier_diff_matrix,
-    jacobian_fixed_Q,
     mass_of,
     residual_fixed_Q,
     solve_at_M,
 )
-from foldtrace.rootfind import fd_jacobian, solve_vector
+from foldtrace.rootfind import solve_vector
+
+from conftest import fd_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +96,7 @@ class TestResidual:
         with pytest.raises(NonpositiveThickness):
             residual_fixed_Q(h, 1.0, 0.1, grid32)
         with pytest.raises(NonpositiveThickness):
-            jacobian_fixed_Q(-h, 1.0, 0.1, grid32)
+            augmented_jacobian(np.append(-h, 1.0), 0.1, grid32)
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf, -np.inf])
     def test_bad_thickness_rejected_everywhere(self, grid32, bad):
@@ -145,7 +146,7 @@ class TestResidual:
 
 class TestJacobians:
     def test_zero_eps_closed_form(self, grid32):
-        J = jacobian_fixed_Q(np.ones(32), 0.0, 0.0, grid32)
+        J = _jacobian_fixed_Q(np.ones(32), 0.0, 0.0, grid32)
         assert np.allclose(J, -2.0 * np.eye(32), atol=1e-15)
 
     def test_matches_finite_differences(self, grid32):
@@ -153,7 +154,7 @@ class TestJacobians:
         for _ in range(3):
             h = 0.7 + 0.6 * rng.random(32)
             Q = 0.5 + rng.random()
-            J = jacobian_fixed_Q(h, Q, 1e-3, grid32)
+            J = _jacobian_fixed_Q(h, Q, 1e-3, grid32)
             J_fd = fd_jacobian(lambda hh: residual_fixed_Q(hh, Q, 1e-3, grid32), h)
             assert np.max(np.abs(J - J_fd)) <= 1e-5 * np.max(np.abs(J))
 
@@ -169,10 +170,15 @@ class TestJacobians:
         assert np.max(np.abs(J - J_fd)) <= 1e-5 * np.max(np.abs(J))
 
 
+def _jacobian_fixed_Q(h, Q, epsilon, grid):
+    """The fixed-flux Jacobian: the leading m x m block of the bordered one."""
+    return augmented_jacobian(np.append(h, Q), epsilon, grid)[:grid.m, :grid.m]
+
+
 def _fixed_flux(Q, epsilon, grid, h0, **settings):
     """Newton on the m-dimensional fixed-flux system: (h, factorizations)."""
     return solve_vector(lambda h: residual_fixed_Q(h, Q, epsilon, grid), h0,
-                        jac=lambda h: jacobian_fixed_Q(h, Q, epsilon, grid), **settings)
+                        jac=lambda h: _jacobian_fixed_Q(h, Q, epsilon, grid), **settings)
 
 
 class TestSolves:
@@ -247,7 +253,7 @@ def _warm(field, M):
 
 
 def _nearest_film(field, Q, M):
-    return field._warm(field._nearest(Q, M)[0], Q, M)
+    return field._warm(field._nearest(Q, M)[0])
 
 
 class TestBifurcationField:
@@ -404,7 +410,7 @@ class TestWarmStartLookup:
     def _assert_same_pick(self, field, states, probes):
         for Q, M in probes:
             first, second, third = field._nearest(Q, M)
-            h0, Q0 = field._warm(first, Q, M)
+            h0, Q0 = field._warm(first)
             expected = self._min_lookup(states, Q, M)
             assert field._states[first] is expected
             assert Q0 == expected.Q
@@ -480,11 +486,12 @@ class TestWarmStartLookup:
             field._remember(state, state.M)
         assert field._nearest(0.0, 0.0) == (1, 3, 2)
 
-    def test_empty_cache_uses_flat_film(self):
+    def test_an_unseeded_field_raises(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
         assert field._nearest(0.6, TWO_PI) == (-1, -1, -1)
-        h0, Q0 = field._warm(-1, 0.6, TWO_PI)
-        assert Q0 == 0.6 and np.allclose(h0, 1.0)
+        with pytest.raises(ValueError, match="seed"):
+            field(0.6, TWO_PI)
+        assert field.counts["bordered"] == 0 and not field.solved
 
 
 def _seeded_field():
@@ -638,7 +645,6 @@ class TestDerivativeOperator:
             h = 0.5 + rng.random(m)
             Q, eps = 0.7, 1e-3
             dense = (eps / 3.0) * (grid.d1 + grid.d3) + np.diag(3.0 * Q / h**4 - 2.0 / h**3)
-            assert np.array_equal(jacobian_fixed_Q(h, Q, eps, grid), dense)
             J = augmented_jacobian(np.concatenate([h, [Q]]), eps, grid)
             assert J.shape == (m + 1, m + 1)
             assert np.array_equal(J[:m, :m], dense)

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +14,16 @@ from hypothesis import strategies as st
 import foldtrace
 import foldtrace.rootfind as rootfind
 
-from foldtrace.errors import NoConvergence, SingularJacobian, SingularMatrix
+from foldtrace.errors import FieldEvaluationError, NoConvergence, SingularJacobian, SingularMatrix
 from foldtrace.geometry import cbrt
 from foldtrace.rootfind import (
     LUHolder,
-    fd_jacobian,
     itp,
     solve_scalar,
     solve_vector,
 )
+
+from conftest import fd_jacobian
 
 
 class TestSolveScalar:
@@ -71,7 +73,8 @@ class TestSolveScalar:
     def test_config_validation(self):
         # both solvers check their settings before the first evaluation
         calls = []
-        for solve, x0 in ((solve_scalar, 1.0), (solve_vector, [1.0])):
+        vector = partial(solve_vector, jac=lambda x: calls.append(x) or np.eye(1))
+        for solve, x0 in ((solve_scalar, 1.0), (vector, [1.0])):
             for settings in ({"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
                              {"max_iter": 0}):
                 with pytest.raises(ValueError):
@@ -104,6 +107,22 @@ class TestSolveScalarExits:
         # the budget is spent, and ITP finishes on the bracket it made
         root = solve_scalar(math.atan, 1.5, max_iter=1)
         assert abs(root) <= 1e-10
+
+    def test_a_bracket_end_that_raises_is_skipped(self):
+        # Newton from -1 stalls at the rootless minimum near 1; of the two
+        # bracket ends probed, -2 cannot be evaluated and 5 shows the sign change
+        probes = []
+
+        def g(t):
+            probes.append(t)
+            if t < -1.5:
+                raise FieldEvaluationError("outside the field's domain")
+            return 0.1 + (t - 1.0) ** 2 - 3.0 * max(t - 3.0, 0.0) ** 3
+
+        root = solve_scalar(g, -1.0, bracket=(-2.0, 5.0))
+        assert probes.index(-2.0) + 1 == probes.index(5.0)  # probed in turn, after the stall
+        assert abs(probes[probes.index(-2.0) - 1] - 1.0) < 0.05
+        assert root == pytest.approx(4.6469, abs=1e-4) and abs(g(root)) <= 1e-10
 
     def test_bracket_out_of_order(self):
         with pytest.raises(ValueError, match="out of order"):
@@ -536,14 +555,22 @@ class TestDenseSolveMatchesScipyLU:
         assert np.array_equal(A, A_before) and np.array_equal(b, b_before)
 
 
+def _rootless(v):
+    return np.array([math.cos(v[0]) + 2.0])
+
+
 class TestSolveVector:
     def test_circle_line_intersection(self):
         def F(v):
             x, y = v
             return np.array([x * x + y * y - 1.0, x - y])
 
-        x, _ = solve_vector(F, np.array([1.0, 0.0]))
+        x, _ = solve_vector(F, np.array([1.0, 0.0]), jac=lambda v: fd_jacobian(F, v))
         assert np.allclose(x, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-10)
+
+    def test_the_jacobian_is_required(self):
+        with pytest.raises(TypeError, match="jac"):
+            solve_vector(lambda v: v - 1.0, np.zeros(2))
 
     def test_linear_system_one_iteration(self):
         rng = np.random.default_rng(3)
@@ -572,6 +599,16 @@ class TestSolveVector:
             solve_vector(F, [1.0], jac=lambda _v: np.eye(1))
         assert info.value.iterations == 1
 
+    def test_line_search_with_no_finite_residual_counts_its_factorization(self):
+        # finite only at the start: every damped trial, 1 down to 1/64, is NaN
+        def F(v):
+            return v - 1.0 if v[0] == 0.0 else np.full(1, math.nan)
+
+        with pytest.raises(NoConvergence, match="line search produced no finite residual") as info:
+            solve_vector(F, [0.0], jac=lambda _v: np.eye(1))
+        assert info.value.iterations == 1
+        assert np.array_equal(info.value.last_iterate, [0.0])
+
     def test_linear_system_from_its_own_factorization(self):
         # an exact held factorization solves an affine residual without factoring
         A, b = _system(6, "C", seed=6)
@@ -586,13 +623,13 @@ class TestSolveVector:
         def F(v):
             return np.array([math.exp(v[0]) - 2.0, v[1] ** 3 - 8.0])
 
-        x, _ = solve_vector(F, np.array([0.0, 1.5]), tol=1e-12)
+        x, _ = solve_vector(F, np.array([0.0, 1.5]), tol=1e-12, jac=lambda v: fd_jacobian(F, v))
         assert np.max(np.abs(F(x))) <= 1e-12
 
     def test_no_convergence_carries_diagnostics(self):
         with pytest.raises(NoConvergence) as info:
-            solve_vector(lambda v: np.array([math.cos(v[0]) + 2.0]), np.array([0.5]),
-                         tol=1e-14, max_iter=3)
+            solve_vector(_rootless, np.array([0.5]), tol=1e-14, max_iter=3,
+                         jac=lambda v: fd_jacobian(_rootless, v))
         assert info.value.last_iterate is not None
 
     def test_jacobian_of_the_wrong_size(self):
@@ -606,7 +643,7 @@ class TestSolveVector:
             return np.array([v[0] + v[1], v[0] + v[1]])
 
         with pytest.raises(SingularJacobian):
-            solve_vector(F, np.array([1.0, 2.0]))
+            solve_vector(F, np.array([1.0, 2.0]), jac=lambda v: fd_jacobian(F, v))
 
     def test_fd_jacobian_matches_analytic(self):
         rng = np.random.default_rng(5)
@@ -724,7 +761,7 @@ class TestChordSteps:
         _, second = solve_vector(lambda v: -F(v), np.zeros(8), jac=lambda v: -jac(v), held=held)
         assert first >= 1 and second >= 1 and held.factorizations == first + second
         with pytest.raises(NoConvergence) as info:
-            solve_vector(lambda v: np.array([math.cos(v[0]) + 2.0]), np.array([0.5]),
-                         tol=1e-14, max_iter=3, held=held)
+            solve_vector(_rootless, np.array([0.5]), tol=1e-14, max_iter=3,
+                         jac=lambda v: fd_jacobian(_rootless, v), held=held)
         assert info.value.iterations == 3
         assert held.factorizations == first + second + 3

@@ -433,6 +433,14 @@ class TestTraceMisc:
         assert len(path) == 710 and path.flags[-1] == FLAG_TURNING
         assert path.points[-1] == Point2(709.0, math.exp(709.0))
 
+    def test_march_step_below_the_coordinates_resolution_raises(self):
+        # 1e16 + 0.5 rounds back to 1e16: the first lattice stop is the start itself
+        with pytest.raises(TraceError, match=r"step 0\.5 from point 0 is below the coordinates' "
+                                             r"resolution at Point2\(x=1e\+16") as info:
+            trace(lambda x, y: y, Point2(1e16, 0.0), PLUS_X, TraceConfig(step=0.5))
+        path = info.value.path
+        assert path.points == [Point2(1e16, 0.0)] and path.flags == [FLAG_ORDINARY]
+
     def test_polish_transverse(self):
         p = polish_transverse(circle_field(), Point2(0.6, 0.9), PLUS_X)
         assert abs(circle_field()(p.x, p.y)) <= 1e-10
@@ -461,7 +469,7 @@ class TestStepMemo:
             current = points[i]
             if i in restarts:
                 turning = points[restarts[i].index]
-                direction = new_direction(turning, current, incoming=direction)[0]
+                direction = new_direction(turning, current, incoming=direction)
             previous = None if i == 0 or i in restarts else points[i - 1]
             outcome = step(field, current, direction, cfg, anchor=start, previous=previous)
             if isinstance(outcome, Stalled):
@@ -489,7 +497,7 @@ class TestStepMemo:
         if other is None:
             event = first.events[0]
             turning, start = first.points[event.index], first.points[event.index + 1]
-            direction = new_direction(turning, start, incoming=MINUS_Y)[0]
+            direction = new_direction(turning, start, incoming=MINUS_Y)
         else:
             cfg = TraceConfig(**other)
         shared = trace(circle_field(), start, direction, cfg, memo=memo)
@@ -833,7 +841,7 @@ class TestCycleStop:
         j = next(j for j in range(lag, len(points) - 1) if hexes[j - lag:j + 1] == hexes[-lag - 1:])
         for event in path.events:
             direction = new_direction(points[event.index], points[event.index + 1],
-                                      incoming=direction)[0]
+                                      incoming=direction)
         previous = points[-2] if path.flags[-1] == FLAG_ORDINARY else None
         outcome = step(field, points[-1], direction, cfg, anchor=start, previous=previous)
         assert (outcome.x.hex(), outcome.y.hex()) == hexes[j + 1]

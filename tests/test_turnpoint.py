@@ -337,29 +337,26 @@ class TestSelectExitPoint:
 
 class TestNewDirection:
     def test_y_component_dominates(self):
-        direction, restart = new_direction(Point2(1.0, 0.0), Point2(0.99, 0.05))
-        assert direction is PLUS_Y or direction == PLUS_Y
-        assert restart == Point2(0.99, 0.05)
+        assert new_direction(Point2(1.0, 0.0), Point2(0.99, 0.05)) == PLUS_Y
 
     def test_x_component_dominates(self):
-        direction, restart = new_direction(Point2(0.0, 0.0), Point2(-0.3, 0.1))
-        assert direction == MINUS_X
-        assert restart == Point2(-0.3, 0.1)
+        assert new_direction(Point2(0.0, 0.0), Point2(-0.3, 0.1)) == MINUS_X
 
     def test_tie_picks_axis_perpendicular_to_incoming(self):
-        direction, _ = new_direction(Point2(0.0, 0.0), Point2(0.1, 0.1), incoming=PLUS_X)
-        assert direction == PLUS_Y
+        assert new_direction(Point2(0.0, 0.0), Point2(0.1, 0.1), incoming=PLUS_X) == PLUS_Y
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             new_direction(Point2(1.0, 2.0), Point2(1.0, 2.0))
 
-    def test_restart_is_exit_point_identity(self):
+    def test_direction_follows_the_larger_component(self):
         rng = random.Random(9)
         for _ in range(50):
             tp = Point2(rng.uniform(-2, 2), rng.uniform(-2, 2))
             exit_p = Point2(tp.x + rng.uniform(-1, 1), tp.y + rng.uniform(-1, 1))
             if exit_p == tp:
                 continue
-            _, restart = new_direction(tp, exit_p, incoming=PLUS_X)
-            assert restart is exit_p
+            dx, dy = exit_p.x - tp.x, exit_p.y - tp.y
+            direction = new_direction(tp, exit_p, incoming=PLUS_X)
+            axis, v = (Axis.X, dx) if abs(dx) > abs(dy) else (Axis.Y, dy)
+            assert direction.axis is axis and direction.sign == (1 if v > 0 else -1)
