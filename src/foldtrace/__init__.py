@@ -5,19 +5,17 @@ transverse solve stalls, and continues past them by scanning the boundary
 of a half-disk around the turning point.
 """
 
+from types import ModuleType as _ModuleType
+
 from .astroid import SweepResult, astroid_field, run_sweep, trace_astroid
 from .errors import (
-    CurveTerminated,
     ExpressionError,
     FieldEvaluationError,
     FoldtraceError,
-    InsufficientHistory,
     NoConvergence,
     NonpositiveThickness,
-    SingularJacobian,
     SingularMatrix,
     TraceError,
-    ZeroVector,
 )
 from .expressions import expression_field
 from .fields import circle_field
@@ -65,4 +63,6 @@ from .turnpoint import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -19,24 +19,8 @@ class ExpressionError(FoldtraceError):
     """A user-supplied formula could not be parsed."""
 
 
-class InsufficientHistory(FoldtraceError):
-    """The solution path is too short to pick a reference point."""
-
-
-class CurveTerminated(FoldtraceError):
-    """Normal stop signal: the boundary scan found no continuation candidates."""
-
-
-class ZeroVector(FoldtraceError):
-    """The exit point coincides with the turning point; no direction defined."""
-
-
 class SingularMatrix(FoldtraceError):
-    """Dense factorization hit a pivot at or below round-off level."""
-
-
-class SingularJacobian(SingularMatrix):
-    """Newton linearization is singular at the current iterate."""
+    """A dense factorization hit a round-off-level pivot or gave a non-finite solve."""
 
 
 class NoConvergence(FoldtraceError):

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness, SingularJacobian,
+from .errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness, SingularMatrix,
                      TraceError)
 from .geometry import Box, Point2, StepDirection
 from .rootfind import LUHolder, solve_vector
@@ -198,7 +198,7 @@ def solve_at_M(
     return LubricationState(h=h, Q=Q, M=mass_of(h, grid), epsilon=epsilon, iterations=k)
 
 
-_SOLVE_FAILURES = (NoConvergence, SingularJacobian, NonpositiveThickness)
+_SOLVE_FAILURES = (NoConvergence, SingularMatrix, NonpositiveThickness)
 # Newton settings of every field evaluation; the seed converges to the same tol.
 _FIELD_TOL = 1e-11
 _FIELD_MAX_ITER = 12
@@ -215,9 +215,9 @@ class BifurcationField:
     there is no fixed-flux fallback: a mass mismatch carries the opposite
     sign on the lower branch, so mixing the two scrambles sign changes
     along scan arcs. Where the bordered Newton fails (a fold in M, or mass
-    outside the solvable range) the evaluation raises
-    FieldEvaluationError, which a slice solve counts as a stall and a
-    scan as a skipped sample.
+    outside the solvable range), by NoConvergence, SingularMatrix or
+    NonpositiveThickness, the evaluation raises FieldEvaluationError,
+    which a slice solve counts as a stall and a scan as a skipped sample.
 
     Every converged state is kept, oldest first, with the mass of its
     bordered solve; the first is the seed's, and evaluating before `seed`

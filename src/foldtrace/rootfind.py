@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FoldtraceError, NoConvergence, SingularJacobian, SingularMatrix
+from .errors import FoldtraceError, NoConvergence, SingularMatrix
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # LAPACK's getrf and getrs, bound by `__getattr__` on first use: a trace that
@@ -318,7 +318,8 @@ class LUHolder:
         """Hold the LU factorization of A in place of the last one; A is never
         overwritten. Raises ValueError if A is not square or holds a non-finite
         entry, and SingularMatrix on an exactly zero pivot or a smallest-to-largest
-        |pivot| ratio at or below 1e-14; the last factorization is then kept."""
+        |pivot| ratio at or below 1e-14; the last factorization is then kept, and
+        `solve_vector` passes the SingularMatrix on."""
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
@@ -369,7 +370,8 @@ def solve_vector(
     whose max-norm residual is at most `tol`, or is NoConvergence's
     `iterations`. `jac(x)`, the Jacobian of F at x, is required; `held`
     defaults to a fresh, empty holder.
-    Raises ValueError unless tol is positive and finite and max_iter >= 1.
+    Raises ValueError unless tol is positive and finite and max_iter >= 1,
+    and SingularMatrix where J(x) is singular or its Newton step not finite.
     """
     _check_settings(tol, max_iter)
     held = held if held is not None else LUHolder()
@@ -401,13 +403,10 @@ def solve_vector(
         J = jac(x)
         if len(J) != fx.size:
             raise ValueError("matrix/vector size mismatch")
-        try:
-            held.factor(J)
-        except SingularMatrix as exc:
-            raise SingularJacobian(str(exc)) from exc
+        held.factor(J)
         delta = held.solve(-fx)
         if delta is None:
-            raise SingularJacobian("factorization produced non-finite solution")
+            raise SingularMatrix("factorization produced non-finite solution")
 
         # A full Newton step that transiently grows the norm is still the best move
         # inside the quadratic basin, so without a decrease the longest finite trial wins.

@@ -19,14 +19,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, List, Optional, Union
 
-from .errors import (
-    CurveTerminated,
-    FieldEvaluationError,
-    InsufficientHistory,
-    NoConvergence,
-    TraceError,
-    ZeroVector,
-)
+from .errors import FieldEvaluationError, NoConvergence, TraceError
 from .geometry import Axis, Box, Point2, StepDirection, TurningPointKind
 from .rootfind import solve_scalar
 from .turnpoint import (
@@ -385,31 +378,28 @@ def trace(
                 flags.append(FLAG_TURNING)
             else:
                 flags[k] = FLAG_TURNING
-            try:  # before the scan: with no history there is no exit to choose
-                reference = choose_reference_point(points, turning, cfg)
-            except InsufficientHistory as exc:
-                raise TraceError(f"stalled at the first path point ({reason}); "
-                                 f"no history to choose an exit: {exc}", path=path) from exc
+            if turning == 0:  # before the scan: with no history there is no exit to choose
+                raise TraceError(f"stalled at the first path point ({reason}); no history to "
+                                 "choose an exit: need at least one path point before the "
+                                 "turning point", path=path)
             scan_key = (repr(current) if 0.0 in current else current, kind, cfg.radius,
                         cfg.mesh_count)
             candidates = steps.get(scan_key)
             if candidates is None:  # the lag picks the exit below, so scans are shared across it
                 candidates = steps[scan_key] = scan_boundary(residual, current, kind, cfg)
-            try:
-                exit_point = select_exit_point(candidates, reference)
-            except CurveTerminated as exc:
+            exit_point = select_exit_point(candidates, choose_reference_point(points, turning, cfg))
+            if exit_point is None:
                 if candidates.unresolved_mesh_indices:  # the scan proved no curve end
                     raise TraceError(f"stalled at point {k} ({reason}); the scan could not resolve "
                                      f"the sign change after arc samples "
-                                     f"{candidates.unresolved_mesh_indices}", path=path) from exc
+                                     f"{candidates.unresolved_mesh_indices}", path=path)
                 path.termination = Termination.TERMINATED
                 break
-            try:
-                direction = new_direction(current, exit_point, incoming=direction)
-            except ZeroVector as exc:  # the arc sample rounded back onto the centre
+            if exit_point == current:  # the arc sample rounded back onto the centre
                 raise TraceError(f"stalled at point {k} ({reason}); the scan radius "
                                  f"{cfg.radius:g} is below the coordinates' resolution at "
-                                 f"the turning point {current}", path=path) from exc
+                                 f"the turning point {current}", path=path)
+            direction = new_direction(current, exit_point, direction)
             heading, outcome, flag = _heading(direction), exit_point, FLAG_RESTART
 
         # every new point, ordinary or restart: domain check, append

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from .errors import CurveTerminated, FieldEvaluationError, InsufficientHistory, NoConvergence, ZeroVector
+from .errors import FieldEvaluationError, NoConvergence
 from .geometry import Axis, Point2, StepDirection, TurningPointKind
 from .rootfind import itp
 
@@ -150,11 +150,9 @@ def choose_reference_point(points, turning_index: int, cfg: TraceConfig) -> Poin
     Preferred is the point reference_lag steps back; if that lies outside
     the scan disk, indices are walked toward the turning point and the
     first point strictly inside the disk wins, the immediate predecessor
-    serving as the fallback when none is.
+    serving as the fallback when none is. `turning_index` must be at least 1.
     """
     j = turning_index
-    if len(points) < 2 or j < 1:
-        raise InsufficientHistory("need at least one path point before the turning point")
     tp = points[j]
     start = max(j - cfg.reference_lag, 0)
     for i in range(start, j):
@@ -163,12 +161,12 @@ def choose_reference_point(points, turning_index: int, cfg: TraceConfig) -> Poin
     return points[j - 1]
 
 
-def select_exit_point(candidates: CandidateSet, reference: Point2) -> Point2:
+def select_exit_point(candidates: CandidateSet, reference: Point2) -> Optional[Point2]:
     """Candidate minimizing 1/distance-to-reference, i.e. the farthest one.
 
     Ties break toward the smallest mesh index. Candidates coinciding with
-    the reference (cost undefined) are discarded. An empty set raises
-    CurveTerminated: the scan proved there is nothing to continue to.
+    the reference (cost undefined) are discarded. None when no candidate
+    is left: the scan found nothing to continue to.
     """
     best: Optional[Candidate] = None
     best_dist = -1.0
@@ -180,33 +178,25 @@ def select_exit_point(candidates: CandidateSet, reference: Point2) -> Point2:
             continue
         if d > best_dist:
             best, best_dist = cand, d
-    if best is None:
-        raise CurveTerminated("boundary scan found no continuation candidates")
-    return best.point
+    return None if best is None else best.point
 
 
-def new_direction(
-    turning_point: Point2,
-    exit_point: Point2,
-    incoming: Optional[StepDirection] = None,
-) -> StepDirection:
+def new_direction(turning_point: Point2, exit_point: Point2,
+                  incoming: StepDirection) -> StepDirection:
     """Derive the next marching direction from the turning-point-to-exit vector.
 
-    The axis with the larger component wins, signed accordingly; on an
-    exact tie the axis perpendicular to the blocked (incoming) one is
-    chosen. The march restarts at the exit point itself.
+    The exit must differ from the turning point. The axis with the larger
+    component wins, signed accordingly; on an exact tie the axis
+    perpendicular to the blocked (incoming) one is chosen. The march
+    restarts at the exit point itself.
     """
     vx = exit_point.x - turning_point.x
     vy = exit_point.y - turning_point.y
-    if vx == 0.0 and vy == 0.0:
-        raise ZeroVector("exit point equals turning point")
     if abs(vx) > abs(vy):
         axis = Axis.X
     elif abs(vy) > abs(vx):
         axis = Axis.Y
-    elif incoming is not None:
-        axis = incoming.axis.other
     else:
-        axis = Axis.Y
+        axis = incoming.axis.other
     sign = 1 if (vx if axis is Axis.X else vy) > 0 else -1
     return StepDirection(axis, sign)

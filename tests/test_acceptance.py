@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from foldtrace.astroid import (
-    astroid_field,
     navigated_all_cusps,
     percent_errors,
     run_sweep,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from foldtrace import astroid, tracer
 from foldtrace.astroid import (
     CUSPS,
-    SweepResult,
     astroid_field,
     navigated_all_cusps,
     percent_errors,

@@ -7,7 +7,8 @@ import re
 import foldtrace.lubrication as lubrication
 import foldtrace.rootfind as rootfind
 import foldtrace.tracer
-from foldtrace.errors import FieldEvaluationError, NoConvergence, NonpositiveThickness, TraceError
+from foldtrace.errors import (FieldEvaluationError, NoConvergence, NonpositiveThickness,
+                              SingularMatrix, TraceError)
 from foldtrace.geometry import TurningPointKind
 from foldtrace.lubrication import (
     TWO_PI,
@@ -272,6 +273,19 @@ class TestBifurcationField:
     def test_far_off_branch_raises(self, field64):
         with pytest.raises(FieldEvaluationError):
             field64(25.0, 0.02)
+
+    def test_singular_factorization_raises_field_evaluation_error(self, monkeypatch):
+        field, seed = _seeded_field()
+        kept, solved = list(field._states), dict(field.solved)
+
+        def singular(holder, A):
+            raise SingularMatrix("forced singular pivot")
+
+        monkeypatch.setattr(rootfind.LUHolder, "factor", singular)
+        with pytest.raises(FieldEvaluationError, match="bordered solve failed.*forced singular"):
+            field(seed.Q, TWO_PI + 0.05)
+        assert field._states == kept
+        assert field.solved == solved
 
     def test_state_validation(self):
         with pytest.raises(NonpositiveThickness):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import foldtrace
 import foldtrace.rootfind as rootfind
 
-from foldtrace.errors import FieldEvaluationError, NoConvergence, SingularJacobian, SingularMatrix
+from foldtrace.errors import FieldEvaluationError, NoConvergence, SingularMatrix
 from foldtrace.geometry import cbrt
 from foldtrace.rootfind import (
     LUHolder,
@@ -642,7 +642,7 @@ class TestSolveVector:
         def F(v):
             return np.array([v[0] + v[1], v[0] + v[1]])
 
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(SingularMatrix):
             solve_vector(F, np.array([1.0, 2.0]), jac=lambda v: fd_jacobian(F, v))
 
     def test_fd_jacobian_matches_analytic(self):

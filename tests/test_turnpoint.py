@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from foldtrace.errors import CurveTerminated, FieldEvaluationError, InsufficientHistory, ZeroVector
+from foldtrace.errors import FieldEvaluationError
 from foldtrace.fields import circle_field
 from foldtrace.astroid import astroid_field
 from foldtrace.geometry import MINUS_X, PLUS_X, PLUS_Y, Axis, Point2, TurningPointKind
@@ -287,10 +287,6 @@ class TestChooseReferencePoint:
         cfg = TraceConfig(step=1e-6, reference_lag=2)
         assert choose_reference_point(path, 2, cfg) == Point2(1.0, 0.0)
 
-    def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistory):
-            choose_reference_point([Point2(0, 0)], 0, TraceConfig(step=1.0))
-
 
 def _cs(*points):
     return CandidateSet([Candidate(p, i) for i, p in enumerate(points)])
@@ -302,8 +298,7 @@ class TestSelectExitPoint:
         assert chosen == Point2(0, 2)
 
     def test_empty_set_terminates(self):
-        with pytest.raises(CurveTerminated):
-            select_exit_point(CandidateSet(), Point2(0, 0))
+        assert select_exit_point(CandidateSet(), Point2(0, 0)) is None
 
     def test_tie_breaks_to_smaller_mesh_index(self):
         cands = CandidateSet([Candidate(Point2(1, 0), 2), Candidate(Point2(-1, 0), 5)])
@@ -314,8 +309,7 @@ class TestSelectExitPoint:
         assert select_exit_point(cands, Point2(0, 0)) == Point2(1, 1)
 
     def test_all_degenerate_terminates(self):
-        with pytest.raises(CurveTerminated):
-            select_exit_point(_cs(Point2(3, 4)), Point2(3, 4))
+        assert select_exit_point(_cs(Point2(3, 4)), Point2(3, 4)) is None
 
     def test_matches_brute_force_argmax(self):
         rng = random.Random(42)
@@ -337,17 +331,13 @@ class TestSelectExitPoint:
 
 class TestNewDirection:
     def test_y_component_dominates(self):
-        assert new_direction(Point2(1.0, 0.0), Point2(0.99, 0.05)) == PLUS_Y
+        assert new_direction(Point2(1.0, 0.0), Point2(0.99, 0.05), PLUS_X) == PLUS_Y
 
     def test_x_component_dominates(self):
-        assert new_direction(Point2(0.0, 0.0), Point2(-0.3, 0.1)) == MINUS_X
+        assert new_direction(Point2(0.0, 0.0), Point2(-0.3, 0.1), PLUS_Y) == MINUS_X
 
     def test_tie_picks_axis_perpendicular_to_incoming(self):
         assert new_direction(Point2(0.0, 0.0), Point2(0.1, 0.1), incoming=PLUS_X) == PLUS_Y
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            new_direction(Point2(1.0, 2.0), Point2(1.0, 2.0))
 
     def test_direction_follows_the_larger_component(self):
         rng = random.Random(9)
