@@ -121,8 +121,8 @@ def percent_errors(xs, ys) -> np.ndarray:
 
 def navigated_all_cusps(path: Iterable[Point2], delta: float) -> bool:
     radius = NAVIGATED_RADIUS_STEPS * delta
-    points = list(path)
-    return all(any(p.distance_to(c) <= radius for p in points) for c in CUSPS)
+    points = list(path)  # hypot as in Point2.distance_to, without a method call per point
+    return all(any(math.hypot(x - cx, y - cy) <= radius for x, y in points) for cx, cy in CUSPS)
 
 
 @dataclass(frozen=True)

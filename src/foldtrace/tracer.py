@@ -41,6 +41,10 @@ FLAG_RESTART = "restart"
 # bit-identical; 8 and 4 narrow its fold stall's solve and cost 890 and 894, not 880.
 BRACKET_PER_PREDICTED_CHANGE = 16.0
 
+# Read per march step: on CPython 3.11 `Axis.X` costs about 150 ns through EnumType, a
+# module global about 15 ns.
+_X = Axis.X
+
 
 class Termination(Enum):
     CLOSED = "closed"
@@ -148,7 +152,7 @@ def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> flo
 
 def _slice(residual: ResidualField, axis: Axis, value: float) -> Callable[[float], float]:
     """The residual along the line `axis` = `value`, as a function of the other coordinate."""
-    if axis is Axis.X:
+    if axis is _X:
         return partial(residual, value)
     return lambda t: residual(t, value)
 
@@ -178,7 +182,7 @@ def step(
     anchor = current if anchor is None else anchor
     previous = current if previous is None else previous
     axis = direction.axis
-    if axis is Axis.X:
+    if axis is _X:
         delta = cfg.step
         c0, t0, origin, c1, t1 = current.x, current.y, anchor.x, previous.x, previous.y
     else:
@@ -200,7 +204,7 @@ def step(
         return Stalled(f"slice solve failed at {axis.value}={target:.6g}: {exc}")
     except FieldEvaluationError as exc:
         return Stalled(f"field undefined near {axis.value}={target:.6g}: {exc}")
-    return Point2(target, root) if axis is Axis.X else Point2(root, target)
+    return Point2(target, root) if axis is _X else Point2(root, target)
 
 
 def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
@@ -212,7 +216,7 @@ def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
     up to 8 times, until t moves under 1e-3 radius. Returns the last root solved ahead
     in c, or None if there is none or it lies within 1e-3 radius of the last t."""
     axis, sign = direction.axis, direction.sign
-    fit = [(p.y, p.x) if axis is Axis.X else (p.x, p.y) for p in fit]  # as (t, c)
+    fit = [(p.y, p.x) if axis is _X else (p.x, p.y) for p in fit]  # as (t, c)
     (t_k, c_k), fold = fit[-1], None
     t, width = t_k, max(10.0 * cfg.max_step, BRACKET_PER_PREDICTED_CHANGE * abs(t_k - fit[-2][0]))
     for _ in range(8):
@@ -235,7 +239,7 @@ def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
             break
         if sign * (c - c_k) > 0.0:  # a root behind the last point is no fold, but fits
             near = abs(t - t_k) < 1e-3 * cfg.radius  # then the last point is the fold
-            fold = None if near else Point2(c, t) if axis is Axis.X else Point2(t, c)
+            fold = None if near else Point2(c, t) if axis is _X else Point2(t, c)
         fit = fit[1:] + [(t, c)]
     return fold
 
@@ -249,10 +253,10 @@ def _retraced(points: List[Point2], width: float) -> bool:
     reversed at two folds and walked back over itself: a fraction of a step.
     So a mean width under `width`, the largest step, means a retrace.
     """
-    o = points[0]
+    ox, oy = points[0]
     area2 = length = ax = ay = 0.0  # coordinates relative to the start
-    for p in points[1:] + points[:1]:
-        bx, by = p.x - o.x, p.y - o.y
+    for x, y in points[1:] + points[:1]:
+        bx, by = x - ox, y - oy
         area2 += ax * by - bx * ay
         length += math.hypot(bx - ax, by - ay)
         ax, ay = bx, by
@@ -261,7 +265,7 @@ def _retraced(points: List[Point2], width: float) -> bool:
 
 def _heading(direction: StepDirection) -> int:
     """A direction as a cheap hashable: +-1 along x, +-2 along y."""
-    return direction.sign if direction.axis is Axis.X else 2 * direction.sign
+    return direction.sign if direction.axis is _X else 2 * direction.sign
 
 
 def trace(
@@ -299,14 +303,16 @@ def trace(
     `step`'s inputs (current, previous, direction). An entry holds the
     step's outcome, the path that last met its state and the index of its
     `current` there, so one lookup per step serves the memo and the repeat
-    test; only an entry this trace met proves a repeat. The table lives for
-    this trace unless `memo`, a dict, is given; traces of one field that
-    share it reuse each other's steps. The same table holds each boundary
-    scan, keyed by its centre, kind, radius and mesh_count, so traces that
-    differ only in reference_lag scan each turning point once; the lag only
-    picks the exit from the shared candidates. The dict keeps traces with a
-    different start, step, step_y or residual_tol apart, but not different
-    fields.
+    test; only an entry this trace met proves a repeat. An ordinary step's
+    entry links to the entry of the step after it, whose key follows from
+    its own, and a replay follows the links; a stall links nothing. The
+    table lives for this trace unless `memo`, a dict, is given; traces of
+    one field that share it reuse each other's steps. The same table holds
+    each boundary scan, keyed by its centre, kind, radius and mesh_count, so
+    traces that differ only in reference_lag scan each turning point once;
+    the lag only picks the exit from the shared candidates. The dict keeps
+    traces with a different start, step, step_y or residual_tol apart, but
+    not different fields.
     """
     path = SolutionPath()
     if cfg.domain is not None and not cfg.domain.contains(start):
@@ -326,27 +332,33 @@ def trace(
     # a stop at origin + k*step never keeps the sign of a zero origin; a zero in
     # current or previous can reach the result, so those are keyed by repr, which keeps it.
     settings = (start, cfg.step, cfg.step_y, cfg.residual_tol)
-    # step key -> [outcome, the path that last met the key, the index of its `current` there];
-    # scan key (centre, kind, radius, mesh_count) -> the scan's CandidateSet
+    # step key -> [outcome, the path that last met the key, the index of its `current` there,
+    # the entry of the next ordinary step or None]; scan key (centre, kind, radius,
+    # mesh_count) -> the scan's CandidateSet
     steps = {} if memo is None else memo.setdefault(settings, {})
     direction = initial_direction
     heading = _heading(direction)
     lag = max(cfg.reference_lag, 2)  # the fold fit reads points k-2..k
+    # The last ordinary step's entry: the next step's key (outcome, current, heading) follows
+    # from its own, so its link serves every trace of the table in place of the key.
+    kept = None
 
     points, flags = path.points, path.flags
     while True:
-        current = points[-1]
-        previous = points[-2] if len(points) > 1 and flags[-1] == FLAG_ORDINARY else None
-        key = (current, previous, heading)
-        if 0.0 in current or (previous is not None and 0.0 in previous):
-            key = (repr(current), repr(previous), heading)  # repr tells -0.0 from 0.0
+        current, k = points[-1], len(points) - 1
+        entry = None if kept is None else kept[3]
+        if entry is None:
+            previous = points[-2] if k and flags[-1] == FLAG_ORDINARY else None
+            key = (current, previous, heading)
+            if 0.0 in current or (previous is not None and 0.0 in previous):
+                key = (repr(current), repr(previous), heading)  # repr tells -0.0 from 0.0
+            entry = steps.get(key)
         # The key and the `lag` window, where the next stall fits its fold and picks its
         # reference, are all the march reads, so a state met again at k repeats the march
         # from j on. Tuple == ignores the sign of a zero in the window, which is safe: the
         # window is read only through distances and differences. The proof assumes the
         # field is a function of (x, y); BifurcationField's warm starts are not, but
         # the default diagram never repeats. A key another trace met is no repeat.
-        entry, k = steps.get(key), len(points) - 1
         j = entry[2] if entry is not None and entry[1] is path else -1
         if j >= lag and points[j - lag:j + 1] == points[k - lag:k + 1]:
             break
@@ -361,11 +373,14 @@ def trace(
             while k == 0 and isinstance(outcome, Stalled) and floor < 640.0:
                 floor *= 4.0  # a first step has no secant to size its bracket: widen it
                 outcome = step(residual, current, direction, cfg, anchor=points[0], floor=floor)
-            entry = steps[key] = [outcome, path, k]
-        outcome = entry[0]
+            entry = steps[key] = [outcome, path, k, None]
+        if kept is not None:
+            kept[3] = entry
+        outcome, kept = entry[0], entry
 
         flag = FLAG_ORDINARY
         if isinstance(outcome, Stalled):
+            kept = None  # the step after a stall depends on the scan settings, not on the key
             kind, reason = TurningPointKind(direction), outcome.reason
             log.info("stall (%s) at point %d %s -> %s scan", reason, k, current, kind.name)
             turning, fold = k, None
@@ -410,7 +425,7 @@ def trace(
             path.termination = Termination.LEFT_DOMAIN
             break
         if outcome == current:  # SolutionPath.append's check, in line; a restart never lands here
-            delta = cfg.step if direction.axis is Axis.X else cfg.step_y or cfg.step
+            delta = cfg.step if direction.axis is _X else cfg.step_y or cfg.step
             raise TraceError(f"the step {delta:g} from point {k} is below the coordinates' "
                              f"resolution at {current}", path=path)
         points.append(outcome)
@@ -441,6 +456,6 @@ def polish_transverse(
     initial marching direction is adjusted, the driven one kept.
     """
     axis = direction.axis
-    c, t = (point.x, point.y) if axis is Axis.X else (point.y, point.x)
+    c, t = (point.x, point.y) if axis is _X else (point.y, point.x)
     root = solve_scalar(_slice(residual, axis, c), t, tol, max_iter=80)
-    return Point2(c, root) if axis is Axis.X else Point2(root, c)
+    return Point2(c, root) if axis is _X else Point2(root, c)

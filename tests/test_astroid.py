@@ -299,11 +299,12 @@ class TestSweep:
         # grid repeat each other's march steps, and k only picks the exit
         # from a scan's candidates, so they repeat each other's scans for
         # each (r, n): through the sweep's one memo the field is evaluated
-        # 4,936 times in 18 scans, where 27 independent traces evaluate it
-        # 43,941 times in 54 scans, and every output stays bit-identical. The
-        # 27 closed paths are cycles of 9 point sets, one cusp verdict each
-        evaluations, scans, verdicts = [], [], []
-        real_field, real_scan = astroid.astroid_field, tracer.scan_boundary
+        # 4,936 times in 18 scans and 1,012 march steps, where 27 independent
+        # traces evaluate it 43,941 times in 54 scans, and every output stays
+        # bit-identical. The 27 closed paths are cycles of 9 point sets, one
+        # cusp verdict each
+        evaluations, scans, verdicts, steps = [], [], [], []
+        real_field, real_scan, real_step = astroid.astroid_field, tracer.scan_boundary, tracer.step
 
         def counting_field():
             f = real_field()
@@ -322,15 +323,23 @@ class TestSweep:
             verdicts.append(1)
             return navigated_all_cusps(*args)
 
+        def counting_step(*args, **kwargs):
+            steps.append(1)
+            return real_step(*args, **kwargs)
+
         monkeypatch.setattr(astroid, "astroid_field", counting_field)
         monkeypatch.setattr(tracer, "scan_boundary", counting_scan)
+        monkeypatch.setattr(tracer, "step", counting_step)
         monkeypatch.setattr(astroid, "navigated_all_cusps", counting_verdict)
         paths = self._capture_paths(monkeypatch)
         grid = ([0.0001, 1.0, 100.0], [1, 5, 10], [4, 8, 10])
         results = run_sweep(*grid, 0.01)
         shared = len(evaluations)
-        assert (shared, len(scans), len(verdicts)) == (4936, 18, 9)
+        assert (shared, len(scans), len(verdicts), len(steps)) == (4936, 18, 9, 1012)
         assert len({tuple(path.points) for path in paths}) == 27
+        # README quotes the step count; a change that moves it has to update README
+        quoted = re.search(r"solves ([\d,]+) distinct steps", readme).group(1)
+        assert int(quoted.replace(",", "")) == len(steps)
         evaluations.clear()
         scans.clear()
         alone = [trace_astroid(0.01, r_factor=rf, k=k, n=n)

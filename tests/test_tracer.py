@@ -558,6 +558,30 @@ class TestStepMemo:
         assert shared_scans == scans and len(scans) >= 2
         assert _hex(shared) == _hex(alone)
 
+    @pytest.mark.parametrize("case", ["coarse ellipse", "tilted ellipse"])
+    def test_a_shared_memo_links_no_step_across_a_restart(self, case, monkeypatch):
+        # an ordinary step links its entry to the next step's, which every trace
+        # of the table takes next; the step after a stall or a located fold
+        # depends on the scan instead. Traces that differ only in mesh_count
+        # locate the same folds but restart from exits that differ in their
+        # last bits, so a link across a restart replays the wrong restart
+        folds = []
+        real = tracer_mod._fold
+
+        def counting(*args):
+            fold = real(*args)
+            folds.append(fold is not None)
+            return fold
+
+        monkeypatch.setattr(tracer_mod, "_fold", counting)
+        field, start, direction, cfg = _cycle_case(case)
+        memo = {}
+        for mesh_count in (8, 3, 10):
+            cfg = dataclasses.replace(cfg, mesh_count=mesh_count)
+            shared = trace(field, start, direction, cfg, memo=memo)
+            assert _hex(shared) == _hex(trace(field, start, direction, cfg))
+        assert any(folds)
+
     def test_shared_memo_keeps_the_sign_of_zero(self):
         # on the line y = 0 the slice solve returns its start as the root, so
         # a zero's sign reaches the next point; a Point2 key equates the two
