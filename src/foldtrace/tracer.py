@@ -288,16 +288,15 @@ def trace(
     event are the path's second-last point and last event. A retraced path
     is the march up to and including the repeated state. A scan that comes
     back empty after a sign change it could not resolve proves no curve end:
-    TraceError with the partial path. A stall after three points of one march
-    adds the fold `_fold` locates, if in the domain and budget, as the turning
-    point; each turning point's half-disk scan picks the restart, recorded
-    with it as an event. A restart outside the domain ends the path at the
-    turning point, with no event. A first step has no secant to size its
-    slice bracket, so one that stalls is retried with the bracket floor
-    widened 4x, up to three times (640 larger steps); a stall there raises
-    TraceError with the one-point path, as does a first step that leaves the
-    domain. A step below the coordinates' resolution, which rounds back onto
-    its own point, raises TraceError with the partial path.
+    TraceError with the partial path. A stall at an ordinary point k >= 2
+    adds the fold `_fold` locates through points k-2..k, if in the domain and
+    budget, as the turning point; each turning point's half-disk scan picks
+    the restart, recorded with it as an event. A restart outside the domain
+    ends the path at the turning point, with no event. A first step that
+    stalls, with no secant to size its bracket, is retried with the floor
+    widened 4x, up to three times, then scanned: the first candidate in mesh
+    order exits, and none raises TraceError with the one-point path, as does
+    a first step out of the domain or a step that rounds onto its own point.
 
     Each distinct march step is solved once, from one table keyed by
     `step`'s inputs (current, previous, direction). An entry holds the
@@ -384,7 +383,8 @@ def trace(
             kind, reason = TurningPointKind(direction), outcome.reason
             log.info("stall (%s) at point %d %s -> %s scan", reason, k, current, kind.name)
             turning, fold = k, None
-            if k >= 2 and flags[k] == flags[k - 1] == FLAG_ORDINARY and k + 3 <= cfg.max_points:
+            # a restart follows each turning point, so k-2..k are on the curve at an ordinary k
+            if k >= 2 and flags[k] == FLAG_ORDINARY and k + 3 <= cfg.max_points:
                 fold = _fold(residual, points[k - 2:], direction, cfg)
             if fold is not None and (cfg.domain is None or cfg.domain.contains(fold)):
                 log.info("fold located at %s", fold)
@@ -393,21 +393,21 @@ def trace(
                 flags.append(FLAG_TURNING)
             else:
                 flags[k] = FLAG_TURNING
-            if turning == 0:  # before the scan: with no history there is no exit to choose
-                raise TraceError(f"stalled at the first path point ({reason}); no history to "
-                                 "choose an exit: need at least one path point before the "
-                                 "turning point", path=path)
             scan_key = (repr(current) if 0.0 in current else current, kind, cfg.radius,
                         cfg.mesh_count)
             candidates = steps.get(scan_key)
             if candidates is None:  # the lag picks the exit below, so scans are shared across it
                 candidates = steps[scan_key] = scan_boundary(residual, current, kind, cfg)
-            exit_point = select_exit_point(candidates, choose_reference_point(points, turning, cfg))
+            reference = choose_reference_point(points, turning, cfg)  # at 0, the turning point
+            exit_point = (select_exit_point(candidates, reference) if turning
+                          else next((c.point for c in candidates), None))  # no history: the first
             if exit_point is None:
                 if candidates.unresolved_mesh_indices:  # the scan proved no curve end
                     raise TraceError(f"stalled at point {k} ({reason}); the scan could not resolve "
                                      f"the sign change after arc samples "
                                      f"{candidates.unresolved_mesh_indices}", path=path)
+                if turning == 0:  # nor does an isolated zero
+                    raise TraceError(f"no exit from the first path point ({reason})", path=path)
                 path.termination = Termination.TERMINATED
                 break
             if exit_point == current:  # the arc sample rounded back onto the centre

@@ -155,7 +155,7 @@ def choose_reference_point(points, turning_index: int, cfg: TraceConfig) -> Poin
     Preferred is the point reference_lag steps back; if that lies outside
     the scan disk, indices are walked toward the turning point and the
     first point strictly inside the disk wins, the immediate predecessor
-    serving as the fallback when none is. `turning_index` must be at least 1.
+    serving as the fallback when none is, and the turning point at index 0.
     """
     j = turning_index
     tp = points[j]
@@ -163,7 +163,7 @@ def choose_reference_point(points, turning_index: int, cfg: TraceConfig) -> Poin
     for i in range(start, j):
         if points[i].distance_to(tp) < cfg.radius:
             return points[i]
-    return points[j - 1]
+    return points[max(j - 1, 0)]
 
 
 def select_exit_point(candidates: CandidateSet, reference: Point2) -> Optional[Point2]:

@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -375,6 +376,24 @@ class TestVerifyCommand:
         code = run(["verify", "--r-factors", "", "--csv", str(tmp_path / "s.csv")])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("delta", ["1e-8", "1e-9"])
+    def test_a_tiny_step_ends_in_seconds(self, delta, tmp_path):
+        # the astroid's point budget is 6/delta + 500, but each trace of the
+        # sweep fails within a few points (about 0.2 s and 30 MB for the whole
+        # run); a change to the lattice or to the first point must not turn
+        # this into a march through that budget. The address-space cap keeps a
+        # runaway child small; it would die with a traceback, which fails too
+        package_root = Path(foldtrace.__file__).resolve().parent.parent
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "foldtrace", "verify", "--delta", delta,
+             "--csv", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, timeout=10.0,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode in (1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         code = run(["trace", "--problem", "circle", "--step", "0.2",

@@ -287,6 +287,12 @@ class TestChooseReferencePoint:
         cfg = TraceConfig(step=1e-6, reference_lag=2)
         assert choose_reference_point(path, 2, cfg) == Point2(1.0, 0.0)
 
+    def test_first_point_is_its_own_reference(self):
+        # no point precedes index 0, and no index wraps round to the path's end
+        path = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.0)]
+        cfg = TraceConfig(step=1e-6, reference_lag=2)
+        assert choose_reference_point(path, 0, cfg) == Point2(0.0, 0.0)
+
 
 def _cs(*points):
     return CandidateSet([Candidate(p, i) for i, p in enumerate(points)])
