@@ -29,6 +29,11 @@ CUSPS = (Point2(1.0, 0.0), Point2(0.0, 1.0), Point2(-1.0, 0.0), Point2(0.0, -1.0
 # it; wide scan radii legitimately hop over the tip by a few step lengths.
 NAVIGATED_RADIUS_STEPS = 10.0
 
+# The most points an astroid trace may march, as 6/delta: it admits delta >= 6e-7,
+# and so 1e-6, the smallest step the astroid is recorded closing at (4,000,003
+# points); a smaller step is a setting error, not a march of 6/delta points.
+MAX_ASTROID_POINTS = 10_000_000
+
 _DENSE_T = np.linspace(0.0, 0.5 * math.pi, 1025)
 _DENSE_XY = np.stack([np.cos(_DENSE_T) ** 3, np.sin(_DENSE_T) ** 3], axis=1)
 _WINDOW = 6  # dense samples searched on each side of the angle guess
@@ -137,8 +142,8 @@ class SweepResult:
 def _astroid_config(delta: float, r_factor: float, k: int, n: int) -> TraceConfig:
     cfg = TraceConfig(step=delta, radius=r_factor * delta, mesh_count=n, reference_lag=k)
     budget = 6.0 / delta  # once delta has passed its check
-    if budget == math.inf:
-        raise ValueError("step is too small: the astroid's point budget 6/step overflows")
+    if budget > MAX_ASTROID_POINTS:
+        raise ValueError(f"step is too small: 6/step exceeds {MAX_ASTROID_POINTS:,} points")
     return replace(cfg, max_points=int(budget) + 500)
 
 

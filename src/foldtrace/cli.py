@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from . import astroid as astroid_mod
@@ -35,8 +36,8 @@ from .tracer import SolutionPath, Termination, TraceConfig, polish_transverse, t
 log = logging.getLogger("foldtrace")
 
 _DEFAULT_SEED = {  # start, direction and step of each problem
-    "circle": ("1,0", "-y", 0.05),
-    "astroid": ("0,1", "+x", 0.01),
+    "circle": (Point2(1.0, 0.0), "-y", 0.05),
+    "astroid": (Point2(0.0, 1.0), "+x", 0.01),
     "expression": (None, None, 0.01),
 }
 # `trace` flags that are not TraceConfig settings
@@ -69,34 +70,19 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_point(text: str) -> Point2:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _CliError(f"expected X,Y but got {text!r}")
-    try:
-        return Point2(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise _CliError(f"bad point {text!r}: {exc}") from exc
-
-
-def _parse_box(text: str) -> Box:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected XMIN,XMAX,YMIN,YMAX but got {text!r}")
-    try:
-        return Box(*(float(v) for v in parts))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad box {text!r}: {exc}") from exc
-
-
-def _parse_numbers(text: str, convert: Callable[[float], Any] = float) -> List[Any]:
+def _numbers(flag: str, text: str, count: int = 0, convert: Callable[[float], Any] = float,
+             build: Callable[..., Any] = lambda *values: list(values)) -> Any:
+    """`build` of the comma-separated numbers `text` given to `flag`, each through
+    `convert`: `count` of them, or at least one if `count` is 0. An argparse type
+    with the flag bound; it raises _CliError, which argparse passes on to `main`,
+    so a bad value exits 1 with a message that names the flag."""
     items = [p for p in text.split(",") if p.strip()]
-    if not items:
-        raise _CliError(f"empty list {text!r}")
     try:
-        return [convert(float(p)) for p in items]
+        if not items or count and len(items) != count:
+            raise ValueError(f"expected {count or 'one or more'} comma-separated numbers")
+        return build(*(convert(float(p)) for p in items))
     except ValueError as exc:
-        raise _CliError(f"bad number list {text!r}: {exc}") from exc
+        raise _CliError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def _integral(value: float) -> int:
@@ -109,13 +95,6 @@ def _flag_named(exc: ValueError, flags: Dict[str, str]) -> str:
     """A library error's message, naming the flag instead of the setting it starts with."""
     name, _, rest = str(exc).partition(" ")
     return f"{flags[name]} {rest}" if name in flags else str(exc)
-
-
-def _print_summary(path: SolutionPath) -> None:
-    reason = path.termination.value if path.termination else "unknown"
-    print(f"points: {len(path)}")
-    print(f"turning-point events: {len(path.events)}")
-    print(f"termination: {reason}")
 
 
 def _write_outputs(path: SolutionPath, csv_path: Optional[str], svg_path: Optional[str],
@@ -141,9 +120,9 @@ def _finish(args, outcome: Union[SolutionPath, TraceError], what: str, label: st
         if outcome.path is not None and len(outcome.path):
             _write_outputs(outcome.path, args.csv, args.svg, label)
         return 2
-    _print_summary(outcome)
-    for note in notes:
-        print(note)
+    reason = outcome.termination.value if outcome.termination else "unknown"
+    print(f"points: {len(outcome)}\nturning-point events: {len(outcome.events)}\n"
+          f"termination: {reason}", *notes, sep="\n")
     _write_outputs(outcome, args.csv, args.svg, label)
     return 2 if outcome.termination is Termination.RETRACED else 0
 
@@ -162,7 +141,6 @@ def cmd_trace(args) -> int:
         raise _CliError("--expr only applies to --problem expression")
     else:
         field = circle_field() if args.problem == "circle" else astroid_mod.astroid_field()
-    start = _parse_point(start)
 
     # the subparser suppresses defaults, so only the settings given reach TraceConfig
     settings = {k: v for k, v in vars(args).items() if k not in _TRACE_INPUTS}
@@ -193,11 +171,8 @@ _VALID_N = (4, 10)
 
 
 def cmd_verify(args) -> int:
-    r_factors = _parse_numbers(args.r_factors)
-    k_values = _parse_numbers(args.k_values, _integral)
-    n_values = _parse_numbers(args.n_values, _integral)
     try:
-        results = astroid_mod.run_sweep(r_factors, k_values, n_values, args.delta)
+        results = astroid_mod.run_sweep(args.r_factors, args.k_values, args.n_values, args.delta)
     except ValueError as exc:
         raise _CliError(f"bad verify setting: {_flag_named(exc, _VERIFY_FLAGS)}") from exc
 
@@ -262,7 +237,8 @@ def build_parser() -> _Parser:
     p_trace.add_argument("--problem", choices=_DEFAULT_SEED, required=True)
     p_trace.add_argument("--expr", default=None,
                          help="formula in x and y (with --problem expression)")
-    p_trace.add_argument("--start", default=None, help="seed point X,Y")
+    p_trace.add_argument("--start", default=None, help="seed point X,Y",
+                         type=partial(_numbers, "--start", count=2, build=Point2))
     p_trace.add_argument("--dir", default=None, help="initial direction: +x, -x, +y or -y")
     p_trace.add_argument("--step", type=float, help="x step size (default per problem)")
     p_trace.add_argument("--step-y", type=float, help="y step size (defaults to --step)")
@@ -275,7 +251,8 @@ def build_parser() -> _Parser:
     p_trace.add_argument("--tol", dest="residual_tol", metavar="TOL", type=float,
                          help="on-curve residual tolerance")
     p_trace.add_argument("--max-points", type=int)
-    p_trace.add_argument("--box", dest="domain", metavar="BOX", type=_parse_box,
+    p_trace.add_argument("--box", dest="domain", metavar="BOX",
+                         type=partial(_numbers, "--box", count=4, build=Box),
                          help="tracing domain XMIN,XMAX,YMIN,YMAX")
     p_trace.add_argument("--csv", default="trace.csv", help="points CSV path")
     p_trace.add_argument("--svg", default="trace.svg", help="SVG plot path")
@@ -284,9 +261,12 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="astroid accuracy sweep over (r, k, n)")
     p_verify.add_argument("--delta", type=float, default=0.01, help="step size")
     p_verify.add_argument("--r-factors", default="0.0001,1,100",
+                          type=partial(_numbers, "--r-factors"),
                           help="scan radii as multiples of delta")
-    p_verify.add_argument("--k-values", default="1,5,10", help="reference lags")
-    p_verify.add_argument("--n-values", default="4,8,10", help="mesh sizes")
+    p_verify.add_argument("--k-values", default="1,5,10", help="reference lags",
+                          type=partial(_numbers, "--k-values", convert=_integral))
+    p_verify.add_argument("--n-values", default="4,8,10", help="mesh sizes",
+                          type=partial(_numbers, "--n-values", convert=_integral))
     p_verify.add_argument("--csv", default="sweep.csv", help="sweep results CSV path")
     p_verify.add_argument("--strict", action="store_true",
                           help="fail on any combination, not just those in the "

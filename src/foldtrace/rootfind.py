@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,24 +34,19 @@ import numpy as np
 from .errors import FoldtraceError, NoConvergence, SingularMatrix
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-# LAPACK's getrf and getrs, bound by `__getattr__` on first use: a trace that
-# factors no matrix never imports SciPy
-_getrf: Callable
-_getrs: Callable
 # A chord step is kept only if it cuts max|F| at least this much; otherwise
 # the Jacobian is factored afresh.
 _CHORD_CONTRACTION = 0.1
 _DAMPING_MIN = 1.0 / 64.0  # the line search halves a Newton step down to this fraction
 
 
-def __getattr__(name: str):
-    global _getrf, _getrs
-    if name not in ("_getrf", "_getrs"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+@cache
+def _lapack() -> Sequence[Callable]:
+    """LAPACK's getrf and getrs, bound on first use: a trace that factors no
+    matrix never imports SciPy."""
     from scipy.linalg.lapack import get_lapack_funcs
 
-    _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
-    return globals()[name]
+    return get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 def _check_settings(tol: float, max_iter: int) -> None:
@@ -198,11 +194,14 @@ def solve_scalar(
 
     # Until both signs are seen, (neg, pos) takes each new finite residual of its
     # sign; that is _narrow's rule for a bracket with an open end, applied in line.
-    for _ in range(max_iter):
+    for iteration in range(max_iter + 1):
         if abs_gx <= tol:
             return x
         if neg is not None and pos is not None:
             return itp(g, neg, pos, tol)
+        if iteration == max_iter:
+            raise NoConvergence(f"no root after {max_iter} iterations",
+                                last_iterate=x, residual=gx, iterations=max_iter)
 
         if before is not None:
             xs = min(max(x - gx * (x - before[0]) / (gx - before[1]), lo), hi)
@@ -294,13 +293,6 @@ def solve_scalar(
             before = (x, gx)
         x, gx, abs_gx = xn, gn, abs_gn
 
-    if abs_gx <= tol:
-        return x
-    if neg is not None and pos is not None:
-        return itp(g, neg, pos, tol)
-    raise NoConvergence(f"no root after {max_iter} iterations",
-                        last_iterate=x, residual=gx, iterations=max_iter)
-
 
 @dataclass
 class LUHolder:
@@ -325,8 +317,7 @@ class LUHolder:
             raise ValueError(f"matrix must be square, got {A.shape}")
         if not np.isfinite(A).all():
             raise ValueError("non-finite entries")
-        getrf = globals().get("_getrf") or __getattr__("_getrf")
-        lu, piv, info = getrf(A, overwrite_a=False)
+        lu, piv, info = _lapack()[0](A, overwrite_a=False)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of getrf")
         if info > 0:
@@ -342,7 +333,7 @@ class LUHolder:
         overwritten. None if no A of b's size is held or x is not finite."""
         if self.lu is None or len(b) != len(self.lu):
             return None
-        x, info = _getrs(self.lu, self._piv, b)
+        x, info = _lapack()[1](self.lu, self._piv, b)
         return x if not info and np.isfinite(x).all() else None
 
 

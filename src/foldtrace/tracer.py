@@ -113,11 +113,11 @@ class TraceConfig:
     domain: Optional[Box] = None
 
     def __post_init__(self):
+        self.step_y = self.step if self.step_y is None else self.step_y
+        self.max_step = max(self.step, self.step_y)
+        self.radius = self.max_step if self.radius is None else self.radius
         for name in ("step", "step_y", "radius", "residual_tol"):
-            value = getattr(self, name)
-            if value is None and name in ("step_y", "radius"):
-                continue  # defaulted below
-            if not 0.0 < value < math.inf:  # NaN fails too
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")
         for name, least in (("mesh_count", 1), ("reference_lag", 1), ("max_points", 2)):
             try:
@@ -126,9 +126,6 @@ class TraceConfig:
                 raise ValueError(f"{name} must be an integer") from None
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        self.max_step = self.step if self.step_y is None else max(self.step, self.step_y)
-        if self.radius is None:
-            self.radius = self.max_step
 
 
 def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> float:
@@ -137,11 +134,14 @@ def _next_lattice(current: float, delta: float, sign: int, anchor: float) -> flo
     Marching on a fixed lattice (instead of accumulating raw increments)
     keeps every later approach to the same fold landing on the same
     abscissas, which is what lets small scan radii still straddle the
-    curve there after restarts have shifted the walk.
+    curve there after restarts have shifted the walk. `current` counts as on
+    the lattice within 1e-9 steps, or within 4 ulp of the coordinates, which
+    is wider once delta is below about 1e-7 of them.
     """
     ratio = (current - anchor) / delta
     nearest = round(ratio)
-    if abs(ratio - nearest) <= 1e-9:
+    off = abs(ratio - nearest)
+    if off <= 1e-9 or off * delta <= 4.0 * math.ulp(max(abs(current), abs(anchor))):
         k = nearest + sign
     elif sign > 0:
         k = math.floor(ratio) + 1
@@ -186,7 +186,7 @@ def step(
         delta = cfg.step
         c0, t0, origin, c1, t1 = current.x, current.y, anchor.x, previous.x, previous.y
     else:
-        delta = cfg.step if cfg.step_y is None else cfg.step_y
+        delta = cfg.step_y
         c0, t0, origin, c1, t1 = current.y, current.x, anchor.y, previous.y, previous.x
     target = _next_lattice(c0, delta, direction.sign, origin)
 
@@ -425,7 +425,7 @@ def trace(
             path.termination = Termination.LEFT_DOMAIN
             break
         if outcome == current:  # SolutionPath.append's check, in line; a restart never lands here
-            delta = cfg.step if direction.axis is _X else cfg.step_y or cfg.step
+            delta = cfg.step if direction.axis is _X else cfg.step_y
             raise TraceError(f"the step {delta:g} from point {k} is below the coordinates' "
                              f"resolution at {current}", path=path)
         points.append(outcome)

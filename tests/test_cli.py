@@ -33,6 +33,20 @@ def test_console_entry_point_subprocess(tmp_path):
     assert (tmp_path / "c.csv").exists()
 
 
+def test_an_unknown_log_level_warns_and_still_runs(tmp_path):
+    package_root = Path(foldtrace.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldtrace", "trace", "--problem", "circle",
+         "--csv", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "FOLDTRACE_LOG": "loud", "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: unknown FOLDTRACE_LOG='loud', using 'error'\n"
+    assert "termination: closed" in proc.stdout
+    assert (tmp_path / "c.csv").exists()
+
+
 def test_package_runs_as_a_module():
     package_root = Path(foldtrace.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-m", "foldtrace", "--help"],
@@ -291,6 +305,15 @@ _NAMED_IN_THE_MESSAGE = {
     ("lubrication", "--seed-mass", "0"): "--seed-mass must be positive and finite",
     ("lubrication", "--seed-mass", "-1"): "--seed-mass must be positive and finite",
     ("lubrication", "--min-mass", "nan"): "--min-mass must be finite",
+    # the seed solve's Newton iteration runs out: no setting is at fault
+    ("lubrication", "--m", "32", "--epsilon", "3e-4"): "lubrication setup failed",
+    # x^2 + y^2 + 1 has no zero to polish the start onto
+    ("trace", "--problem", "expression", "--expr", "x^2+y^2+1", "--start", "0,0", "--dir",
+     "+x"): "cannot place the start point on the curve",
+    ("trace", "--problem", "circle", "--expr", "x"): "--expr only applies to --problem expression",
+    ("trace", "--problem", "circle", "--start", "1,abc"): "bad --start '1,abc'",
+    ("trace", "--problem", "circle", "--box", "1,2,a,4"): "bad --box '1,2,a,4'",
+    ("verify", "--k-values", ""): "bad --k-values '': expected one or more",
 }
 
 
@@ -330,6 +353,12 @@ _NAMED_IN_THE_MESSAGE = {
     ["lubrication", "--seed-mass", "-1"],
     ["lubrication", "--min-mass", "nan"],
     ["verify", "--delta", "5e-324", "--r-factors", "1e300", "--k-values", "5", "--n-values", "8"],
+    ["lubrication", "--m", "32", "--epsilon", "3e-4"],
+    ["trace", "--problem", "expression", "--expr", "x^2+y^2+1", "--start", "0,0", "--dir", "+x"],
+    ["trace", "--problem", "circle", "--expr", "x"],
+    ["trace", "--problem", "circle", "--start", "1,abc"],
+    ["trace", "--problem", "circle", "--box", "1,2,a,4"],
+    ["verify", "--k-values", ""],
 ])
 def test_bad_input_is_reported_without_traceback(argv, capsys, tmp_path):
     outputs = {"trace": ["--svg", str(tmp_path / "t.svg")],
@@ -377,13 +406,13 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 1
 
-    @pytest.mark.parametrize("delta", ["1e-8", "1e-9"])
+    @pytest.mark.parametrize("delta", ["1e-7", "1e-8", "1e-9", "1e-300"])
     def test_a_tiny_step_ends_in_seconds(self, delta, tmp_path):
-        # the astroid's point budget is 6/delta + 500, but each trace of the
-        # sweep fails within a few points (about 0.2 s and 30 MB for the whole
-        # run); a change to the lattice or to the first point must not turn
-        # this into a march through that budget. The address-space cap keeps a
-        # runaway child small; it would die with a traceback, which fails too
+        # the astroid's point budget, 6/delta + 500, would let a march run for
+        # hours and grow by gigabytes; a step whose budget passes
+        # MAX_ASTROID_POINTS is a setting error before the first trace. The
+        # address-space cap keeps a runaway child small; it would die with a
+        # traceback, which fails too
         package_root = Path(foldtrace.__file__).resolve().parent.parent
         cap = 1 << 30
         proc = subprocess.run(
@@ -392,7 +421,8 @@ class TestVerifyCommand:
             capture_output=True, text=True, timeout=10.0,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
-        assert proc.returncode in (1, 2), proc.stderr
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: bad verify setting: --delta is too small: ")
         assert "Traceback" not in proc.stderr
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):

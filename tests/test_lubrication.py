@@ -703,7 +703,7 @@ def default_diagram_counts():
     real_residual, real_vector = lubrication.residual_fixed_Q, lubrication.solve_vector
     real_at_M = lubrication.solve_at_M
     real_call = BifurcationField.__call__
-    real_getrs = rootfind._getrs
+    getrf, real_getrs = rootfind._lapack()
     real_step = foldtrace.tracer.step
     steps = []
 
@@ -741,7 +741,7 @@ def default_diagram_counts():
         mp.setattr(lubrication, "solve_vector", counting_vector)
         mp.setattr(lubrication, "solve_at_M", counting_at_M)
         mp.setattr(BifurcationField, "__call__", counting_call)
-        mp.setattr(rootfind, "_getrs", counting_getrs)
+        mp.setattr(rootfind, "_lapack", lambda: (getrf, counting_getrs))
         mp.setattr(foldtrace.tracer, "step", counting_step)
         path, _states, field = trace_bifurcation()
     return dict(path=path, field=field, factorizations=len(shapes), steps=len(steps),

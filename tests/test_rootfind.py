@@ -504,13 +504,13 @@ class TestLUHolder:
 
     def test_one_getrs_per_solve(self, monkeypatch):
         calls = []
-        real = rootfind._getrs
+        getrf, real = rootfind._lapack()
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(rootfind, "_getrs", counting)
+        monkeypatch.setattr(rootfind, "_lapack", lambda: (getrf, counting))
         held = _held(np.eye(3))
         b = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(held.solve(b), b) and np.array_equal(b, [1.0, 2.0, 3.0])
@@ -571,6 +571,15 @@ class TestSolveVector:
     def test_the_jacobian_is_required(self):
         with pytest.raises(TypeError, match="jac"):
             solve_vector(lambda v: v - 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_start_residual_that_is_not_finite_factors_nothing(self, bad):
+        held = LUHolder()
+        with pytest.raises(NoConvergence, match="^residual not finite at start") as info:
+            solve_vector(lambda v: np.array([v[0] - 1.0, bad]), [0.0, 0.0],
+                         jac=lambda _v: np.eye(2), held=held)
+        assert np.array_equal(info.value.last_iterate, [0.0, 0.0])
+        assert held.factorizations == 0 and held.lu is None
 
     def test_linear_system_one_iteration(self):
         rng = np.random.default_rng(3)
@@ -738,13 +747,13 @@ class TestChordSteps:
     def test_every_chord_step_tried_is_tallied(self, monkeypatch):
         # one LU solve per chord step, accepted or rejected, and one per factorization
         solves = []
-        real = rootfind._getrs
+        getrf, real = rootfind._lapack()
 
         def counting(*args, **kwargs):
             solves.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(rootfind, "_getrs", counting)
+        monkeypatch.setattr(rootfind, "_lapack", lambda: (getrf, counting))
         A, F, jac = self._problem()
         held = _held(-A)  # its one chord step is rejected
         _, factorizations = solve_vector(F, np.zeros(8), jac=jac, held=held)

@@ -109,13 +109,12 @@ def _small_circle(cx):
     return lambda x, y: ((x - cx) / 1e-5) ** 2 + (y / 1e-5) ** 2 - 1.0
 
 
-@pytest.mark.xfail(strict=True, raises=TraceError, reason=(
-    "open defect: _next_lattice snaps within 1e-9 steps, below the rounding error of "
-    "(current - anchor)/step once step < ~1e-7 |anchor|, so a stop can return current"))
 def test_a_small_circle_closes_off_the_origin_as_at_it():
     # the same circle at step 1e-8, traced from its east point along -y: at
-    # the origin it closes; centred at (1 - 1e-5, 0) a lattice stop rounds back
-    # onto its own point at point 1,006, below the coordinates' resolution
+    # the origin it closes; centred at (1 - 1e-5, 0) the ratio (current -
+    # anchor)/step rounds by more than 1e-9 steps, so only the snap within 4
+    # ulp of the coordinates keeps a lattice stop (first at point 1,006) from
+    # returning current, below the coordinates' resolution
     cfg = TraceConfig(step=1e-8)
     twin = trace(_small_circle(0.0), Point2(1e-5, 0.0), MINUS_Y, cfg)
     assert (twin.termination, len(twin), len(twin.events)) == (Termination.CLOSED, 4005, 4)
