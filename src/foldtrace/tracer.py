@@ -45,6 +45,9 @@ BRACKET_PER_PREDICTED_CHANGE = 16.0
 # module global about 15 ns.
 _X = Axis.X
 
+# 1/phi: the share of its interval a golden-section search keeps per step
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 class Termination(Enum):
     CLOSED = "closed"
@@ -213,8 +216,10 @@ def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
     coordinate as a function of the transverse, is extremal (Allgower & Georg, ch. 9). A
     vertex of the parabola through `fit` ahead in c and within the slice bracket's
     width w of the last t is solved for c within +-w and replaces the oldest point,
-    up to 8 times, until t moves under 1e-3 radius. Returns the last root solved ahead
-    in c, or None if there is none or it lies within 1e-3 radius of the last t."""
+    up to 8 times, until t moves under 1e-3 radius. A flat fold, c - c* ~ |t - t*|^p
+    with p >= 3, keeps t moving through all 8: `_flat_fold` then searches for it. Returns
+    the last root solved ahead in c, or None if there is none or it lies within 1e-3
+    radius of the last t."""
     axis, sign = direction.axis, direction.sign
     fit = [(p.y, p.x) if axis is _X else (p.x, p.y) for p in fit]  # as (t, c)
     (t_k, c_k), fold = fit[-1], None
@@ -241,6 +246,50 @@ def _fold(residual: ResidualField, fit: List[Point2], direction: StepDirection,
             near = abs(t - t_k) < 1e-3 * cfg.radius  # then the last point is the fold
             fold = None if near else Point2(c, t) if axis is _X else Point2(t, c)
         fit = fit[1:] + [(t, c)]
+    else:
+        return _flat_fold(residual, t_k, c_k, math.copysign(width, t - t_k), direction, cfg)
+    return fold
+
+
+def _flat_fold(residual: ResidualField, t_k: float, c_k: float, reach: float,
+               direction: StepDirection, cfg: TraceConfig) -> Optional[Point2]:
+    """The fold `_fold`'s parabolas miss: a golden-section search (Kiefer, Proc. AMS 4,
+    1953) for the maximum of sign * c(t) over t from t_k to t_k + `reach`, c being the
+    coordinate `direction` drives and sign its sign. Each c is solved from the furthest
+    ahead so far within c_k +- |reach|; a failed solve counts as -inf. The search stops
+    once its interval is under 0.05 radius. Returns the best root ahead of c_k, or None if
+    there is none or it lies within 1e-3 radius of t_k."""
+    axis, sign = direction.axis, direction.sign
+    guess = c_k
+
+    def lift(t: float) -> float:  # sign * c(t)
+        nonlocal guess
+        try:
+            c = solve_scalar(_slice(residual, axis.other, t), guess, cfg.residual_tol,
+                             bracket=(c_k - abs(reach), c_k + abs(reach)))
+        except (NoConvergence, FieldEvaluationError):
+            return -math.inf
+        guess = c if sign * (c - guess) > 0.0 else guess
+        return sign * c
+
+    a, b = t_k, t_k + reach
+    t1, t2 = b - _INV_GOLDEN * reach, a + _INV_GOLDEN * reach
+    h1, h2, lifts = lift(t1), lift(t2), 2
+    while abs(b - a) >= 0.05 * cfg.radius:
+        lifts += 1
+        if h1 >= h2:  # the maximum lies in [a, t2]; a tie, failures too, goes toward t_k
+            b, t2, h2 = t2, t1, h1
+            t1 = b - _INV_GOLDEN * (b - a)
+            h1 = lift(t1)
+        else:
+            a, t1, h1 = t1, t2, h2
+            t2 = a + _INV_GOLDEN * (b - a)
+            h2 = lift(t2)
+    h, t = (h1, t1) if h1 >= h2 else (h2, t2)
+    if not h > sign * c_k or abs(t - t_k) < 1e-3 * cfg.radius:
+        return None
+    fold = Point2(sign * h, t) if axis is _X else Point2(t, sign * h)
+    log.info("flat fold located at %s after %d lifts", fold, lifts)
     return fold
 
 

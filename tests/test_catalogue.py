@@ -63,9 +63,9 @@ RADIAL_TOL = 1e-6
 # Fractional parts of the square roots of the first seven primes.
 _ALPHA = tuple(math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17))
 # Closed traces per family, a floor: raise it when a change closes more. Every
-# ellipse closes, each fold located before its scan; every superellipse retraces:
-# a parabola misplaces its flat folds, which fall off the step lattice.
-CLOSED_FLOOR = {"ellipse": 64, "superellipse": 0, "astroid": 64}
+# ellipse closes, each fold located before its scan; every superellipse but
+# curve 44 closes, each flat fold located by the golden-section search.
+CLOSED_FLOOR = {"ellipse": 64, "superellipse": 63, "astroid": 64}
 SWEEP_SIZE = 1500
 # Of the sweep's traces, 1,325 close, 175 retrace and 0 raise.
 SWEEP_CLOSED_FLOOR, SWEEP_RAISED_CEILING = 1325, 0
@@ -218,11 +218,14 @@ def test_closed_count_keeps_its_floor(catalogue, family):
     assert split[Termination.CLOSED.value] >= CLOSED_FLOOR[family], split
 
 
-_RETRACES = pytest.mark.xfail(
-    strict=True, reason="open defect: a flat fold off the lattice reverses the trace")
+_CURVE_44_RETRACES = pytest.mark.xfail(
+    strict=True, reason="open defect: superellipse 44 starts on its flat north vertex, 4.5e-7 "
+                        "below the fold; a stall at that lattice stop locates no fold, and the "
+                        "trace reverses there and retraces its lap")
 
 
-@pytest.mark.parametrize("family", ["ellipse", pytest.param("superellipse", marks=_RETRACES),
+@pytest.mark.parametrize("family", ["ellipse",
+                                    pytest.param("superellipse", marks=_CURVE_44_RETRACES),
                                     "astroid"])
 def test_every_curve_closes(catalogue, family):
     split = Counter(row[0] for row in catalogue[family])
@@ -236,14 +239,25 @@ def _witness(formula, guess, direction, step):
     return field, trace(field, start, direction, TraceConfig(step=step))
 
 
-@_RETRACES
 @pytest.mark.parametrize("step", [0.05, 0.02, 0.01])
 def test_the_limacon_closes(step):
     # r = 2 + cos(theta) is convex and simple, but its west vertex (-1, 0) is a
-    # flat fold, x + 1 growing as the fourth power of the angle from pi: each
-    # trace ends retraced, with 8 events
+    # flat fold, x + 1 growing as the fourth power of the angle from pi, that
+    # the parabola refits never settle on: the golden-section search locates it
     _, path = _witness("(x^2+y^2-x)^2 - 4*(x^2+y^2)", Point2(3.0, 0.2), PLUS_Y, step)
     _assert_closed_soundly(path, lambda x, y: math.hypot(x, y) / (2.0 + math.cos(math.atan2(y, x))))
+
+
+def test_the_reversed_superellipse_closes_at_its_flat_folds():
+    # the folds of x^4/16 + y^4 = 1 at (0, -1) and (0, 1) are flat, y + 1 and
+    # 1 - y growing as the fourth power of x: the parabola refits drift, and
+    # the golden-section search places both within a tenth of a step of x = 0
+    step = 0.07
+    _, path = _witness("x^4/16 + y^4 - 1", Point2(2.0, 0.0), MINUS_Y, step)
+    assert len(path.events) == 4
+    poles = [path.points[e.index] for e in path.events if e.kind.value.axis is Axis.Y]
+    assert len(poles) == 2 and all(abs(p.x) < 0.1 * step for p in poles)
+    _assert_closed_soundly(path, lambda x, y: (x ** 4 / 16.0 + y ** 4) ** 0.25)
 
 
 @pytest.mark.xfail(strict=True, reason="open defect: the areas of a figure-eight's two lobes "

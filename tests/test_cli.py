@@ -184,19 +184,21 @@ class TestTraceCommand:
         assert points == [Point2(1e16, 0.0)] and flags == ["ordinary"]
 
     def test_retraced_exits_2_with_outputs(self, tmp_path, capsys):
-        # the superellipse reverses at flat folds, which a parabola misplaces,
-        # and walks back over itself until its state repeats: reported,
-        # written, and not a success
+        # curve 1179 of the catalogue's tilted-ellipse sweep turns at the
+        # stalls short of two folds, reverses at each and walks back over
+        # itself until its state repeats: reported, written, and not a success
         csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
-        code = run(["trace", "--problem", "expression", "--expr", "x^4/16+y^4-1",
-                    "--start", "2,0", "--dir", "-y", "--step", "0.07",
-                    "--csv", str(csv), "--svg", str(svg)])
+        code = run(["trace", "--problem", "expression", "--expr",
+                    "(x*-0.844248683155791 + y*0.5359516405327189)^2"
+                    " + ((y*-0.844248683155791 - x*0.5359516405327189)/0.30156717214906703)^2 - 1",
+                    "--start", "0.8442448288218817,-0.404009131281415", "--dir", "+y",
+                    "--step", "0.07919282337302548", "--csv", str(csv), "--svg", str(svg)])
         out = capsys.readouterr().out
         assert code == 2
         assert "termination: retraced" in out
         with csv.open() as fh:
             points, _flags = read_points_csv(fh)
-        assert len(points) == 93
+        assert len(points) == 40
         ET.parse(svg)
 
     def test_expression_leaves_domain(self, tmp_path, capsys):

@@ -256,9 +256,9 @@ def astroid_path():
     return trace(astroid_field(), Point2(0.0, 1.0), PLUS_X, cfg)
 
 
-def _winding(points):
-    """Turns of the closed polyline through `points` around the origin."""
-    theta = [math.atan2(p.y, p.x) for p in points + points[:1]]
+def _winding(points, centre=Point2(0.0, 0.0)):
+    """Turns of the closed polyline through `points` around `centre`."""
+    theta = [math.atan2(p.y - centre.y, p.x - centre.x) for p in points + points[:1]]
     return sum(math.remainder(b - a, 2.0 * math.pi) for a, b in zip(theta, theta[1:])) / (2.0 * math.pi)
 
 
@@ -473,15 +473,17 @@ class TestStepMemo:
     """`trace` solves each distinct march step once and replays it after."""
 
     def test_replayed_steps_reproduce_the_path(self):
-        # the flat folds of zoo curve 5, a superellipse, defeat the parabola:
-        # the trace bounces between two reversals until its state repeats
-        field, start, direction, cfg = _cycle_case("zoo superellipse")
+        # catalogue superellipse 44 locates six flat folds past their stalls
+        # and turns twice at the stall itself, on its flat north vertex, where
+        # it reverses: the trace walks its lap back until its state repeats
+        field, start, direction, cfg = _cycle_case("superellipse 44")
         path = trace(field, start, direction, cfg)
         points = path.points
-        assert path.termination is Termination.RETRACED and len(path.events) == 2
+        assert path.termination is Termination.RETRACED and len(path.events) == 8
 
         events = {e.index: e for e in path.events}
         restarts = {e.index + 1: e for e in path.events}
+        located = []  # per stall, whether its turning point is a fold located past it
         i = 0
         while i < len(points) - 1:
             current = points[i]
@@ -493,14 +495,19 @@ class TestStepMemo:
             if isinstance(outcome, Stalled):
                 # the turning point is the stall point, or the fold located past it
                 event = events[i] if i in events else events[i + 1]
+                located.append(event.index == i + 1)
                 assert outcome == Stalled(event.reason)
                 assert abs(field(*points[event.index])) <= cfg.residual_tol
                 i = event.index + 1
                 continue
-            assert i + 1 not in restarts and i + 1 not in events
+            # a step lands on a turning point only where that point is the stall
+            assert i + 1 not in restarts
+            assert i + 1 not in events or isinstance(
+                step(field, outcome, direction, cfg, anchor=start, previous=current), Stalled)
             assert (outcome.x.hex(), outcome.y.hex()) == (points[i + 1].x.hex(),
                                                           points[i + 1].y.hex())
             i += 1
+        assert sorted(located) == [False] * 2 + [True] * 6
 
     @pytest.mark.parametrize("other", [dict(step=0.04), dict(step=0.05, step_y=0.04),
                                        dict(step=0.05, residual_tol=1e-13), None])
@@ -521,7 +528,7 @@ class TestStepMemo:
         shared = trace(circle_field(), start, direction, cfg, memo=memo)
         assert _hex(shared) == _hex(trace(circle_field(), start, direction, cfg))
 
-    @pytest.mark.parametrize("case", ["circle", "zoo superellipse"])
+    @pytest.mark.parametrize("case", ["circle", "sweep ellipse"])
     def test_a_retrace_through_a_shared_memo_proves_its_own_repeat(self, case, monkeypatch):
         # the second trace answers every step from the first trace's entries,
         # yet stops at the same closing or retracing cut: an entry another
@@ -734,14 +741,15 @@ class TestRetraceGuard:
     """A simple closed curve bounds area; a path that walked back along itself does not."""
 
     def test_reversed_superellipse_is_not_closed(self):
-        # the folds of x^4/16 + y^4 = 1 at (0, -1) and (0, 1) are flat, and a
-        # parabola misplaces them: the scan from each estimate sees only the
-        # way back, so the trace bounces over the right half, through the
-        # east fold, a lattice stop, until its state repeats
-        path = trace(*_cycle_case("reversed superellipse"))
+        # catalogue superellipse 44 starts on its flat north vertex, 0.13 from
+        # the fold and 4.5e-7 below it. Its march comes back round to a stall
+        # at that lattice stop, where the parabola refits drift back the way the
+        # march came and no fold is located: the scan from the stall sends the
+        # trace back, and it walks its whole lap again in reverse
+        path = trace(*_cycle_case("superellipse 44"))
         assert path.termination is Termination.RETRACED
-        assert (len(path), len(path.events)) == (93, 4)
-        assert round(_winding(path.points)) == 0
+        assert (len(path), len(path.events)) == (1284, 8)
+        assert round(_winding(path.points, Point2(0.24611797498108245, -0.8823820041868373))) == 0
 
     @pytest.mark.parametrize("angle", [0.0, 0.3])
     @pytest.mark.parametrize("step_size", [0.05, 0.04, 0.03, 0.07, 0.013, 0.0123])
@@ -753,18 +761,13 @@ class TestRetraceGuard:
             assert abs(abs(_winding(path.points)) - 1.0) < 1e-9
 
     def test_retrace_between_two_reversals_is_not_closed(self):
-        # On x^4 + 16 y^4 = 1 the trace reverses at the east fold, passes the
-        # start, reverses at the flat fold (0, -1/2), which the parabola
-        # misplaces, and walks back: from point 7 on it repeats a 22-point
-        # cycle on one arc, and the path ends after one cycle. The cycle's
-        # passes lie on different lattices, so the sliver between them bounds
-        # |A| = 1.2e-3 L^2, above the old 1e-3 L^2 cut, but its mean width
-        # 2|A|/L is under a tenth of the step.
-        c, s = math.cos(4.8), math.sin(4.8)
-        start = Point2(math.copysign(abs(c) ** 0.5, c), math.copysign(abs(s) ** 0.5, s) / 2.0)
-        path = trace(lambda x, y: x ** 4 + (2.0 * y) ** 4 - 1.0, start, PLUS_X,
-                     TraceConfig(step=0.07))
-        assert (len(path), len(path.events)) == (30, 2)
+        # Sweep ellipse 1179 turns at the stalls short of its north and east
+        # folds, where each scan sends it back the way it came: from point 9 on
+        # it repeats a 30-point cycle on one arc, and the path ends after one
+        # cycle. The cycle's passes lie on different lattices, so the sliver
+        # between them bounds area, but its mean width 2|A|/L is 0.0024 of the step.
+        path = trace(*_cycle_case("sweep ellipse"))
+        assert (len(path), len(path.events)) == (40, 2)
         assert round(_winding(path.points)) == 0
         assert path.termination is Termination.RETRACED
 
@@ -845,6 +848,21 @@ def _cycle_case(name):
                                                                                 max_points=1939)
     if name == "reversed superellipse":
         return expression_field("x^4/16+y^4-1"), Point2(2.0, 0.0), MINUS_Y, TraceConfig(step=0.07)
+    if name == "sweep ellipse":  # test_catalogue's sweep curve 1179: axes 1 and 0.30, tilt 2.58
+        c, s, b = -0.844248683155791, 0.5359516405327189, 0.30156717214906703
+
+        def field(x, y):
+            return (x * c + y * s) ** 2 + ((y * c - x * s) / b) ** 2 - 1.0
+
+        return (field, Point2(0.8442448288218817, -0.404009131281415), PLUS_Y,
+                TraceConfig(step=0.07919282337302548))
+    if name == "superellipse 44":  # curve 44 of test_catalogue: p = 6, axes 1.21 and 1.85
+        def field(x, y):
+            return (abs((x - 0.24611797498108245) / 1.213539117647259) ** 6
+                    + abs((y + 0.8823820041868373) / 1.846217700341783) ** 6 - 1.0)
+
+        start = Point2(0.37543892673939067, 0.9638352455223549)
+        return field, start, MINUS_X, TraceConfig(step=0.01)
     if name == "tilted ellipse":  # axes 1 and 2/3, tilted 0.3 rad: its folds fall off the lattice
         c, s = math.cos(0.3), math.sin(0.3)
 
@@ -872,10 +890,11 @@ def _points_md5(path):
 class TestCycleStop:
     """The march is deterministic: a trace ends at the first exact repeat of its state."""
 
-    @pytest.mark.parametrize("name", ["zoo superellipse", "reversed superellipse"])
+    @pytest.mark.parametrize("name", ["sweep ellipse", "superellipse 44"])
     def test_a_bounce_ends_retraced_well_inside_its_budget(self, name):
-        # a parabola misplaces their flat folds, so both bounce between two
-        # reversals: a march that stops only at an exact repeat ends there
+        # both reverse at a stall that no fold estimate resolves and walk back
+        # over themselves: a march that stops only at an exact repeat ends there,
+        # well inside the default budget
         field, start, direction, cfg = _cycle_case(name)
         path = trace(field, start, direction, cfg)
         points = path.points
@@ -912,7 +931,8 @@ class TestCycleStop:
 
     @pytest.mark.parametrize("name", ["astroid", "circle", "ellipse", "coarse ellipse",
                                       "zoo ellipse", "tilted ellipse", "narrow ellipse",
-                                      "zoo superellipse", "reversed superellipse"])
+                                      "zoo superellipse", "reversed superellipse",
+                                      "sweep ellipse", "superellipse 44"])
     def test_turning_flags_are_the_event_indices(self, name):
         # a path keeps the events of its turning points and no other, and
         # each kept turning point's restart
@@ -924,7 +944,8 @@ class TestCycleStop:
     @pytest.mark.parametrize("name, events", [
         pytest.param(name, events, id=name) for name, events in [
             ("astroid", 2), ("circle", 4), ("ellipse", 4), ("coarse ellipse", 4),
-            ("zoo ellipse", 4), ("tilted ellipse", 4), ("narrow ellipse", 4)]])
+            ("zoo ellipse", 4), ("tilted ellipse", 4), ("narrow ellipse", 4),
+            ("zoo superellipse", 4), ("reversed superellipse", 4)]])
     def test_a_closed_path_ends_on_its_first_point(self, name, events):
         # a closed path is the cycle: from the first repeated state round to
         # that state again, once, through every fold
@@ -1019,6 +1040,46 @@ class TestAcceptedPointsWereEvaluated:
                                                   step_m=0.05, max_points=40, min_mass=3.0)
         assert len(path.events) >= 1
         self._assert_all_seen(path, recorded[0])
+
+
+class TestFlatFoldSearch:
+    """The golden-section search runs only where all 8 parabola refits leave t moving."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        searches = []
+        real = tracer_mod._flat_fold
+
+        def counting(*args):
+            searches.append(real(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(tracer_mod, "_flat_fold", counting)
+        return searches
+
+    def test_the_verify_sweep_and_default_diagram_never_search(self, monkeypatch):
+        # the astroid's cusps and the thin film's folds stop the refits, so the
+        # default verify sweep and the default diagram keep every bit
+        from foldtrace.astroid import run_sweep
+        from foldtrace.lubrication import trace_bifurcation
+
+        searches = self._counting(monkeypatch)
+        results = run_sweep([0.0001, 1.0, 100.0], [1, 5, 10], [4, 8, 10], 0.01)
+        assert len(results) == 27
+        path, _states, _field = trace_bifurcation()
+        assert len(path.events) >= 1
+        assert searches == []
+
+    def test_the_zoo_superellipse_searches_and_logs_each_fold(self, monkeypatch, caplog):
+        searches = self._counting(monkeypatch)
+        with caplog.at_level("INFO", logger="foldtrace.tracer"):
+            path = trace(*_cycle_case("zoo superellipse"))
+        assert path.termination is Termination.CLOSED
+        located = [fold for fold in searches if fold is not None]
+        assert located
+        logged = [r.args for r in caplog.records if r.msg.startswith("flat fold located at ")]
+        assert [fold for fold, _lifts in logged] == located
+        assert all(lifts > 2 for _fold, lifts in logged)
 
 
 class TestEvaluationBudget:
