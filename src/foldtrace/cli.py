@@ -44,7 +44,8 @@ _DEFAULT_SEED = {  # start, direction and step of each problem
 _TRACE_INPUTS = ("command", "func", "problem", "expr", "start", "dir", "csv", "svg")
 # the flag that sets each setting a library error message names, per command
 _TRACE_FLAGS = dict(step="--step", step_y="--step-y", radius="--scan-r", mesh_count="--scan-n",
-                    reference_lag="--scan-k", residual_tol="--tol", max_points="--max-points")
+                    reference_lag="--scan-k", residual_tol="--tol", max_points="--max-points",
+                    direction="--dir")
 _VERIFY_FLAGS = dict(step="--delta", radius="--r-factors", reference_lag="--k-values",
                      mesh_count="--n-values")
 _LUBRICATION_FLAGS = dict(_TRACE_FLAGS, step="--step-q", step_y="--step-m", epsilon="--epsilon",
@@ -92,9 +93,8 @@ def _integral(value: float) -> int:
 
 
 def _flag_named(exc: ValueError, flags: Dict[str, str]) -> str:
-    """A library error's message, naming the flag instead of the setting it starts with."""
-    name, _, rest = str(exc).partition(" ")
-    return f"{flags[name]} {rest}" if name in flags else str(exc)
+    """A library error's message, naming the flag in place of each setting it names."""
+    return " ".join(flags.get(word, word) for word in str(exc).split(" "))
 
 
 def _write_outputs(path: SolutionPath, csv_path: Optional[str], svg_path: Optional[str],

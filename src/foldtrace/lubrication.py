@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,6 +35,11 @@ log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 
+# The largest grid size m: at 2048, building the grid and factoring one bordered Jacobian
+# grow the peak RSS by about 230 MB, and each factorization takes about 0.19 s; both grow
+# as m^2 or faster, so a larger m is a setting error, checked before anything is allocated.
+MAX_GRID_POINTS = 2048
+
 
 def fourier_diff_matrix(m: int, order: int) -> np.ndarray:
     """Spectral d^order/dtheta^order on the m-point periodic grid.
@@ -45,8 +51,12 @@ def fourier_diff_matrix(m: int, order: int) -> np.ndarray:
     """
     if order not in (1, 3):
         raise ValueError(f"order must be 1 or 3, got {order}")
-    if m < 8 or m % 2:
-        raise ValueError(f"m must be even and >= 8, got {m}")
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be an integer, got {m!r}") from None
+    if m < 8 or m % 2 or m > MAX_GRID_POINTS:
+        raise ValueError(f"m must be even and in [8, {MAX_GRID_POINTS}], got {m}")
     k = np.fft.fftfreq(m, d=1.0 / m)
     mult = (1j * k) ** order
     mult[m // 2] = 0.0
@@ -67,12 +77,8 @@ class SpectralGrid:
 
     @classmethod
     def build(cls, m: int) -> "SpectralGrid":
-        return cls(
-            m=m,
-            nodes=TWO_PI * np.arange(m) / m,
-            d1=fourier_diff_matrix(m, 1),
-            d3=fourier_diff_matrix(m, 3),
-        )
+        d1 = fourier_diff_matrix(m, 1)  # checks m before anything is allocated
+        return cls(m=m, nodes=TWO_PI * np.arange(m) / m, d1=d1, d3=fourier_diff_matrix(m, 3))
 
     @property
     def weight(self) -> float:
@@ -219,22 +225,18 @@ class BifurcationField:
     NonpositiveThickness, the evaluation raises FieldEvaluationError,
     which a slice solve counts as a stall and a scan as a skipped sample.
 
-    Every converged state is kept, oldest first, with the mass of its
-    bordered solve; the first is the seed's, and evaluating before `seed`
-    raises ValueError. The nearest in (Q, M), oldest on a tie, answers if
-    it was solved at exactly M* (keeping its first solve's `iterations`).
-    Else Newton starts from the Lagrange quadratic in (h, Q) through the
-    three nearest, in the bordered mass, if they were solved at distinct
-    masses. It starts from the nearest if there is no such prediction,
-    the predicted film is not positive, or the predicted solve fails.
+    Each converged state is kept in `states`, keyed by the mass of its
+    bordered solve, oldest first; the first is the seed's, and evaluating
+    before `seed` raises ValueError. A probe at a kept mass is answered by
+    its state (keeping its first solve's `iterations`), so wherever a solve
+    converged the field is a function of (Q, M) for its lifetime, and it
+    may serve several traces; a mass whose solve failed is solved again at
+    its next probe. Else Newton starts from the Lagrange quadratic in (h, Q) through the three
+    states nearest in (Q, M), oldest on a tie, in the bordered mass. It
+    starts from the nearest if fewer than three are kept, the predicted
+    film is not positive, or the predicted solve fails.
     `counts` tallies the solves, with the factorizations and chord steps
     that the shared LU holder tallies.
-    Every converged evaluation is also recorded in `solved`, keyed by its
-    exact probe point (Q, M). The tracer only accepts points at which it
-    evaluated the field, so after a trace the state at each path point is
-    read from `solved` instead of being solved again; clear it between
-    traces. One instance services one trace at a time: the kept states and
-    the record are mutable state.
     """
 
     def __init__(self, epsilon: float, grid: SpectralGrid):
@@ -242,11 +244,10 @@ class BifurcationField:
             raise ValueError("epsilon must be positive and finite")
         self.epsilon = epsilon
         self.grid = grid
-        # row i of `_QM`: Q, M, bordered-solve mass of `_states[i]`; then spare rows
-        self._states: List[LubricationState] = []
+        self.states: Dict[float, LubricationState] = {}
+        # row i of `_QM`: Q, M, bordered-solve mass of the i-th kept state; then spare rows
         self._QM = np.empty((256, 3))
         self._lu = LUHolder()  # the last bordered factorization, shared by all solve_at_M
-        self.solved: Dict[Tuple[float, float], LubricationState] = {}
         self._counts = dict.fromkeys(("bordered", "reused", "quadratic", "retried"), 0)
 
     @property
@@ -254,25 +255,23 @@ class BifurcationField:
         return dict(self._counts, factorizations=self._lu.factorizations, chord=self._lu.chord)
 
     def _remember(self, state: LubricationState, solved_at: float) -> None:
-        n = len(self._states)
+        n = len(self.states)
         if n == len(self._QM):
             self._QM = np.concatenate([self._QM, np.empty_like(self._QM)])
         self._QM[n] = state.Q, state.M, solved_at
-        self._states.append(state)
+        self.states[solved_at] = state
 
-    def _nearest(self, Q: float, M: float) -> Tuple[int, int, int]:
-        """Rows of the three nearest kept states, nearest first; each is the first
-        minimum of the rest, so the oldest on a tie. -1 for a missing one."""
-        n = len(self._states)
+    def _nearest(self, Q: float, M: float) -> List[float]:
+        """Bordered-solve masses of the (up to) three nearest kept states, nearest
+        first; each is the first minimum of the rest, so the oldest on a tie."""
+        n = len(self.states)
         d = (self._QM[:n, 0] - Q) ** 2 + (self._QM[:n, 1] - M) ** 2
-        rows = [-1, -1, -1]
-        for i in range(min(n, 3)):
-            rows[i] = int(d.argmin())
-            d[rows[i]] = math.inf
-        return tuple(rows)
-
-    def _warm(self, row: int) -> Tuple[np.ndarray, float]:
-        return self._states[row].h.copy(), self._states[row].Q
+        masses = []
+        for _ in range(min(n, 3)):
+            row = int(d.argmin())
+            masses.append(float(self._QM[row, 2]))
+            d[row] = math.inf
+        return masses
 
     def _solve(self, M: float, h0, Q0: float, epsilon: Optional[float] = None,
                tol: float = _FIELD_TOL, max_iter: int = _FIELD_MAX_ITER) -> LubricationState:
@@ -282,16 +281,14 @@ class BifurcationField:
         epsilon = self.epsilon if epsilon is None else epsilon
         return solve_at_M(M, epsilon, self.grid, h0, Q0, tol, max_iter, self._lu)
 
-    def _predicted(self, rows: Tuple[int, int, int], M: float) -> Optional[LubricationState]:
+    def _predicted(self, masses: List[float], M: float) -> Optional[LubricationState]:
         """The bordered solve at M from z = (h, Q) on the Lagrange quadratic in the
-        bordered mass through the three rows. None if there are not three rows solved
-        at distinct masses, the predicted film is not positive, or the solve fails."""
-        if rows[2] < 0:
+        bordered mass through the states kept at three masses. None if fewer masses
+        are given, the predicted film is not positive, or the solve fails."""
+        if len(masses) < 3:
             return None
-        M1, M2, M3 = self._QM[list(rows), 2].tolist()
-        if M1 == M2 or M3 == M1 or M3 == M2:
-            return None
-        s1, s2, s3 = (self._states[row] for row in rows)
+        M1, M2, M3 = masses
+        s1, s2, s3 = (self.states[mass] for mass in masses)
         w1 = (M - M2) * (M - M3) / ((M1 - M2) * (M1 - M3))
         w2 = (M - M1) * (M - M3) / ((M2 - M1) * (M2 - M3))
         w3 = (M - M1) * (M - M2) / ((M3 - M1) * (M3 - M2))
@@ -306,21 +303,20 @@ class BifurcationField:
             return None
 
     def __call__(self, Q: float, M: float) -> float:
-        rows = self._nearest(Q, M)
-        near = rows[0]
-        if near < 0:
-            raise ValueError("the field holds no state to start from; call seed first")
-        if self._QM[near, 2] == M:
+        state = self.states.get(M)
+        if state is not None:
             self._counts["reused"] += 1
-            state = self.solved[(Q, M)] = self._states[near]
             return state.Q - Q
+        masses = self._nearest(Q, M)
+        if not masses:
+            raise ValueError("the field holds no state to start from; call seed first")
+        near = self.states[masses[0]]
         try:
-            state = self._predicted(rows, M) or self._solve(M, *self._warm(near))
+            state = self._predicted(masses, M) or self._solve(M, near.h, near.Q)
         except _SOLVE_FAILURES as exc:
             raise FieldEvaluationError(
                 f"bordered solve failed at (Q={Q:.6g}, M={M:.6g}): {exc}") from exc
         self._remember(state, M)
-        self.solved[(Q, M)] = state
         return state.Q - Q
 
     def seed(self, M: float) -> LubricationState:
@@ -328,10 +324,13 @@ class BifurcationField:
 
         Newton from a flat film diverges at small surface-tension values,
         so the solve walks down from a comfortable value in factor-of-
-        sqrt(10) stages, warm-starting each from the last.
+        sqrt(10) stages, warm-starting each from the last. At a mass already
+        solved it returns the kept state.
         """
         if not 0.0 < M < math.inf:
             raise ValueError("seed mass must be positive and finite")
+        if M in self.states:
+            return self.states[M]
         mean = M / TWO_PI
         h = np.full(self.grid.m, mean)
         Q = mean
@@ -399,8 +398,7 @@ def trace_bifurcation(
     seed = field.seed(seed_mass)
     # a seed solved at min_mass may land an ulp below it, outside the domain
     path = trace(field, Point2(seed.Q, max(seed.M, min_mass)), direction, cfg)
-    states = [field.solved.get((p.x, p.y)) for p in path.points]
-    field.solved.clear()
+    states = [field.states.get(p.y) for p in path.points]
     for p, state in zip(path.points, states):
         if state is None:
             raise TraceError(f"no converged state was recorded at path point {p}", path=path)

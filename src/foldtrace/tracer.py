@@ -405,8 +405,7 @@ def trace(
         # reference, are all the march reads, so a state met again at k repeats the march
         # from j on. Tuple == ignores the sign of a zero in the window, which is safe: the
         # window is read only through distances and differences. The proof assumes the
-        # field is a function of (x, y); BifurcationField's warm starts are not, but
-        # the default diagram never repeats. A key another trace met is no repeat.
+        # field is a function of (x, y). A key another trace met is no repeat.
         j = entry[2] if entry is not None and entry[1] is path else -1
         if j >= lag and points[j - lag:j + 1] == points[k - lag:k + 1]:
             break

@@ -3,7 +3,8 @@
 A change that is meant to keep every output bit-identical keeps this digest.
 A change that moves a path on purpose updates `DIGEST` and says which paths
 moved and why. The digest covers each path's points (as `float.hex`), flags,
-events (index, kind, reason) and termination. It leaves out numpy-computed
+events (index, kind, reason) and termination. The last two paths close
+through the flat-fold search. It leaves out numpy-computed
 percent errors and the thin film, whose last bits depend on the CPU's SIMD
 code and on LAPACK; tests elsewhere pin their counters.
 """
@@ -13,10 +14,10 @@ import hashlib
 from foldtrace.astroid import trace_astroid
 from foldtrace.expressions import expression_field
 from foldtrace.fields import circle_field
-from foldtrace.geometry import MINUS_Y, Point2
-from foldtrace.tracer import TraceConfig, trace
+from foldtrace.geometry import MINUS_Y, PLUS_Y, Point2
+from foldtrace.tracer import TraceConfig, polish_transverse, trace
 
-DIGEST = "69d03ec2078b812d70f7a3061213690121ff90b405c3f93bd4a68edb7f6a9ddc"
+DIGEST = "9f18331d3a6d2b1626e240ba74a8c264263f49f011a8c6dc034d13ff5b4a1a9f"
 
 
 def _paths():
@@ -33,6 +34,12 @@ def _paths():
                                     TraceConfig(step=0.01, step_y=0.05))
     yield "ellipse", trace(expression_field("x^2/4 + y^2 - 1"), Point2(2.0, 0.0), MINUS_Y,
                            TraceConfig(step=0.02))
+    for label, formula, guess, direction, step in [
+            ("reversed superellipse", "x^4/16 + y^4 - 1", Point2(2.0, 0.0), MINUS_Y, 0.07),
+            ("limacon", "(x^2+y^2-x)^2 - 4*(x^2+y^2)", Point2(3.0, 0.2), PLUS_Y, 0.05)]:
+        field = expression_field(formula)
+        start = polish_transverse(field, guess, direction)
+        yield label, trace(field, start, direction, TraceConfig(step=step))
 
 
 def _digest():

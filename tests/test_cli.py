@@ -275,9 +275,11 @@ class TestTraceCommand:
 # the message names the bad setting, not a check it failed further on
 _NAMED_IN_THE_MESSAGE = {
     # a start outside the domain would trace nothing and report `left domain`
-    ("lubrication", "--seed-mass", "0.2"): "--seed-mass 0.2 lies below min_mass 0.3",
+    ("lubrication", "--seed-mass", "0.2"): "--seed-mass 0.2 lies below --min-mass 0.3",
     # checked before the domain box, which would report "box bounds out of order"
-    ("lubrication", "--min-mass", "100"): "--seed-mass 6.28319 lies below min_mass 100",
+    ("lubrication", "--min-mass", "100"): "--seed-mass 6.28319 lies below --min-mass 100",
+    ("trace", "--problem", "circle", "--dir", "z"): "cannot parse --dir 'z'",
+    ("lubrication", "--dir", "z"): "cannot parse --dir 'z'",
     ("trace", "--problem", "circle", "--box", "2,3,2,3"): "outside the domain",
     ("verify", "--k-values", "4.6"): "4.6 is not an integer",
     ("verify", "--n-values", "7.5"): "7.5 is not an integer",
@@ -301,6 +303,7 @@ _NAMED_IN_THE_MESSAGE = {
     ("lubrication", "--scan-r", "0"): "--scan-r must be positive and finite",
     ("lubrication", "--scan-k", "0"): "--scan-k must be >= 1",
     ("lubrication", "--m", "7"): "--m must be even",
+    ("lubrication", "--m", "2050"): "--m must be even and in [8, 2048], got 2050",
     ("lubrication", "--epsilon", "nan"): "--epsilon must be positive and finite",
     ("lubrication", "--epsilon", "0"): "--epsilon must be positive and finite",
     ("lubrication", "--seed-mass", "nan"): "--seed-mass must be positive and finite",
@@ -335,6 +338,7 @@ _NAMED_IN_THE_MESSAGE = {
     ["verify", "--k-values", "0"],
     ["verify", "--n-values", "0"],
     ["trace", "--problem", "circle", "--scan-r", "nan"],
+    ["trace", "--problem", "circle", "--dir", "z"],
     ["lubrication", "--step-q", "nan"],
     ["lubrication", "--dir", "z"],
     ["lubrication", "--scan-n", "0"],
@@ -346,6 +350,7 @@ _NAMED_IN_THE_MESSAGE = {
     ["lubrication", "--scan-k", "0"],
     ["lubrication", "--min-mass", "100"],
     ["lubrication", "--m", "7"],
+    ["lubrication", "--m", "2050"],
     ["lubrication", "--epsilon", "nan"],
     ["lubrication", "--epsilon", "0"],
     ["lubrication", "--seed-mass", "nan"],
@@ -445,6 +450,25 @@ class TestLubricationCommand:
         code = run(["lubrication", "--m", "127"])
         assert code == 1
         assert "even" in capsys.readouterr().err
+
+    def test_a_huge_grid_ends_in_seconds(self, tmp_path):
+        # the grid's matrices grow as m^2: m = 10^9 would need exabytes, so a grid
+        # larger than MAX_GRID_POINTS is a setting error before anything is
+        # allocated. The address-space cap keeps a runaway child small; it would
+        # die with a traceback, which fails too
+        package_root = Path(foldtrace.__file__).resolve().parent.parent
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "foldtrace", "lubrication", "--m", "1000000000",
+             "--csv", str(tmp_path / "b.csv"), "--states-csv", str(tmp_path / "st.csv"),
+             "--svg", str(tmp_path / "b.svg")],
+            capture_output=True, text=True, timeout=10.0,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: bad lubrication setting: --m must be even and in "
+                                      "[8, 2048], got 1000000000")
+        assert not any((tmp_path / name).exists() for name in ("b.csv", "st.csv", "b.svg"))
 
     def test_large_epsilon_smoke(self, tmp_path, capsys):
         # outside the fold regime: just has to run and emit artifacts

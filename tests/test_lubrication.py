@@ -11,6 +11,7 @@ from foldtrace.errors import (FieldEvaluationError, NoConvergence, NonpositiveTh
                               SingularMatrix, TraceError)
 from foldtrace.geometry import TurningPointKind
 from foldtrace.lubrication import (
+    MAX_GRID_POINTS,
     TWO_PI,
     BifurcationField,
     LubricationState,
@@ -40,6 +41,24 @@ def field64():
     field = BifurcationField(1e-3, grid)
     field.seed(TWO_PI)
     return field
+
+
+@pytest.mark.parametrize("build", [SpectralGrid.build, lambda m: fourier_diff_matrix(m, 1)])
+@pytest.mark.parametrize("m, message", [
+    (10**9, r"m must be even and in \[8, 2048\], got 1000000000"),
+    (MAX_GRID_POINTS + 2, "got 2050"),
+    (6, "got 6"),
+    (128.0, "m must be an integer, got 128.0"),
+    ("128", "m must be an integer"),
+])
+def test_grid_size_is_checked_before_anything_is_allocated(monkeypatch, build, m, message):
+    def allocation(*args, **kwargs):
+        raise AssertionError("an array was allocated before the grid size was checked")
+
+    for name in ("arange", "eye", "empty", "full", "zeros", "fft"):
+        monkeypatch.setattr(np, name, allocation)
+    with pytest.raises(ValueError, match=message):
+        build(m)
 
 
 class TestFourierDiffMatrix:
@@ -254,7 +273,8 @@ def _warm(field, M):
 
 
 def _nearest_film(field, Q, M):
-    return field._warm(field._nearest(Q, M)[0])
+    state = field.states[field._nearest(Q, M)[0]]
+    return state.h, state.Q
 
 
 class TestBifurcationField:
@@ -276,7 +296,7 @@ class TestBifurcationField:
 
     def test_singular_factorization_raises_field_evaluation_error(self, monkeypatch):
         field, seed = _seeded_field()
-        kept, solved = list(field._states), dict(field.solved)
+        kept = dict(field.states)
 
         def singular(holder, A):
             raise SingularMatrix("forced singular pivot")
@@ -284,8 +304,7 @@ class TestBifurcationField:
         monkeypatch.setattr(rootfind.LUHolder, "factor", singular)
         with pytest.raises(FieldEvaluationError, match="bordered solve failed.*forced singular"):
             field(seed.Q, TWO_PI + 0.05)
-        assert field._states == kept
-        assert field.solved == solved
+        assert field.states == kept
 
     def test_state_validation(self):
         with pytest.raises(NonpositiveThickness):
@@ -333,7 +352,8 @@ class TestTraceStates:
             assert abs(s.Q - p.x) <= tol
             assert abs(s.M - p.y) <= tol
             assert np.max(np.abs(residual_fixed_Q(s.h, s.Q, field.epsilon, field.grid))) < 1e-10
-        assert not field.solved  # the record is cleared for the next trace
+        # each point's state is the one kept at its mass
+        assert all(field.states[p.y] is s for p, s in zip(path.points, states))
 
     def test_no_solve_after_trace_returns(self, monkeypatch):
         calls = {"during": 0, "after": 0}
@@ -362,15 +382,35 @@ class TestTraceStates:
         assert calls["during"] > 0
         assert calls["after"] == 0
 
+    def test_one_field_serves_a_second_trace(self, monkeypatch):
+        # a second trace of the field takes the same path, and each of its points
+        # is answered by the state the first trace kept at its mass
+        real_trace = foldtrace.tracer.trace  # trace_bifurcation imports it per call
+        runs = []
+
+        def twice(field, *args, **kwargs):
+            first = real_trace(field, *args, **kwargs)
+            kept = dict(field.states)
+            runs.append((first, real_trace(field, *args, **kwargs), kept, field.states))
+            return first
+
+        monkeypatch.setattr(foldtrace.tracer, "trace", twice)
+        trace_bifurcation()
+        (first, second, kept, states), = runs
+        assert second.points == first.points and second.flags == first.flags
+        assert [(e.index, e.kind) for e in second.events] == [(e.index, e.kind) for e in first.events]
+        assert list(states.items())[:len(kept)] == list(kept.items())
+        assert all(states[p.y] is kept[p.y] for p in second.points)
+
     def test_missing_state_is_an_error(self, monkeypatch):
-        real_call = BifurcationField.__call__
+        real_trace = foldtrace.tracer.trace  # trace_bifurcation imports it per call
 
-        def forgetful(self, Q, M):
-            value = real_call(self, Q, M)
-            self.solved.clear()
-            return value
+        def forgetful(field, *args, **kwargs):
+            path = real_trace(field, *args, **kwargs)
+            field.states.clear()
+            return path
 
-        monkeypatch.setattr(BifurcationField, "__call__", forgetful)
+        monkeypatch.setattr(foldtrace.tracer, "trace", forgetful)
         with pytest.raises(TraceError, match="no converged state"):
             trace_bifurcation(**SMALL_DIAGRAM)
 
@@ -388,6 +428,8 @@ class TestTraceStates:
         ({"min_mass": 100.0}, "seed_mass 6.28319 lies below min_mass 100"),
         ({"initial": "z"}, "cannot parse direction"),
         ({"m": 7}, "m must be even"),
+        ({"m": 2050}, r"m must be even and in \[8, 2048\], got 2050"),
+        ({"m": 128.0}, "^m must be an integer, got 128.0"),
         ({"epsilon": float("nan")}, "epsilon must be positive"),
         ({"scan_n": 8.5}, "mesh_count must be an integer"),
         ({"scan_k": 2.5}, "reference_lag must be an integer"),
@@ -415,6 +457,12 @@ def _state(Q, M, m=8):
     return LubricationState(h=np.full(m, float(next(_tags))), Q=Q, M=M, epsilon=1e-3)
 
 
+def _keep(field, state):
+    # keep the state at its row number as its bordered-solve mass: the lookup reads the
+    # state's (Q, M), and the test states need not have distinct masses
+    field._remember(state, float(len(field.states)))
+
+
 class TestWarmStartLookup:
     @staticmethod
     def _min_lookup(states, Q, M):
@@ -423,22 +471,19 @@ class TestWarmStartLookup:
 
     def _assert_same_pick(self, field, states, probes):
         for Q, M in probes:
-            first, second, third = field._nearest(Q, M)
-            h0, Q0 = field._warm(first)
+            picks = field._nearest(Q, M)
+            h0, Q0 = _nearest_film(field, Q, M)
             expected = self._min_lookup(states, Q, M)
-            assert field._states[first] is expected
+            assert field.states[picks[0]] is expected
             assert Q0 == expected.Q
-            assert np.array_equal(h0, expected.h)
-            assert h0 is not expected.h  # the caller gets a copy
+            assert h0 is expected.h
             # each later pick is the first minimum over the states not yet picked
+            assert len(picks) == min(len(states), 3)
             others = list(states)
-            for pick in (first, second, third):
-                if others:
-                    expected = self._min_lookup(others, Q, M)
-                    assert field._states[pick] is expected
-                    others = [s for s in others if s is not expected]
-                else:
-                    assert pick == -1
+            for pick in picks:
+                expected = self._min_lookup(others, Q, M)
+                assert field.states[pick] is expected
+                others = [s for s in others if s is not expected]
 
     def test_exact_ties_pick_the_oldest(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
@@ -447,7 +492,7 @@ class TestWarmStartLookup:
         states = [_state(Q, M) for Q, M in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
                                             (1.0, 0.0)]]
         for state in states:
-            field._remember(state, state.M)
+            _keep(field, state)
         h0, Q0 = _nearest_film(field, 0.0, 0.0)
         assert Q0 == 1.0 and np.array_equal(h0, states[0].h)
         self._assert_same_pick(field, states, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, -2.0)])
@@ -464,9 +509,9 @@ class TestWarmStartLookup:
         states = []
         for i, (Q, M) in enumerate(grid_points):
             state = _state(Q + 1e-3 * (i % 2), M)
-            field._remember(state, state.M)
+            _keep(field, state)
             states.append(state)
-            assert field._states == states
+            assert list(field.states.values()) == states
             self._assert_same_pick(field, states, probes)
             h0, Q0 = _nearest_film(field, states[0].Q, states[0].M)
             assert Q0 == states[0].Q and np.array_equal(h0, states[0].h)
@@ -483,10 +528,10 @@ class TestWarmStartLookup:
         probes += [(float(q), float(m)) for q, m in rng.uniform(-1, 4, size=(2, 2))]
         for Q, M in rng.integers(0, 3, size=(600, 2)):
             state = _state(float(Q), float(M))
-            field._remember(state, state.M)
+            _keep(field, state)
             states.append(state)
             self._assert_same_pick(field, states, probes)
-        assert field._states == states
+        assert list(field.states.values()) == states
 
     def test_third_pick_is_the_oldest_of_the_next_nearest(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
@@ -494,18 +539,18 @@ class TestWarmStartLookup:
         states = [_state(Q, M) for Q, M in [(3.0, 0.0), (1.0, 0.0), (0.0, 2.0), (0.0, 1.0),
                                             (-2.0, 0.0), (2.0, 0.0)]]
         for state in states[:2]:
-            field._remember(state, state.M)
-        assert field._nearest(0.0, 0.0) == (1, 0, -1)
+            _keep(field, state)
+        assert field._nearest(0.0, 0.0) == [1.0, 0.0]  # masses of rows 1 and 0
         for state in states[2:]:
-            field._remember(state, state.M)
-        assert field._nearest(0.0, 0.0) == (1, 3, 2)
+            _keep(field, state)
+        assert field._nearest(0.0, 0.0) == [1.0, 3.0, 2.0]
 
     def test_an_unseeded_field_raises(self):
         field = BifurcationField(1e-3, SpectralGrid.build(8))
-        assert field._nearest(0.6, TWO_PI) == (-1, -1, -1)
+        assert field._nearest(0.6, TWO_PI) == []
         with pytest.raises(ValueError, match="seed"):
             field(0.6, TWO_PI)
-        assert field.counts["bordered"] == 0 and not field.solved
+        assert field.counts["bordered"] == 0 and not field.states
 
 
 def _seeded_field():
@@ -545,7 +590,7 @@ class TestPredictedStarts:
     def test_same_mass_probe_reuses_the_state_without_a_solve(self, monkeypatch):
         field, seed = _seeded_field()
         field(seed.Q, TWO_PI + 0.05)  # a second state, solved at a new mass
-        kept = list(field._states)
+        kept = list(field.states.values())
         probes = [(seed.Q + 0.01, TWO_PI, seed), (0.5, TWO_PI + 0.05, kept[1])]
         # what a bordered solve from the state would return: the state itself
         expected = [solve_at_M(M, 0.1, field.grid, state.h, state.Q, 1e-11, 12).Q - Q
@@ -553,15 +598,15 @@ class TestPredictedStarts:
         log = _logging_solves(monkeypatch)
         for (Q, M, state), value in zip(probes, expected):
             assert field(Q, M) == value == state.Q - Q
-            assert field.solved[(Q, M)] is state
+            assert field.states[M] is state
         assert log == []
-        assert field._states == kept
+        assert list(field.states.values()) == kept
         assert field.counts["reused"] == 2
 
     def test_two_kept_states_start_from_the_nearest(self, monkeypatch):
         field, seed = _seeded_field()
         field(seed.Q, TWO_PI + 0.05)  # one state kept so far: start from the seed
-        s1 = field._states[1]
+        s1 = field.states[TWO_PI + 0.05]
         log = _logging_solves(monkeypatch)
         field(s1.Q, TWO_PI + 0.1)  # two kept states: still no prediction
         (_, h0, Q0), = log
@@ -573,7 +618,7 @@ class TestPredictedStarts:
         for dM in (0.05, 0.12):  # both start from the nearest state
             field(seed.Q, TWO_PI + dM)
         assert field.counts["quadratic"] == 0
-        s1, s2 = field._states[1:]
+        s1, s2 = (field.states[TWO_PI + dM] for dM in (0.05, 0.12))
         log = _logging_solves(monkeypatch)
         M = TWO_PI + 0.2
         field(s2.Q, M)
@@ -586,16 +631,24 @@ class TestPredictedStarts:
         assert Q0 == pytest.approx(sum(w * s.Q for w, s in zip(weights, expected)), abs=1e-12)
         assert field.counts["quadratic"] == 1
 
-    def test_nearest_start_when_only_two_masses_are_distinct(self, monkeypatch):
+    def test_a_nearer_state_at_another_mass_does_not_solve_a_kept_mass_again(self, monkeypatch):
         field, seed = _seeded_field()
         field(seed.Q, TWO_PI + 0.05)
-        s1 = field._states[1]
-        field._remember(seed, TWO_PI)  # a third state, at the seed's mass
+        Q = field.states[TWO_PI + 0.05].Q - 1.0  # on the far side from the seed's flux
+        assert field._nearest(Q, TWO_PI)[0] == TWO_PI + 0.05
         log = _logging_solves(monkeypatch)
-        field(s1.Q, TWO_PI + 0.1)
-        (_, h0, Q0), = log
-        assert np.array_equal(h0, s1.h) and Q0 == s1.Q
-        assert (field.counts["quadratic"], field.counts["retried"]) == (0, 0)
+        # the state solved at 2*pi + 0.05 lies nearer, but the seed's mass is solved
+        assert field(Q, TWO_PI) == seed.Q - Q
+        assert log == [] and field.counts["reused"] == 1
+
+    def test_seed_at_a_solved_mass_returns_the_kept_state(self, monkeypatch):
+        field, seed = _seeded_field()
+        field(seed.Q, TWO_PI + 0.05)
+        counts = field.counts
+        log = _logging_solves(monkeypatch)
+        assert field.seed(TWO_PI) is seed
+        assert field.seed(TWO_PI + 0.05) is field.states[TWO_PI + 0.05]
+        assert log == [] and field.counts == counts
 
     def test_nearest_state_when_the_quadratic_film_is_not_positive(self, monkeypatch):
         field, seed = _seeded_field()
@@ -621,7 +674,7 @@ class TestPredictedStarts:
 
     def test_failed_quadratic_start_retries_from_the_nearest(self, monkeypatch):
         field = self._three_masses()
-        s2 = field._states[2]
+        s2 = field.states[TWO_PI + 0.12]
         direct = solve_at_M(TWO_PI + 0.2, 0.1, field.grid, s2.h, s2.Q, 1e-11, 12).Q - s2.Q
         log = _logging_solves(monkeypatch, fail_at_M=1)
         value = field(s2.Q, TWO_PI + 0.2)
@@ -633,13 +686,12 @@ class TestPredictedStarts:
 
     def test_failed_retry_raises_without_a_fixed_flux_solve(self, monkeypatch):
         field = self._three_masses()
-        kept, solved = list(field._states), dict(field.solved)
+        kept = dict(field.states)
         log = _logging_solves(monkeypatch, fail_at_M=2)
         with pytest.raises(FieldEvaluationError, match="bordered solve failed.*forced"):
-            field(kept[2].Q, TWO_PI + 0.2)
+            field(kept[TWO_PI + 0.12].Q, TWO_PI + 0.2)
         assert [entry[0] for entry in log] == ["M", "M"]  # quadratic start, retry; nothing else
-        assert field._states == kept
-        assert field.solved == solved
+        assert field.states == kept
         assert (field.counts["quadratic"], field.counts["retried"]) == (1, 1)
         assert list(field.counts) == ["bordered", "reused", "quadratic", "retried",
                                       "factorizations", "chord"]
@@ -698,6 +750,7 @@ def default_diagram_counts():
     lu_solves = []
     newton = []  # every Newton solve; each solve_at_M runs one
     at_M = []  # per bordered solve: whether a field evaluation made it
+    solved_masses = []  # of every bordered solve in an evaluation that converged
     evaluations = []
     inside = []  # the evaluation running now, if any
     real_residual, real_vector = lubrication.residual_fixed_Q, lubrication.solve_vector
@@ -719,9 +772,12 @@ def default_diagram_counts():
         finally:
             inside.pop()
 
-    def counting_at_M(*args, **kwargs):
+    def counting_at_M(M, *args, **kwargs):
         at_M.append(bool(inside))
-        return real_at_M(*args, **kwargs)
+        state = real_at_M(M, *args, **kwargs)
+        if inside:
+            solved_masses.append(M)
+        return state
 
     def counting_residual(*args, **kwargs):
         residuals.append(1)
@@ -747,7 +803,8 @@ def default_diagram_counts():
     return dict(path=path, field=field, factorizations=len(shapes), steps=len(steps),
                 unbordered=len(newton) - len(at_M),  # such as a fixed-flux solve
                 residuals=len(residuals), evaluations=len(evaluations), bordered=len(at_M),
-                bordered_in_evaluations=sum(at_M), lu_solves=len(lu_solves))
+                bordered_in_evaluations=sum(at_M), lu_solves=len(lu_solves),
+                solved_masses=solved_masses)
 
 
 class TestFactorizationReuse:
@@ -777,8 +834,9 @@ class TestFactorizationReuse:
         assert 0 < default_diagram_counts["factorizations"] <= 232
 
     def test_default_diagram_residual_budget(self, default_diagram_counts):
-        # 2,040 residual evaluations, all in bordered solves, per diagram
-        # (2,033 before the fold was located ahead of its scan);
+        # 2,039 residual evaluations, all in bordered solves, per diagram
+        # (2,040 while a mass could be solved twice, 2,033 before the fold
+        # was located ahead of its scan);
         # 2,564 with a two-point start in place of the quadratic, 2,640
         # with the fixed-flux fallback, 3,648 before the predicted starts,
         # 4,208 before the tracer's march predictor
@@ -791,8 +849,9 @@ class TestFactorizationReuse:
         assert 0 < default_diagram_counts["lu_solves"] <= 1700
 
     def test_default_diagram_field_evaluation_budget(self, default_diagram_counts):
-        # 884 field evaluations, 473 of them answered by a state already
-        # solved at the probed mass; 880 before the fold was located ahead of
+        # 884 field evaluations, 474 of them answered by a state already
+        # solved at the probed mass (473 while only the nearest state could
+        # answer); 880 before the fold was located ahead of
         # its scan, 1,031 before the tracer's march predictor
         assert 0 < default_diagram_counts["evaluations"] <= 950
 
@@ -805,6 +864,15 @@ class TestFactorizationReuse:
         # more that leaves the domain.
         assert default_diagram_counts["steps"] == len(default_diagram_counts["path"].points) - 1
         assert default_diagram_counts["evaluations"] == 884
+
+    def test_default_diagram_solves_each_mass_once(self, default_diagram_counts):
+        # the seed's mass, then the mass of every bordered solve an evaluation
+        # made, in order: the states the field keeps. When only the nearest state
+        # could answer a probe at its own mass, a nearer state solved at another
+        # mass made the diagram solve one mass twice
+        masses = [TWO_PI] + default_diagram_counts["solved_masses"]
+        assert len(set(masses)) == len(masses) == 410
+        assert list(default_diagram_counts["field"].states) == masses
 
     def test_readme_quotes_the_default_diagram_counts(self, default_diagram_counts, readme):
         # a change that moves these counts has to update README too
